@@ -55,10 +55,6 @@ def generators(n: int) -> list[Generator]:
     return gens
 
 
-def generator_count(n: int) -> int:
-    return (n + 1) * (n + 2) // 2
-
-
 def _rot(i: int, j: int) -> list[tuple[int, Generator]]:
     """Normalized rotation: rot_{ij} = -rot_{ji}, rot_{ii} = 0."""
     if i == j:

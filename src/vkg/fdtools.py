@@ -148,26 +148,6 @@ def check_free_transport_commutation(func: PointFunc, A: MultiIndex,
     return refinement_study(residual, h, floor)
 
 
-def momentum_decomposition_check(func: PointFunc, i: int, pts: np.ndarray,
-                                 h: float = 1e-3,
-                                 floor: float = 1e-9) -> RefinementStudy:
-    """d_{v^i} f = (Bhat_i - t d_{x^i} - x^i d_t) f / v^0, as a residual."""
-
-    def residual(step):
-        pts_ = np.asarray(pts, dtype=float)
-        n = _dim_n(pts_)
-        v = pts_[:, 1 + n:]
-        v0 = np.sqrt(1.0 + np.sum(v * v, axis=1))
-        lhs = partial(func, n + i, h=step)(pts_)
-        boost = apply_generator(func, Generator(BOOST, i), step, True)(pts_)
-        dx = partial(func, i, step)(pts_)
-        dt = partial(func, 0, step)(pts_)
-        rhs = (boost - pts_[:, 0] * dx - pts_[:, i] * dt) / v0
-        return lhs - rhs
-
-    return refinement_study(residual, h, floor)
-
-
 def evaluate_vlasov_rhs(rhs: CommutedVlasovRHS, func: PointFunc,
                         phi: PointFunc, pts: np.ndarray,
                         h: float) -> np.ndarray:

@@ -192,14 +192,3 @@ def integrate_slice(g, q: SliceQuadrature) -> float:
         return res
     return float(np.dot(vals, q.weights))
 
-
-def pseudo_cartesian_derivative(field_vals, i: int, p: SpacetimePoint,
-                                dt_field, dx_field) -> float:
-    """Derivative along the pseudo-Cartesian coordinate y^i at p.
-
-    Evaluates (1/t)(t * d_{x^i} + x^i * d_t) from supplied Cartesian
-    derivative callables ``dx_field(i, p)`` and ``dt_field(p)``.
-    ``field_vals`` is accepted for interface symmetry and unused.
-    """
-    del field_vals
-    return dx_field(i, p) + (p.x[i] / p.t) * dt_field(p)

@@ -76,6 +76,19 @@ class SimConfig:
             raise SolverError(f"unknown boundary condition {self.bc!r}")
         if self.rmax_mode not in ("fixed", "lightcone"):
             raise SolverError(f"unknown rmax mode {self.rmax_mode!r}")
+        for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
+                     "f_width_x", "f_width_v", "phi_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SolverError(
+                    f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)
+                and self.t_end > self.t0):
+            raise SolverError(
+                f"need finite t0 < t_end, got t0={self.t0}, t_end={self.t_end}")
+        if self.energy_order < 0:
+            raise SolverError(
+                f"energy_order must be nonnegative, got {self.energy_order}")
         if self.rmax_mode == "lightcone" and self.t0 <= self.support_radius:
             raise SolverError("lightcone truncation needs t0 > support_radius")
         if self.dt > self.cfl_safety * self.dx:
@@ -135,10 +148,16 @@ def _limited_slopes(fpad2: np.ndarray) -> np.ndarray:
     b = fpad2[..., 2:-1]
     c = fpad2[..., 3:]
     d4 = (7.0 * (a + b) - (z + c)) / 12.0
-    sgn = np.sign(a)
-    cap = 3.0 * np.minimum(np.abs(a), np.abs(b))
-    d = sgn * np.clip(d4 * sgn, 0.0, cap)
-    return np.where(a * b > 0, d, 0.0)
+    # the region is [0, 3 min(a, b)] for a positive pair, [3 max(a, b), 0]
+    # for a negative one, and {0} when a and b differ in sign
+    hi = np.maximum(3.0 * np.minimum(a, b), 0.0)
+    lo = np.minimum(3.0 * np.maximum(a, b), 0.0)
+    return np.minimum(np.maximum(d4, lo), hi)
+
+
+# advect works through the lines in blocks of about this many cells, so
+# that the temporaries of one block stay in cache
+BLOCK_CELLS = 1 << 15
 
 
 def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
@@ -146,62 +165,91 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     """Shift cell averages by sigma cells along one axis, conservatively.
 
     sigma must broadcast to g's shape and be constant along the advection
-    axis (one uniform shift per 1-D line).  The primitive (cumulative sum)
-    is interpolated at displaced cell edges with a monotone cubic Hermite
-    and differenced, so the total along each line is exact up to boundary
-    outflow.
+    axis, so each 1-D line of m cells moves by one uniform shift.  Cell
+    edge j departs from j - sigma = (j + k) + xi, with one integer shift
+    k = floor(-sigma) and one fraction xi in [0, 1) per line, hence four
+    cubic Hermite weights per line.  The primitive W (cumulative sum) and
+    its monotone edge slopes are built once and padded by max|k| + 1 edges
+    on each side, so all lines that share k read the same contiguous
+    window of them.  W at the departure points is differenced back into
+    cell averages, so the total along each line is exact up to boundary
+    outflow.  Outgoing lines take in nothing: an edge departing from left
+    of the line gets W = 0 and one departing from right of it gets the
+    line total, both exactly.  Periodic lines wrap with
+    W(b +- m) = W(b) +- total.
     """
     g = np.asarray(g, dtype=float)
     gm = np.moveaxis(g, axis, -1)
     m = gm.shape[-1]
-    sigma = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
-                                        g.shape), axis, -1)[..., 0]
+    lines = gm.reshape(-1, m)
+    sig = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
+                                      g.shape), axis, -1)[..., 0]
+    sig = sig.reshape(-1, 1)
+    # cumulative-sum cancellation can leave negatives at the roundoff
+    # scale; zero those without touching genuinely signed data
+    floor = -1e-13 * np.max(np.abs(gm), initial=0.0)
+    out = np.empty(lines.shape)
+    per_block = max(1, BLOCK_CELLS // m)
+    for i in range(0, len(lines), per_block):
+        block = slice(i, i + per_block)
+        out[block] = _advect_lines(lines[block], sig[block], bc, floor)
+    return np.moveaxis(out.reshape(gm.shape), -1, axis)
 
+
+def _advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
+                  floor: float) -> np.ndarray:
+    """advect on lines of shape (L, m) with shifts s of shape (L, 1)."""
+    L, m = lines.shape
+    # shifting by whole periods, or past the whole line, changes nothing
+    # and would only widen the padding
     if bc == "periodic":
-        fpad = np.concatenate([gm[..., -2:], gm, gm[..., :2]], axis=-1)
+        s = s - m * np.round(s / m)
     else:
-        zero = np.zeros_like(gm[..., :2])
-        fpad = np.concatenate([zero, gm, zero], axis=-1)
-    d = _limited_slopes(fpad)                        # (..., m+1) edge slopes
-
-    W = np.zeros(gm.shape[:-1] + (m + 1,))
-    np.cumsum(gm, axis=-1, out=W[..., 1:])
-    total = W[..., -1:]
-
-    q = np.arange(m + 1) - sigma[..., None]          # query edges, cell units
-    if bc == "periodic":
-        wind = np.floor(q / m)
-        q = q - wind * m
-        q = np.clip(q, 0.0, m)  # guard roundoff
-    b = np.floor(q).astype(np.int64)
-    xi = q - b
-    bc_idx = np.clip(b, 0, m - 1)
-    xi = np.where(b > bc_idx, 1.0, np.where(b < bc_idx, 0.0, xi))
-
-    W0 = np.take_along_axis(W, bc_idx, axis=-1)
-    W1 = np.take_along_axis(W, bc_idx + 1, axis=-1)
-    d0 = np.take_along_axis(d, bc_idx, axis=-1)
-    d1 = np.take_along_axis(d, bc_idx + 1, axis=-1)
-
+        s = np.clip(s, -m - 1.0, m + 1.0)
+    k = np.floor(-s)
+    xi = -s - k
+    k = np.nan_to_num(k).astype(np.int64).ravel()
     xi2 = xi * xi
     xi3 = xi2 * xi
     h00 = 2 * xi3 - 3 * xi2 + 1
     h10 = xi3 - 2 * xi2 + xi
     h01 = -2 * xi3 + 3 * xi2
     h11 = xi3 - xi2
-    Wq = h00 * W0 + h10 * d0 + h01 * W1 + h11 * d1
 
-    if bc == "outgoing":
-        Wq = np.where(b < 0, 0.0, np.where(b >= m, total, Wq))
+    # edge e of a line sits at column P + e of the padded arrays
+    P = int(np.max(np.abs(k))) + 1
+    Wp = np.zeros((L, m + 1 + 2 * P))
+    dp = np.zeros_like(Wp)
+    np.cumsum(lines, axis=1, out=Wp[:, P + 1:P + m + 1])
+    total = Wp[:, P + m:P + m + 1]
+    if bc == "periodic":
+        ghosts = (lines[:, -2:], lines, lines[:, :2])
     else:
-        Wq = Wq + wind * total
+        zero = np.zeros((L, 2))
+        ghosts = (zero, lines, zero)
+    dp[:, P:P + m + 1] = _limited_slopes(np.concatenate(ghosts, axis=1))
+    if bc == "periodic":
+        e = np.r_[-P:0, m + 1:m + P + 1]
+        Wp[:, P + e] = Wp[:, P + e % m] + (e // m) * total
+        dp[:, P + e] = dp[:, P + e % m]
+    else:
+        Wp[:, P + m + 1:] = total
 
-    out = np.diff(Wq, axis=-1)
-    # cumulative-sum cancellation can leave negatives at the roundoff
-    # scale; zero those without touching genuinely signed data
-    floor = -1e-13 * np.max(np.abs(gm), initial=0.0)
-    out = np.where((out < 0) & (out >= floor), 0.0, out)
-    return np.moveaxis(out, -1, axis)
+    Wq = np.empty((L, m + 1))
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        if rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)     # a view, not a copy
+        w0 = slice(P + kk, P + kk + m + 1)
+        w1 = slice(P + kk + 1, P + kk + m + 2)
+        Wq[rows] = (h00[rows] * Wp[rows, w0] + h10[rows] * dp[rows, w0]
+                    + h01[rows] * Wp[rows, w1] + h11[rows] * dp[rows, w1])
+        if bc == "outgoing":
+            Wq[rows, :max(0, -kk)] = 0.0
+            Wq[rows, max(0, m - kk):] = total[rows]
+
+    out = np.diff(Wq, axis=1)
+    return np.where((out < 0) & (out >= floor), 0.0, out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +398,10 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
         f = advect(f, vhat[None, None, None, :] * h / cfg.dx, axis=1, bc=cfg.bc)
         return f
 
-    f = advect_x(f, dt / 2)
+    # in free_kg mode f is identically zero and advecting it is a no-op
+    transport = cfg.mode != "free_kg"
+    if transport:
+        f = advect_x(f, dt / 2)
 
     evolve_field = cfg.mode != "free_transport"
     kick = cfg.mode in ("coupled", "mms")
@@ -376,7 +427,8 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
 
-    f = advect_x(f, dt / 2)
+    if transport:
+        f = advect_x(f, dt / 2)
 
     phase.f = f
     phase.t += dt
@@ -463,7 +515,7 @@ def _pending_nodes(cfg: SimConfig):
 
 
 def _capture_node(ring: HistoryRing, cfg: SimConfig, tau, y, r, t_star,
-                  weight, warnings: list[str]) -> NodeSample:
+                  weight) -> NodeSample:
     levels = ring.window(T_WINDOW)
     t_levels = np.array([e[0] for e in levels])
     xc = x_centers(cfg)
@@ -525,7 +577,7 @@ def run(cfg: SimConfig, kinetic_source: Callable | None = None,
         # fire every node whose block is now centered in the ring
         while pending and pending[0][0] <= phase.t - 2 * cfg.dt:
             t_star, tau, y, r, w = pending.popleft()
-            node = _capture_node(ring, cfg, tau, y, r, t_star, w, warnings)
+            node = _capture_node(ring, cfg, tau, y, r, t_star, w)
             slices[tau].nodes.append(node)
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)

@@ -99,6 +99,19 @@ def test_cfl_violation_exits_3(tmp_path):
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dt", "0"), ("dt", "nan"), ("nx", "0"), ("nv", "0"),
+    ("x_extent", "-1"), ("vmax", "inf"), ("epsilon", "0"),
+    ("f_width_x", "0"), ("f_width_v", "0"), ("phi_width", "-0.5"),
+    ("t_end", "2.0"), ("energy_order", "-1")])
+def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    monkeypatch.setenv("VKG_" + key.upper(), value)
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
+    assert key in capsys.readouterr().err
+
+
 def test_derive_json_and_text(capsys):
     assert main(["derive", "--order", "1", "--n", "1", "--target", "vlasov",
                  "--format", "json"]) == 0

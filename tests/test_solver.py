@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vkg.solver as solver
 from vkg.solver import (FieldState, PhaseState, SimConfig, SolverError,
-                        advect, initial_states, mms_forcing, run,
+                        _limited_slopes, advect, initial_states,
+                        mms_forcing, run,
                         source_density, step, total_mass, v_centers,
                         x_centers)
 
@@ -68,6 +70,70 @@ def test_advect_second_order_on_smooth_profile():
         exact = np.exp(np.sin(2 * np.pi * (xs - 0.4 / m)))
         errs.append(np.max(np.abs(out - exact)))
     assert errs[0] / errs[1] > 3.0
+
+
+def test_advect_shift_past_the_whole_line():
+    g = np.zeros(32)
+    g[10:14] = [1.0, 3.0, 2.0, 0.5]
+    out = advect(g, np.full_like(g, 2.0 + 32 * 1e6), axis=0, bc="periodic")
+    assert np.allclose(out, np.roll(g, 2), atol=1e-13)
+    for sig in (1e12, -1e12):
+        out = advect(g, np.full_like(g, sig), axis=0, bc="outgoing")
+        assert not np.any(out)
+
+
+def test_limited_slopes_match_sign_based_reference():
+    rng = np.random.default_rng(0)
+    fpad = rng.normal(size=(50, 40))
+    fpad[rng.random(fpad.shape) < 0.2] = 0.0
+    z, a, b, c = fpad[:, :-3], fpad[:, 1:-2], fpad[:, 2:-1], fpad[:, 3:]
+    d4 = (7.0 * (a + b) - (z + c)) / 12.0
+    sgn = np.sign(a)
+    cap = 3.0 * np.minimum(np.abs(a), np.abs(b))
+    ref = np.where(a * b > 0, sgn * np.clip(d4 * sgn, 0.0, cap), 0.0)
+    assert np.array_equal(_limited_slopes(fpad), ref)
+
+
+def _lines(a, axis):
+    return np.moveaxis(a, axis, -1).reshape(-1, a.shape[axis])
+
+
+@pytest.mark.parametrize("block_cells", [solver.BLOCK_CELLS, 200],
+                         ids=["default_blocks", "small_blocks"])
+@pytest.mark.parametrize("bc", ["outgoing", "periodic"])
+@pytest.mark.parametrize("shape,axis", [((320, 64), 0), ((320, 64), 1)]
+                         + [((8, 9, 10, 12), ax) for ax in range(4)])
+def test_advect_lines_with_different_shifts(shape, axis, bc, block_cells,
+                                            monkeypatch):
+    """Lines with different integer shifts, advected together (in one
+    block or in many), match one 1-D advect per line; each line keeps its
+    own mass."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(sum(shape) + axis)
+    sig_shape = list(shape)
+    sig_shape[axis] = 1
+    sig = rng.uniform(-2.5, 2.5, size=sig_shape)
+    g = rng.random(shape) * (rng.random(shape) > 0.3)
+    # no mass within 3 cells of either end, so nothing can flow out
+    inner = np.moveaxis(g, axis, -1).copy()
+    inner[..., :3] = 0.0
+    inner[..., -3:] = 0.0
+    inner = np.moveaxis(inner, -1, axis)
+    sig_lines = _lines(np.broadcast_to(sig, shape), axis)[:, 0]
+    for data in (g, inner):
+        out = advect(data, sig, axis, bc=bc)
+        for line, s, got in zip(_lines(data, axis), sig_lines,
+                                _lines(out, axis)):
+            ref = advect(line, np.full_like(line, s), axis=0, bc=bc)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        mass_in = _lines(data, axis).sum(axis=1)
+        mass_out = _lines(out, axis).sum(axis=1)
+        if bc == "periodic" or data is inner:
+            assert np.allclose(mass_out, mass_in, rtol=1e-13, atol=0.0)
+        else:
+            # mass only leaves, through the ends of the lines
+            assert np.all(mass_out <= mass_in * (1 + 1e-14))
+            assert np.any(mass_out < mass_in * (1 - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +200,21 @@ def test_free_kg_dispersion_relation():
     for _ in range(nsteps):
         step(phase, fld, cfg2)
     assert np.max(np.abs(fld.phi - np.cos(k * xc))) < 1e-4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_free_kg_step_skips_transport(n, monkeypatch):
+    """f is identically zero in free_kg mode; a step must not advect it."""
+    cfg = SimConfig(n=n, mode="free_kg", x_extent=4.0, nx=16, vmax=2.0, nv=4,
+                    dt=0.1, t0=2.0, t_end=2.2, taus=())
+    calls = []
+    monkeypatch.setattr(solver, "advect", lambda *a, **kw: calls.append(a))
+    phase, fld = initial_states(cfg)
+    phi0 = fld.phi.copy()
+    step(phase, fld, cfg)
+    assert calls == []
+    assert not np.any(phase.f)
+    assert not np.array_equal(fld.phi, phi0)
 
 
 def test_source_density_matches_mass():
