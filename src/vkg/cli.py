@@ -19,9 +19,7 @@ import numpy as np
 
 from . import algebra, commuted, diagnostics, energies, geometry, report
 from .config import ConfigError, RunSettings, load_settings, settings_echo
-from .solver import SimConfig, SolverError, run
-
-SYMBOLIC_CAP = 4
+from .solver import SYMBOLIC_CAP, SimConfig, SolverError, run
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +39,11 @@ def run_pipeline(settings: RunSettings):
     records = []
     eps = cfg.epsilon
     delta = diagnostics.delta_rule(eps, settings.delta_mode)
-    for sq in slices_q:
+    for sq, rep in zip(slices_q, reports):
         # the decay envelopes use the low-order energies: order n for
         # velocity averages, floor(n/2)+1 for the field
-        rep_f = energies.energy_report(sq, min(cfg.n, cfg.energy_order))
-        rep_phi = energies.energy_report(
-            sq, min(cfg.n // 2 + 1, cfg.energy_order))
+        rep_f = rep.truncated(min(cfg.n, cfg.energy_order))
+        rep_phi = rep.truncated(min(cfg.n // 2 + 1, cfg.energy_order))
         records.append(diagnostics.ks_check_f(sq, rep_f, 0))
         records.append(diagnostics.ks_check_f(sq, rep_f, 1))
         records.extend(diagnostics.ks_check_phi(sq, rep_phi))

@@ -26,7 +26,6 @@ class RunSettings:
     delta_mode: str = "free"           # free | n4
     decay_window: tuple[float, float] = (10.0, 100.0)
     ratio_variation_max: float = 5.0
-    threads: int = 1
 
 
 _SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)}
@@ -37,7 +36,6 @@ _EXTRA_FIELDS = {
     "decay_window_lo": float,
     "decay_window_hi": float,
     "ratio_variation_max": float,
-    "threads": int,
 }
 
 _FLOAT_TUPLE_KEYS = {"taus"}
@@ -109,7 +107,6 @@ def load_settings(text: str, environ=None) -> RunSettings:
         decay_window=(values.get("decay_window_lo", 10.0),
                       values.get("decay_window_hi", 100.0)),
         ratio_variation_max=values.get("ratio_variation_max", 5.0),
-        threads=values.get("threads", 1),
     )
 
 
@@ -123,6 +120,5 @@ def settings_echo(settings: RunSettings) -> dict:
         "decay_window_lo": settings.decay_window[0],
         "decay_window_hi": settings.decay_window[1],
         "ratio_variation_max": settings.ratio_variation_max,
-        "threads": settings.threads,
     })
     return echo

@@ -4,8 +4,16 @@ All quantities live on truncated hyperboloids tau^2 = t^2 - |x|^2.  The
 kinetic energy density is ehat(g) = int (v^0 t - v.x)/tau g dv and the
 field density e(phi) = (t/2tau)((d_t phi)^2 + |grad phi|^2 + phi^2)
 + (r/tau)(d_t phi)(d_r phi).  Node data come from the solver's captured
-space-time blocks; generator compositions are applied to blocks by
-centered differences and the result is interpolated to the node.
+space-time blocks.  Interpolating to a node is a contraction with
+per-node, per-axis weight vectors: the cubic Lagrange weights w, the
+derivative weights G^T w (G is np.gradient on that axis's coordinates,
+so a centered difference followed by interpolation is one dot product)
+and the coordinate weights c*w.  The node value of Z_A f is therefore
+the outermost generator of A contracted against the whole block Z_B f
+of the inner composition B, and the lifted velocity part of that
+generator acts on the contracted velocity profile.  Nodes of a slice
+share one block shape, so they are evaluated in stacks of at most
+solver.BLOCK_CELLS cells.
 
 Lower-bound slacks are evaluated through manifestly nonnegative
 rearrangements (pointwise nonnegative velocity integrands, sums of
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .algebra import BOOST, DT, DX, ROT, Generator
 from .commuted import (MultiIndex, derive_commuted_kg,
                        derive_commuted_vlasov, multi_indices_up_to, _mi_str)
@@ -30,69 +39,13 @@ from .solver import NodeSample, RunResult, SliceData
 
 
 # ---------------------------------------------------------------------------
-# Block calculus: generators applied to captured space-time blocks
+# Block calculus: generators applied to stacked space-time blocks
 # ---------------------------------------------------------------------------
 
-
-def _axis_coords(node: NodeSample, n: int, with_v: bool):
-    coords = [node.t_levels, *node.x_axes]
-    if with_v:
-        coords += list(node.v_axes)
-    return coords
-
-
-def _grad(block: np.ndarray, coords, axis: int) -> np.ndarray:
-    return np.gradient(block, coords[axis], axis=axis, edge_order=2)
-
-
-def _coordinate_fields(node: NodeSample, n: int, with_v: bool):
-    """Broadcastable t, x_i (and v_i, v0) arrays over the block shape."""
-    ndim = 1 + n + (n if with_v else 0)
-    def along(arr, axis):
-        shape = [1] * ndim
-        shape[axis] = len(arr)
-        return np.asarray(arr).reshape(shape)
-    t = along(node.t_levels, 0)
-    xs = [along(node.x_axes[d], 1 + d) for d in range(n)]
-    if not with_v:
-        return t, xs, None, None
-    vs = [along(node.v_axes[d], 1 + n + d) for d in range(n)]
-    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vs))
-    return t, xs, vs, v0
-
-
-def block_apply(g: Generator, block: np.ndarray, node: NodeSample,
-                n: int, lifted: bool) -> np.ndarray:
-    """One generator (or its complete lift) applied to a block."""
-    with_v = lifted
-    coords = _axis_coords(node, n, with_v)
-    t, xs, vs, v0 = _coordinate_fields(node, n, with_v)
-    if g.kind == DT:
-        return _grad(block, coords, 0)
-    if g.kind == DX:
-        return _grad(block, coords, g.i)
-    if g.kind == BOOST:
-        i = g.i
-        out = t * _grad(block, coords, i) + xs[i - 1] * _grad(block, coords, 0)
-        if lifted:
-            out = out + v0 * _grad(block, coords, 1 + n + i - 1)
-        return out
-    if g.kind == ROT:
-        i, j = g.i, g.j
-        out = (xs[i - 1] * _grad(block, coords, j)
-               - xs[j - 1] * _grad(block, coords, i))
-        if lifted:
-            out = out + (vs[i - 1] * _grad(block, coords, 1 + n + j - 1)
-                         - vs[j - 1] * _grad(block, coords, 1 + n + i - 1))
-        return out
-    raise AssertionError(g.kind)
-
-
-def block_apply_multi(A: MultiIndex, block: np.ndarray, node: NodeSample,
-                      n: int, lifted: bool) -> np.ndarray:
-    for g in reversed(A):
-        block = block_apply(g, block, node, n, lifted)
-    return block
+# A stack of node blocks has axes (node, t, x_1..x_n, v_1..v_n); the
+# contracted basis of a stack has axes (node, row_t, row_x1.., v..), one
+# row per weight vector of each space-time axis.
+_W, _D, _C = 0, 1, 2               # rows: value, derivative, coordinate
 
 
 def _lagrange_weights(xs: np.ndarray, x: float) -> np.ndarray:
@@ -104,24 +57,157 @@ def _lagrange_weights(xs: np.ndarray, x: float) -> np.ndarray:
     return w
 
 
-def _interp_axis(block: np.ndarray, coords: np.ndarray, target: float,
-                 axis: int) -> np.ndarray:
-    """Cubic Lagrange interpolation along one axis of a block."""
+def _interp_weights(coords: np.ndarray, target: float) -> np.ndarray:
+    """Cubic Lagrange weights on the four points around target, zero
+    elsewhere: w . h interpolates h at target."""
     b = int(np.searchsorted(coords, target)) - 1
     lo = min(max(b - 1, 0), len(coords) - 4)
-    w = _lagrange_weights(coords[lo:lo + 4], target)
-    sl = [slice(None)] * block.ndim
-    sl[axis] = slice(lo, lo + 4)
-    sub = block[tuple(sl)]
-    return np.tensordot(w, np.moveaxis(sub, axis, 0), axes=(0, 0))
+    w = np.zeros(len(coords))
+    w[lo:lo + 4] = _lagrange_weights(coords[lo:lo + 4], target)
+    return w
+
+
+@dataclass
+class _Stack:
+    """Per-node coordinates and weights of nodes sharing a block shape.
+
+    For space-time axis a (t, then x_1..x_n): coords[a] is (nodes, m),
+    grads[a] holds each node's (m, m) matrix of np.gradient on its
+    coordinates, and weights[a] its rows (w, G^T w, c*w), so that
+    w . (G h) and (c*w) . h are the node values of d_a h and c h.
+    """
+
+    coords: list[np.ndarray]
+    grads: list[np.ndarray]
+    weights: list[np.ndarray]
+    v_axes: tuple[np.ndarray, ...]
+
+
+def _stack(nodes: list[NodeSample], n: int) -> _Stack:
+    coords, grads, weights = [], [], []
+    for a in range(n + 1):
+        cs = np.array([nd.t_levels if a == 0 else nd.x_axes[a - 1]
+                       for nd in nodes])
+        at = [nd.t_star if a == 0 else nd.y[a - 1] for nd in nodes]
+        G = np.array([np.gradient(np.eye(len(c)), c, axis=0, edge_order=2)
+                      for c in cs])
+        w = np.array([_interp_weights(c, x) for c, x in zip(cs, at)])
+        coords.append(cs)
+        grads.append(G)
+        weights.append(np.stack([w, np.einsum("kij,ki->kj", G, w), cs * w],
+                                axis=1))
+    return _Stack(coords, grads, weights, nodes[0].v_axes)
+
+
+def _terms(g: Generator):
+    """Space-time part of g: (sign, coordinate axis or None, derivative
+    axis) per term, axes counted t = 0, x_i = i; the first sign is +1."""
+    if g.kind == DT:
+        return ((1.0, None, 0),)
+    if g.kind == DX:
+        return ((1.0, None, g.i),)
+    if g.kind == BOOST:                     # t d_i + x_i d_t
+        return ((1.0, 0, g.i), (1.0, g.i, 0))
+    if g.kind == ROT:                       # x_i d_j - x_j d_i
+        return ((1.0, g.i, g.j), (-1.0, g.j, g.i))
+    raise AssertionError(g.kind)
+
+
+def _velocity_part(g: Generator, p: np.ndarray, v_axes, first: int):
+    """Lifted velocity part of g (v0 d_{v_i}, or v_i d_{v_j} - v_j d_{v_i})
+    on p, whose v axes start at axis `first`; None for translations."""
+    n = len(v_axes)
+
+    def v(d):
+        shape = [1] * p.ndim
+        shape[first + d] = len(v_axes[d])
+        return v_axes[d].reshape(shape)
+
+    def dv(d):
+        return np.gradient(p, v_axes[d], axis=first + d, edge_order=2)
+
+    if g.kind == BOOST:
+        return np.sqrt(1.0 + sum(v(d) ** 2 for d in range(n))) * dv(g.i - 1)
+    if g.kind == ROT:
+        return v(g.i - 1) * dv(g.j - 1) - v(g.j - 1) * dv(g.i - 1)
+    return None
+
+
+def _apply(g: Generator, h: np.ndarray, st: _Stack, lifted: bool
+           ) -> np.ndarray:
+    """g (or its complete lift) applied to a stack of whole blocks."""
+    letters = "abcdefg"[:h.ndim - 1]
+    out = None
+    for sign, c, a in _terms(g):
+        ax = letters[a]
+        term = np.einsum(f"nz{ax},n{letters}->n{letters.replace(ax, 'z')}",
+                         st.grads[a], h)
+        if c is not None:
+            shape = [len(h)] + [1] * (h.ndim - 1)
+            shape[1 + c] = st.coords[c].shape[1]
+            term = st.coords[c].reshape(shape) * term
+        out = term if out is None else out + sign * term
+    if lifted:
+        vpart = _velocity_part(g, h, st.v_axes, 1 + len(st.coords))
+        if vpart is not None:
+            out = out + vpart
+    return out
+
+
+def _contract(h: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
+    """Contract the space-time axes of a stack h with per-node weight rows
+    weights[a] (nodes, rows, m); the result has axes (node, rows per
+    space-time axis.., v..)."""
+    N = len(h)
+    out = h
+    k = 1
+    for w in weights:
+        out = w[:, None] @ out.reshape(N, k, w.shape[2], -1)
+        k *= w.shape[1]
+    return out.reshape((N,) + tuple(w.shape[1] for w in weights)
+                       + h.shape[1 + len(weights):])
+
+
+def _row(n: int, c: int | None = None, d: int | None = None) -> tuple:
+    """Basis index: row _C on axis c, row _D on axis d, _W elsewhere."""
+    idx = [_W] * (n + 1)
+    if c is not None:
+        idx[c] = _C
+    if d is not None:
+        idx[d] = _D
+    return (slice(None), *idx)
+
+
+def _outer(g: Generator, basis: np.ndarray, st: _Stack) -> np.ndarray:
+    """Node profiles of g h from the contracted basis of h (a new array,
+    so that the profiles do not keep the basis alive)."""
+    n = len(st.coords) - 1
+    out = 0.0
+    for sign, c, a in _terms(g):
+        out = out + sign * basis[_row(n, c=c, d=a)]
+    vpart = _velocity_part(g, basis[_row(n)], st.v_axes, 1)
+    return out if vpart is None else out + vpart
+
+
+def block_apply(g: Generator, block: np.ndarray, node: NodeSample,
+                n: int, lifted: bool) -> np.ndarray:
+    """One generator (or its complete lift) applied to a block."""
+    return _apply(g, block[None], _stack([node], n), lifted)[0]
+
+
+def block_apply_multi(A: MultiIndex, block: np.ndarray, node: NodeSample,
+                      n: int, lifted: bool) -> np.ndarray:
+    st = _stack([node], n)
+    out = block[None]
+    for g in reversed(A):
+        out = _apply(g, out, st, lifted)
+    return out[0]
 
 
 def node_value(block: np.ndarray, node: NodeSample, n: int) -> np.ndarray:
     """Block interpolated to the node's (t*, y); v axes (if any) remain."""
-    out = _interp_axis(block, node.t_levels, node.t_star, 0)
-    for d in range(n):
-        out = _interp_axis(out, node.x_axes[d], node.y[d], 0)
-    return out
+    w = [ws[:, :1] for ws in _stack([node], n).weights]
+    return _contract(block[None], w).reshape(block.shape[1 + n:])
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +314,45 @@ class NodeQuantities:
     phi_grad: dict[MultiIndex, tuple[float, ...]]  # grad_x Z_A phi
 
 
-def evaluate_node(node: NodeSample, n: int, order: int) -> NodeQuantities:
+def _evaluate_stack(nodes: list[NodeSample], n: int,
+                    order: int) -> list[NodeQuantities]:
+    """evaluate_node on nodes that share a block shape, all at once."""
+    st = _stack(nodes, n)
+    if len(nodes) == 1:
+        f, phi = nodes[0].fblock[None], nodes[0].phiblock[None]
+    else:
+        f = np.stack([nd.fblock for nd in nodes])
+        phi = np.stack([nd.phiblock for nd in nodes])
     indices = multi_indices_up_to(n, order)
-    fblocks: dict[MultiIndex, np.ndarray] = {(): node.fblock}
-    pblocks: dict[MultiIndex, np.ndarray] = {(): node.phiblock}
+    # whole blocks of Z_B f are needed only as the inner blocks of longer
+    # indices; phi blocks have no v axes and are kept for every index
+    inner = {(): f}
+    pblocks = {(): phi}
+    for A in indices[1:]:
+        pblocks[A] = _apply(A[0], pblocks[A[1:]], st, False)
+        if len(A) < order:
+            inner[A] = _apply(A[0], inner[A[1:]], st, True)
+    basis = {B: _contract(h, st.weights) for B, h in inner.items()}
+    profiles = {(): basis[()][_row(n)].copy()}
+    for A in indices[1:]:
+        profiles[A] = _outer(A[0], basis[A[1:]], st)
+    wd = [w[:, :_C] for w in st.weights]
+    values, dts, grads = {}, {}, {}
     for A in indices:
-        if A and A not in fblocks:
-            fblocks[A] = block_apply(A[0], fblocks[A[1:]], node, n, True)
-            pblocks[A] = block_apply(A[0], pblocks[A[1:]], node, n, False)
-    coords_p = _axis_coords(node, n, False)
-    f_profiles = {}
-    phi_values = {}
-    phi_dt = {}
-    phi_grad = {}
-    for A in indices:
-        f_profiles[A] = node_value(fblocks[A], node, n)
-        pb = pblocks[A]
-        phi_values[A] = float(node_value(pb, node, n))
-        phi_dt[A] = float(node_value(_grad(pb, coords_p, 0), node, n))
-        phi_grad[A] = tuple(
-            float(node_value(_grad(pb, coords_p, 1 + d), node, n))
-            for d in range(n))
-    return NodeQuantities(node, f_profiles, phi_values, phi_dt, phi_grad)
+        pb = _contract(pblocks[A], wd)
+        values[A] = pb[_row(n)].tolist()
+        dts[A] = pb[_row(n, d=0)].tolist()
+        grads[A] = list(zip(*(pb[_row(n, d=1 + d)].tolist()
+                              for d in range(n))))
+    return [NodeQuantities(nd, {A: profiles[A][k] for A in indices},
+                           {A: values[A][k] for A in indices},
+                           {A: dts[A][k] for A in indices},
+                           {A: grads[A][k] for A in indices})
+            for k, nd in enumerate(nodes)]
+
+
+def evaluate_node(node: NodeSample, n: int, order: int) -> NodeQuantities:
+    return _evaluate_stack([node], n, order)[0]
 
 
 @dataclass
@@ -266,8 +369,14 @@ class SliceQuantities:
 
 
 def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
-    nodes = [evaluate_node(nd, data.n, order) for nd in data.nodes]
-    return SliceQuantities(data.tau, data.n, data.dv, nodes)
+    """Every node of the slice, in stacks of at most solver.BLOCK_CELLS
+    cells (at least one node per stack)."""
+    nodes = data.nodes
+    per = max(1, solver.BLOCK_CELLS // nodes[0].fblock.size) if nodes else 1
+    out = []
+    for i in range(0, len(nodes), per):
+        out += _evaluate_stack(nodes[i:i + per], data.n, order)
+    return SliceQuantities(data.tau, data.n, data.dv, out)
 
 
 def density_samples(sq: SliceQuantities) -> list[DensitySample]:
@@ -303,6 +412,23 @@ class EnergyReport:
     breakdown_f: dict[MultiIndex, float]
     breakdown_fw: dict[MultiIndex, float]
 
+    def truncated(self, order: int) -> EnergyReport:
+        """The report of the same slice at a lower order, from these
+        breakdowns and equal to energy_report at that order: its indices
+        are a prefix of these, summed in the same order, and the ones it
+        weights by v0 in Ehat_N1_f (|A| <= order // 2) are weighted here
+        too."""
+        if order > self.order:
+            raise ValueError(f"order {order} exceeds the report's {self.order}")
+        keep = [A for A in self.breakdown_f if len(A) <= order]
+        half = order // 2
+        phi = {A: self.breakdown_phi[A] for A in keep}
+        f = {A: self.breakdown_f[A] for A in keep}
+        fw = {A: self.breakdown_fw[A] if len(A) <= half else f[A]
+              for A in keep}
+        return EnergyReport(self.tau, order, sum(phi.values()),
+                            sum(f.values()), sum(fw.values()), phi, f, fw)
+
 
 def _ehat_integral(sq: SliceQuantities, A: MultiIndex,
                    weight_v0: bool) -> float:
@@ -328,7 +454,8 @@ def energy_report(sq: SliceQuantities, order: int) -> EnergyReport:
                  for q in sq.nodes]
         breakdown_phi[A] = sq.integrate(np.array(evals))
         breakdown_f[A] = _ehat_integral(sq, A, weight_v0=False)
-        breakdown_fw[A] = _ehat_integral(sq, A, weight_v0=(len(A) <= half))
+        breakdown_fw[A] = _ehat_integral(sq, A, weight_v0=True) \
+            if len(A) <= half else breakdown_f[A]
     return EnergyReport(
         sq.tau, order,
         E_N_phi=sum(breakdown_phi.values()),

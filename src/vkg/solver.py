@@ -30,6 +30,12 @@ class SolverError(RuntimeError):
     pass
 
 
+# highest generator order that `vkg derive` and the slice diagnostics
+# (energy_order) accept; there are (2n + n(n-1)/2 + 1)^order multi-indices
+# of each order
+SYMBOLIC_CAP = 4
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n: int = 1
@@ -86,9 +92,10 @@ class SimConfig:
                 and self.t_end > self.t0):
             raise SolverError(
                 f"need finite t0 < t_end, got t0={self.t0}, t_end={self.t_end}")
-        if self.energy_order < 0:
+        if not 0 <= self.energy_order <= SYMBOLIC_CAP:
             raise SolverError(
-                f"energy_order must be nonnegative, got {self.energy_order}")
+                f"energy_order must be in [0, {SYMBOLIC_CAP}], "
+                f"got {self.energy_order}")
         if self.rmax_mode == "lightcone" and self.t0 <= self.support_radius:
             raise SolverError("lightcone truncation needs t0 > support_radius")
         if self.dt > self.cfl_safety * self.dx:

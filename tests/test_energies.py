@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkg.algebra import BOOST, DT, DX, Generator
+from vkg import energies, solver
+from vkg.algebra import BOOST, DT, DX, ROT, Generator
 from vkg.commuted import multi_indices_up_to
 from vkg.energies import (DensitySample, block_apply, block_apply_multi,
                           density_samples, energy_report, evaluate_node,
@@ -18,7 +19,7 @@ from vkg.energies import (DensitySample, block_apply, block_apply_multi,
                           reports_to_json, velocity_moments,
                           vlasov_energy_density, vlasov_energy_inequality_slack,
                           vlasov_lower_bound_slacks)
-from vkg.solver import NodeSample, SimConfig, run
+from vkg.solver import NodeSample, SimConfig, SliceData, run
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,125 @@ def test_evaluate_node_matches_analytic_derivatives():
     assert abs(q.phi_values[(Generator(BOOST, 1),)]) < 1e-9
     assert abs(q.phi_dt[()] - 2 * t) < 1e-9
     assert abs(q.phi_grad[()][0] + 2 * x) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# synthetic node blocks (n = 2)
+# ---------------------------------------------------------------------------
+
+def make_node2(tau=3.0, y=(0.9, -0.6), nt=6, nx=9, nv=10,
+               f_fn=None, phi_fn=None, rng=None) -> NodeSample:
+    """n = 2 block from f(t, x1, x2, v1, v2) and phi(t, x1, x2), or from
+    normal random numbers when rng is given."""
+    r = math.hypot(*y)
+    t_star = math.sqrt(tau * tau + r * r)
+    t_levels = t_star + np.linspace(-0.12, 0.08, nt)
+    x_axes = tuple(yd + np.linspace(-0.3, 0.3, nx) for yd in y)
+    v_axis = np.linspace(-2.0, 2.0, nv)
+    fshape, pshape = (nt, nx, nx, nv, nv), (nt, nx, nx)
+    if rng is not None:
+        f, phi = rng.normal(size=fshape), rng.normal(size=pshape)
+    else:
+        T, X1, X2, V1, V2 = np.meshgrid(t_levels, *x_axes, v_axis, v_axis,
+                                        indexing="ij", sparse=True)
+        f = np.broadcast_to(f_fn(T, X1, X2, V1, V2), fshape).copy()
+        phi = np.broadcast_to(phi_fn(T[..., 0, 0], X1[..., 0, 0],
+                                     X2[..., 0, 0]), pshape).copy()
+    return NodeSample(tau, y, r, t_star, 1.0, t_levels, x_axes,
+                      (v_axis, v_axis), f, phi)
+
+
+def _sym_apply(g, expr, t, xs, vs, lifted):
+    """Generator g (or its complete lift) applied to a sympy expression."""
+    import sympy as sp
+    if g.kind == DT:
+        return sp.diff(expr, t)
+    if g.kind == DX:
+        return sp.diff(expr, xs[g.i - 1])
+    if g.kind == BOOST:
+        x, v = xs[g.i - 1], vs[g.i - 1]
+        out = t * sp.diff(expr, x) + x * sp.diff(expr, t)
+        v0 = sp.sqrt(1 + sum(w ** 2 for w in vs))
+        return out + v0 * sp.diff(expr, v) if lifted else out
+    assert g.kind == ROT
+    (xi, xj), (vi, vj) = (xs[g.i - 1], xs[g.j - 1]), (vs[g.i - 1], vs[g.j - 1])
+    out = xi * sp.diff(expr, xj) - xj * sp.diff(expr, xi)
+    return out + vi * sp.diff(expr, vj) - vj * sp.diff(expr, vi) \
+        if lifted else out
+
+
+def test_evaluate_node_n2_matches_analytic_derivatives():
+    # f is quadratic in every axis, so each first-order profile is exact:
+    # differences are exact on quadratics, and multiplying by a coordinate
+    # leaves a cubic that the cubic interpolation reproduces.  phi has
+    # total degree 2 (plus t x1 x2), so Z phi is still quadratic in every
+    # axis and its first derivatives at the node are exact too.
+    import sympy as sp
+    t, x1, x2, v1, v2 = sp.symbols("t x1 x2 v1 v2")
+    xs, vs = (x1, x2), (v1, v2)
+    f = (t ** 2 * x1 * v2 ** 2 + x1 ** 2 * x2 * v1 + t * x2 ** 2 * v1 * v2
+         + v1 ** 2 + 1)
+    phi = (t ** 2 + x1 * x2 - t * x1 + 2 * x2 ** 2 + t * x2 / 2
+           + t * x1 * x2 + x1)
+    node = make_node2(f_fn=sp.lambdify((t, x1, x2, v1, v2), f, "numpy"),
+                      phi_fn=sp.lambdify((t, x1, x2), phi, "numpy"))
+    q = evaluate_node(node, 2, 1)
+    at = {t: node.t_star, x1: node.y[0], x2: node.y[1]}
+    V1, V2 = np.meshgrid(*node.v_axes, indexing="ij")
+    for A in multi_indices_up_to(2, 1):
+        zf, zphi = f, phi
+        for g in reversed(A):
+            zf = _sym_apply(g, zf, t, xs, vs, True)
+            zphi = _sym_apply(g, zphi, t, xs, vs, False)
+        prof = sp.lambdify((v1, v2), zf.subs(at), "numpy")
+        assert np.allclose(q.f_profiles[A], prof(V1, V2), rtol=0, atol=1e-9)
+        assert abs(q.phi_values[A] - float(zphi.subs(at))) < 1e-9
+        assert abs(q.phi_dt[A] - float(sp.diff(zphi, t).subs(at))) < 1e-9
+        for d in range(2):
+            exact = float(sp.diff(zphi, xs[d]).subs(at))
+            assert abs(q.phi_grad[A][d] - exact) < 1e-9
+    assert {(Generator(BOOST, 1),), (Generator(BOOST, 2),),
+            (Generator(ROT, 1, 2),)} <= set(q.f_profiles)
+
+
+def random_slice(n: int, count: int, seed: int = 3) -> SliceData:
+    rng = np.random.default_rng(seed)
+    nodes = []
+    for k in range(count):
+        if n == 1:
+            node = make_node(y=-1.5 + 0.4 * k, nv=16)
+            node.fblock[...] = rng.normal(size=node.fblock.shape)
+            node.phiblock[...] = rng.normal(size=node.phiblock.shape)
+        else:
+            node = make_node2(y=(-1.0 + 0.3 * k, 0.2 * k), nv=4, rng=rng)
+        nodes.append(node)
+    return SliceData(3.0, n, nodes, 0.25)
+
+
+@pytest.mark.parametrize("n,count,order,per", [(1, 7, 2, 3), (2, 5, 2, 2)])
+def test_stacked_slice_matches_single_nodes(n, count, order, per,
+                                            monkeypatch):
+    data = random_slice(n, count)
+    monkeypatch.setattr(solver, "BLOCK_CELLS",
+                        per * data.nodes[0].fblock.size + 1)
+    stacks = []
+    evaluate_stack = energies._evaluate_stack
+
+    def spy(nodes, *args):
+        stacks.append(len(nodes))
+        return evaluate_stack(nodes, *args)
+
+    monkeypatch.setattr(energies, "_evaluate_stack", spy)
+    sq = evaluate_slice(data, order)
+    # full stacks and a one-node remainder, which takes the view path
+    assert stacks == [per] * (count // per) + [count % per]
+    alone = [evaluate_node(nd, n, order) for nd in data.nodes]
+    for field in ("f_profiles", "phi_values", "phi_dt", "phi_grad"):
+        for A in multi_indices_up_to(n, order):
+            got = np.array([getattr(q, field)[A] for q in sq.nodes])
+            want = np.array([getattr(q, field)[A] for q in alone])
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (field, A)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +317,35 @@ def test_energy_hierarchy_monotone_in_order(transport_slices):
         assert b.Ehat_N_f >= a.Ehat_N_f - 1e-15
         assert b.E_N_phi >= a.E_N_phi - 1e-15
         assert b.Ehat_N1_f >= b.Ehat_N_f - 1e-15  # v0 weight only adds
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluate_node_matches_whole_block_route(n):
+    # reference: build Z_A on the whole block, then interpolate it, for
+    # every index up to order 2 on random data; evaluate_node contracts
+    # the outermost generator instead, which reorders the roundoff only
+    node = random_slice(n, 1).nodes[0]
+    q = evaluate_node(node, n, 2)
+    for A in multi_indices_up_to(n, 2):
+        fb = block_apply_multi(A, node.fblock, node, n, True)
+        want = node_value(fb, node, n)
+        assert np.max(np.abs(q.f_profiles[A] - want)) \
+            <= 1e-13 * np.max(np.abs(want)), A
+        pb = block_apply_multi(A, node.phiblock, node, n, False)
+        derivs = [Generator(DT)] + [Generator(DX, d) for d in range(1, n + 1)]
+        want = [float(node_value(pb, node, n))] + [
+            float(node_value(block_apply(g, pb, node, n, False), node, n))
+            for g in derivs]
+        got = [q.phi_values[A], q.phi_dt[A], *q.phi_grad[A]]
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * max(map(abs, want)))
+
+
+def test_truncated_report_equals_lower_order_report(transport_slices):
+    n2 = evaluate_slice(random_slice(2, 3), 2)
+    for sq in (transport_slices[0], n2):
+        top = energy_report(sq, 2)
+        for k in (0, 1, 2):
+            assert top.truncated(k) == energy_report(sq, k)
 
 
 def test_report_breakdown_sums(transport_slices):
