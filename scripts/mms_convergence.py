@@ -10,21 +10,13 @@ import argparse
 import math
 import time
 
-import numpy as np
-
-from vkg.solver import FieldState, PhaseState, SimConfig, mms_forcing, step
+from vkg.solver import SimConfig, run
 
 
 def mms_errors(nx, dt, nv, span):
-    cfg = SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0, nv=nv,
-                    dt=dt, t0=1.0, t_end=1.0 + span, epsilon=1e-3, taus=())
-    phi_ex, pi_ex, f_ex, ks, fs = mms_forcing(cfg)
-    phase = PhaseState(f_ex(cfg.t0), cfg.t0)
-    fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
-    for _ in range(int(round(span / dt))):
-        step(phase, fld, cfg, ks, fs)
-    return (float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
-            float(np.max(np.abs(phase.f - f_ex(phase.t)))))
+    return run(SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
+                         nv=nv, dt=dt, t0=1.0, t_end=1.0 + span,
+                         epsilon=1e-3, taus=())).mms_error
 
 
 def main():

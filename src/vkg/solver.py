@@ -5,9 +5,11 @@ The distribution f(t, x, v) obeys  d_t f + vhat . grad_x f
 (box - 1) phi = rho = int f dv.  Transport is advanced by a conservative
 semi-Lagrangian split (monotone cubic interpolation of the primitive, so
 mass is conserved to roundoff and positivity is preserved); the field by
-velocity Verlet.  A bounded history ring of recent time levels feeds
-hyperboloidal slice extraction: local space-time blocks are captured
-around each slice node as the simulation time sweeps past it.
+velocity Verlet.  Hyperboloidal slice extraction reads the last T_WINDOW
+time levels the solver produced: step never writes into the arrays it is
+given, so the run keeps those arrays themselves, with no state copies,
+and slices a local space-time block out of them around each slice node
+as the simulation time sweeps past it.
 
 Dimensions n = 1 and n = 2 share the same code paths; arrays carry one
 or two x-axes followed by the matching v-axes.
@@ -59,7 +61,6 @@ class SimConfig:
     rmax_mode: str = "fixed"       # fixed | lightcone
     support_radius: float = 3.0    # data support estimate for lightcone mode
     slice_resolution: int = 40
-    history_depth: int = 8
     cfl_safety: float = 0.9
     bc: str = "outgoing"           # outgoing | periodic
     boundary_floor: float = 1e-10
@@ -391,7 +392,11 @@ def grad_phi(phi: np.ndarray, cfg: SimConfig) -> list[np.ndarray]:
 def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
          kinetic_source: Callable | None = None,
          field_source: Callable | None = None):
-    """One Strang-split step of size cfg.dt, in place."""
+    """One Strang-split step of size cfg.dt.
+
+    phase and field are updated by rebinding their arrays to new ones;
+    the arrays they held before the step are never written into.
+    """
     dt = cfg.dt
     n = cfg.n
     vc = v_centers(cfg)
@@ -446,7 +451,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
-# History ring and slice extraction
+# Slice extraction
 # ---------------------------------------------------------------------------
 
 T_WINDOW = 6          # time levels per node block
@@ -488,22 +493,8 @@ class RunResult:
     mass: np.ndarray
     warnings: list[str]
     wall_seconds: float
-
-
-class HistoryRing:
-    """Bounded deque of uniformly spaced recent time levels."""
-
-    def __init__(self, depth: int):
-        self.depth = depth
-        self.entries: deque = deque(maxlen=depth)
-
-    def push(self, t: float, f: np.ndarray, phi: np.ndarray):
-        self.entries.append((t, f.copy(), phi.copy()))
-
-    def window(self, count: int):
-        if len(self.entries) < count:
-            raise SolverError("history ring does not cover the request")
-        return list(self.entries)[-count:]
+    # (max|phi - phi*|, max|f - f*|) at the final time in mms mode
+    mms_error: tuple[float, float] | None
 
 
 def _pending_nodes(cfg: SimConfig):
@@ -521,9 +512,11 @@ def _pending_nodes(cfg: SimConfig):
     return deque(pending)
 
 
-def _capture_node(ring: HistoryRing, cfg: SimConfig, tau, y, r, t_star,
+def _capture_node(levels: deque, cfg: SimConfig, tau, y, r, t_star,
                   weight) -> NodeSample:
-    levels = ring.window(T_WINDOW)
+    """Block around one node from the last T_WINDOW (t, f, phi) levels."""
+    if len(levels) < T_WINDOW:
+        raise SolverError("time levels do not cover the slice node")
     t_levels = np.array([e[0] for e in levels])
     xc = x_centers(cfg)
     vc = v_centers(cfg)
@@ -536,31 +529,28 @@ def _capture_node(ring: HistoryRing, cfg: SimConfig, tau, y, r, t_star,
             raise SolverError(
                 f"slice node at y={y} too close to the grid boundary")
         idx.append(slice(lo, hi))
-    if cfg.n == 1:
-        fblock = np.stack([e[1][idx[0]] for e in levels])
-        phiblock = np.stack([e[2][idx[0]] for e in levels])
-        x_axes = (xc[idx[0]],)
-    else:
-        fblock = np.stack([e[1][idx[0], idx[1]] for e in levels])
-        phiblock = np.stack([e[2][idx[0], idx[1]] for e in levels])
-        x_axes = (xc[idx[0]], xc[idx[1]])
+    idx = tuple(idx)
+    # np.array copies the windows into C-ordered blocks; the levels
+    # themselves may be transposed views
+    fblock = np.array([e[1][idx] for e in levels])
+    phiblock = np.array([e[2][idx] for e in levels])
+    x_axes = tuple(xc[sl] for sl in idx)
     v_axes = tuple(vc for _ in range(cfg.n))
     return NodeSample(tau, y, r, t_star, weight, t_levels, x_axes, v_axes,
                       fblock, phiblock)
 
 
-def run(cfg: SimConfig, kinetic_source: Callable | None = None,
-        field_source: Callable | None = None) -> RunResult:
+def run(cfg: SimConfig) -> RunResult:
     cfg.validate()
     t_start = time.perf_counter()
-    if cfg.mode == "mms" and kinetic_source is None:
+    kinetic_source = field_source = None
+    if cfg.mode == "mms":
         phi_ex, pi_ex, f_ex, kinetic_source, field_source = mms_forcing(cfg)
         phase = PhaseState(f_ex(cfg.t0), cfg.t0)
         fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
     else:
         phase, fld = initial_states(cfg)
-    ring = HistoryRing(max(cfg.history_depth, T_WINDOW + 2))
-    ring.push(phase.t, phase.f, fld.phi)
+    levels = deque([(phase.t, phase.f, fld.phi)], maxlen=T_WINDOW)
     pending = _pending_nodes(cfg)
     slices: dict[float, SliceData] = {
         tau: SliceData(tau, cfg.n, [], cfg.dv) for tau in cfg.taus}
@@ -579,12 +569,12 @@ def run(cfg: SimConfig, kinetic_source: Callable | None = None,
     boundary_flagged = False
     for _ in range(nsteps):
         step(phase, fld, cfg, kinetic_source, field_source)
-        ring.push(phase.t, phase.f, fld.phi)
+        levels.append((phase.t, phase.f, fld.phi))
         record()
-        # fire every node whose block is now centered in the ring
+        # fire every node whose block is now centered in the levels
         while pending and pending[0][0] <= phase.t - 2 * cfg.dt:
             t_star, tau, y, r, w = pending.popleft()
-            node = _capture_node(ring, cfg, tau, y, r, t_star, w)
+            node = _capture_node(levels, cfg, tau, y, r, t_star, w)
             slices[tau].nodes.append(node)
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)
@@ -596,10 +586,14 @@ def run(cfg: SimConfig, kinetic_source: Callable | None = None,
     if pending:
         raise SolverError(
             f"{len(pending)} slice nodes never fired; extend t_end")
+    mms_error = None
+    if cfg.mode == "mms":
+        mms_error = (float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
+                     float(np.max(np.abs(phase.f - f_ex(phase.t)))))
     return RunResult(cfg, slices, np.array(series["t"]),
                      np.array(series["sup_phi"]), np.array(series["sup_f"]),
                      np.array(series["min_f"]), np.array(series["mass"]),
-                     warnings, time.perf_counter() - t_start)
+                     warnings, time.perf_counter() - t_start, mms_error)
 
 
 def _boundary_max(f: np.ndarray, n: int) -> float:

@@ -17,8 +17,7 @@ import pytest
 from vkg import algebra, commuted, diagnostics, energies, fdtools
 from vkg.cli import main, run_pipeline
 from vkg.config import load_settings
-from vkg.solver import (FieldState, PhaseState, SimConfig, mms_forcing,
-                        run, step)
+from vkg.solver import SimConfig, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -200,16 +199,9 @@ def test_criterion_07_conservation_and_mms():
     negativity = -float(np.min(res.min_f)) / float(np.max(res.sup_f))
 
     def mms_errors(nx, dt):
-        cfg = SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
-                        nv=160, dt=dt, t0=1.0, t_end=2.0, epsilon=1e-3,
-                        taus=())
-        phi_ex, pi_ex, f_ex, ks, fs = mms_forcing(cfg)
-        phase = PhaseState(f_ex(cfg.t0), cfg.t0)
-        fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
-        for _ in range(int(round(1.0 / dt))):
-            step(phase, fld, cfg, ks, fs)
-        return (float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
-                float(np.max(np.abs(phase.f - f_ex(phase.t)))))
+        return run(SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
+                             nv=160, dt=dt, t0=1.0, t_end=2.0, epsilon=1e-3,
+                             taus=())).mms_error
 
     coarse = mms_errors(640, 0.005)
     fine = mms_errors(1280, 0.0025)

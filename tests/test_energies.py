@@ -212,6 +212,22 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (field, A)
 
 
+@pytest.mark.parametrize("n,count", [(1, 7), (2, 5)])
+def test_slice_energies_independent_of_block_layout(n, count):
+    # captured blocks are C-ordered, but a caller may lay a block out in
+    # any order; the energies must not move by even one ulp
+    data = random_slice(n, count)
+    fortran = SliceData(data.tau, n, [
+        dataclasses.replace(nd, fblock=np.asfortranarray(nd.fblock),
+                            phiblock=np.asfortranarray(nd.phiblock))
+        for nd in data.nodes], data.dv)
+    assert not fortran.nodes[0].fblock.flags.c_contiguous
+    want = energy_report(evaluate_slice(data, 2), 2)
+    got = energy_report(evaluate_slice(fortran, 2), 2)
+    for field in ("breakdown_phi", "breakdown_f", "breakdown_fw"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
 # ---------------------------------------------------------------------------
 # densities and lower bounds
 # ---------------------------------------------------------------------------

@@ -217,6 +217,29 @@ def test_free_kg_step_skips_transport(n, monkeypatch):
     assert not np.array_equal(fld.phi, phi0)
 
 
+@pytest.mark.parametrize("mode,n", [
+    ("coupled", 1), ("coupled", 2), ("free_transport", 1),
+    ("free_transport", 2), ("free_kg", 1), ("free_kg", 2), ("mms", 1)])
+def test_step_leaves_its_input_arrays_alone(mode, n):
+    """run keeps the arrays of its last T_WINDOW levels without copying
+    them, so step must rebind the state to new arrays, never write into
+    the ones it was given."""
+    cfg = SimConfig(n=n, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.2, epsilon=1e-2, taus=())
+    sources = ()
+    if mode == "mms":
+        phi_ex, pi_ex, f_ex, *sources = mms_forcing(cfg)
+        phase = PhaseState(f_ex(cfg.t0), cfg.t0)
+        fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
+    else:
+        phase, fld = initial_states(cfg)
+    before = [phase.f, fld.phi, fld.pi]
+    kept = [a.copy() for a in before]
+    step(phase, fld, cfg, *sources)
+    for a, b in zip(before, kept):
+        assert np.array_equal(a, b)
+
+
 def test_source_density_matches_mass():
     phase, _ = initial_states(SMALL)
     rho = source_density(phase.f, SMALL)
@@ -260,6 +283,22 @@ def test_n2_short_coupled_run():
     assert drift < 1e-10
     assert np.min(res.min_f) >= -1e-14 * np.max(res.sup_f)
     assert len(res.slices[2.4].nodes) > 0
+
+
+def test_run_mms_error_matches_stepping_by_hand():
+    """run(cfg).mms_error is the final-time error of the same steps taken
+    one by one with the forcing; other modes report none."""
+    cfg = SimConfig(n=1, mode="mms", x_extent=8.0, nx=160, vmax=3.0, nv=48,
+                    dt=0.02, t0=1.0, t_end=1.2, epsilon=1e-3, taus=())
+    phi_ex, pi_ex, f_ex, ks, fs = mms_forcing(cfg)
+    phase = PhaseState(f_ex(cfg.t0), cfg.t0)
+    fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
+    for _ in range(10):
+        step(phase, fld, cfg, ks, fs)
+    assert run(cfg).mms_error == (
+        float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
+        float(np.max(np.abs(phase.f - f_ex(phase.t)))))
+    assert run(dataclasses.replace(cfg, mode="coupled")).mms_error is None
 
 
 def test_mms_forcing_consistency():
