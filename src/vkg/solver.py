@@ -84,11 +84,18 @@ class SimConfig:
         if self.rmax_mode not in ("fixed", "lightcone"):
             raise SolverError(f"unknown rmax mode {self.rmax_mode!r}")
         for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
-                     "f_width_x", "f_width_v", "phi_width"):
+                     "f_width_x", "f_width_v", "phi_width", "cfl_safety"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise SolverError(
                     f"{name} must be positive and finite, got {value}")
+        for name in ("f_amplitude", "phi_amplitude", "f_center_v", "rmax",
+                     "support_radius", "boundary_floor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SolverError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(tau) for tau in self.taus):
+            raise SolverError(f"taus must be finite, got {self.taus}")
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)
                 and self.t_end > self.t0):
             raise SolverError(
@@ -108,8 +115,10 @@ class SimConfig:
                     f"slice tau={tau} starts before history coverage (t0={self.t0})")
             rm = slice_rmax(self, tau)
             if rm <= 0:
+                why = (f"rmax={self.rmax}" if rm == self.rmax
+                       else "in lightcone mode")
                 raise SolverError(
-                    f"slice tau={tau} has no covered radius in lightcone mode")
+                    f"slice tau={tau} has no covered radius ({why})")
             t_top = math.sqrt(tau ** 2 + rm ** 2)
             if t_top > self.t_end - 2 * self.dt:
                 raise SolverError(
@@ -163,8 +172,9 @@ def _limited_slopes(fpad2: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(d4, lo), hi)
 
 
-# advect works through the lines in blocks of about this many cells, so
-# that the temporaries of one block stay in cache
+# advect works through the lines in blocks of about this many cells (a
+# block is a set of whole lines, the columns of the (m, L) line array),
+# so that the temporaries of one block stay in cache
 BLOCK_CELLS = 1 << 15
 
 
@@ -176,87 +186,100 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     axis, so each 1-D line of m cells moves by one uniform shift.  Cell
     edge j departs from j - sigma = (j + k) + xi, with one integer shift
     k = floor(-sigma) and one fraction xi in [0, 1) per line, hence four
-    cubic Hermite weights per line.  The primitive W (cumulative sum) and
-    its monotone edge slopes are built once and padded by max|k| + 1 edges
-    on each side, so all lines that share k read the same contiguous
-    window of them.  W at the departure points is differenced back into
-    cell averages, so the total along each line is exact up to boundary
-    outflow.  Outgoing lines take in nothing: an edge departing from left
-    of the line gets W = 0 and one departing from right of it gets the
-    line total, both exactly.  Periodic lines wrap with
-    W(b +- m) = W(b) +- total.
+    cubic Hermite weights per line.  The lines are the columns of an
+    (m, L) array, so every stencil step (cumulative sum, limiter, Hermite
+    sum, difference) is an operation on contiguous rows of L lines.  The
+    primitive W (cumulative sum) and its monotone edge slopes are padded
+    by max|k| + 1 edges at both ends; the Hermite sum is evaluated for
+    every line over the rows that any shift in the block reads, and each
+    line's window is then picked with one np.where per further shift.
+    W at the departure points is differenced back into cell averages, so
+    the total along each line is exact up to boundary outflow.  Outgoing
+    lines take in nothing: an edge departing from left of the line gets
+    W = 0 and one departing from right of it gets the line total, both
+    exactly.  Periodic lines wrap with W(b +- m) = W(b) +- total.
+
+    The result is laid out with the advection axis last in memory.  The
+    callers' reductions (source_density, total_mass) sum in memory order,
+    so this layout is part of the result: another one moves their sums,
+    and every artifact built from them, in the last bits.
     """
     g = np.asarray(g, dtype=float)
-    gm = np.moveaxis(g, axis, -1)
-    m = gm.shape[-1]
-    lines = gm.reshape(-1, m)
+    m = g.shape[axis]
+    lines = np.moveaxis(g, axis, 0).reshape(m, -1)
+    L = lines.shape[1]
     sig = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
-                                      g.shape), axis, -1)[..., 0]
-    sig = sig.reshape(-1, 1)
-    # cumulative-sum cancellation can leave negatives at the roundoff
-    # scale; zero those without touching genuinely signed data
-    floor = -1e-13 * np.max(np.abs(gm), initial=0.0)
-    out = np.empty(lines.shape)
-    per_block = max(1, BLOCK_CELLS // m)
-    for i in range(0, len(lines), per_block):
-        block = slice(i, i + per_block)
-        out[block] = _advect_lines(lines[block], sig[block], bc, floor)
-    return np.moveaxis(out.reshape(gm.shape), -1, axis)
-
-
-def _advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
-                  floor: float) -> np.ndarray:
-    """advect on lines of shape (L, m) with shifts s of shape (L, 1)."""
-    L, m = lines.shape
+                                      g.shape), axis, 0)[0].reshape(L)
     # shifting by whole periods, or past the whole line, changes nothing
     # and would only widen the padding
     if bc == "periodic":
-        s = s - m * np.round(s / m)
+        sig = sig - m * np.round(sig / m)
     else:
-        s = np.clip(s, -m - 1.0, m + 1.0)
-    k = np.floor(-s)
-    xi = -s - k
-    k = np.nan_to_num(k).astype(np.int64).ravel()
+        sig = np.clip(sig, -m - 1.0, m + 1.0)
+    k = np.floor(-sig)
+    xi = -sig - k
+    k = np.nan_to_num(k).astype(np.int64)
     xi2 = xi * xi
     xi3 = xi2 * xi
-    h00 = 2 * xi3 - 3 * xi2 + 1
-    h10 = xi3 - 2 * xi2 + xi
-    h01 = -2 * xi3 + 3 * xi2
-    h11 = xi3 - xi2
+    h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
+         xi3 - xi2)
+    # cumulative-sum cancellation can leave negatives at the roundoff
+    # scale; zero those without touching genuinely signed data
+    floor = -1e-13 * max(np.max(g, initial=0.0), -np.min(g, initial=0.0))
+    out = np.empty((L, m))
+    per_block = max(1, BLOCK_CELLS // m)
+    for i in range(0, L, per_block):
+        b = slice(i, i + per_block)
+        out[b] = _advect_lines(lines[:, b], k[b], [w[b] for w in h], bc,
+                               floor).T
+    # back to the lines-last layout: the advection axis is the fastest
+    return np.moveaxis(out.reshape(np.moveaxis(g, axis, -1).shape), -1, axis)
 
-    # edge e of a line sits at column P + e of the padded arrays
-    P = int(np.max(np.abs(k))) + 1
-    Wp = np.zeros((L, m + 1 + 2 * P))
+
+def _advect_lines(lines: np.ndarray, k: np.ndarray, h: list, bc: str,
+                  floor: float) -> np.ndarray:
+    """advect on the columns of lines, shape (m, L), with integer shifts
+    k and Hermite weights h = (h00, h10, h01, h11), each of shape (L,)."""
+    m, L = lines.shape
+    kmin, kmax = int(np.min(k)), int(np.max(k))
+    # edge e of a line sits at row P + e of the padded arrays
+    P = max(-kmin, kmax) + 1
+    Wp = np.zeros((m + 1 + 2 * P, L))
     dp = np.zeros_like(Wp)
-    np.cumsum(lines, axis=1, out=Wp[:, P + 1:P + m + 1])
-    total = Wp[:, P + m:P + m + 1]
+    np.cumsum(lines, axis=0, out=Wp[P + 1:P + m + 1])
+    total = Wp[P + m]
     if bc == "periodic":
-        ghosts = (lines[:, -2:], lines, lines[:, :2])
+        ghosts = (lines[-2:], lines, lines[:2])
     else:
-        zero = np.zeros((L, 2))
+        zero = np.zeros((2, L))
         ghosts = (zero, lines, zero)
-    dp[:, P:P + m + 1] = _limited_slopes(np.concatenate(ghosts, axis=1))
+    dp[P:P + m + 1] = _limited_slopes(np.concatenate(ghosts).T).T
     if bc == "periodic":
         e = np.r_[-P:0, m + 1:m + P + 1]
-        Wp[:, P + e] = Wp[:, P + e % m] + (e // m) * total
-        dp[:, P + e] = dp[:, P + e % m]
+        Wp[P + e] = Wp[P + e % m] + (e // m)[:, None] * total
+        dp[P + e] = dp[P + e % m]
     else:
-        Wp[:, P + m + 1:] = total
+        Wp[P + m + 1:] = total
 
-    Wq = np.empty((L, m + 1))
-    for kk in np.unique(k):
-        rows = np.flatnonzero(k == kk)
-        if rows[-1] - rows[0] + 1 == len(rows):
-            rows = slice(rows[0], rows[-1] + 1)     # a view, not a copy
-        w0 = slice(P + kk, P + kk + m + 1)
-        w1 = slice(P + kk + 1, P + kk + m + 2)
-        Wq[rows] = (h00[rows] * Wp[rows, w0] + h10[rows] * dp[rows, w0]
-                    + h01[rows] * Wp[rows, w1] + h11[rows] * dp[rows, w1])
-        if bc == "outgoing":
-            Wq[rows, :max(0, -kk)] = 0.0
-            Wq[rows, max(0, m - kk):] = total[rows]
+    # Hermite sum at every row any line of the block reads: H[r] uses
+    # rows P + kmin + r and the one after, so a line with shift kk reads
+    # H[kk - kmin:kk - kmin + m + 1]
+    h00, h10, h01, h11 = h
+    w0 = slice(P + kmin, P + kmax + m + 1)
+    w1 = slice(P + kmin + 1, P + kmax + m + 2)
+    H = h00 * Wp[w0] + h10 * dp[w0] + h01 * Wp[w1] + h11 * dp[w1]
+    Wq = H[:m + 1]
+    for kk in range(kmin + 1, kmax + 1):
+        Wq = np.where(k == kk, H[kk - kmin:kk - kmin + m + 1], Wq)
+    if bc == "outgoing":
+        # edge e departs from left of the line when e < -k, and from
+        # right of it when e >= m - k
+        for e in range(max(0, -kmin)):
+            Wq[e] = np.where(k < -e, 0.0, Wq[e])
+        for e in range(max(0, m - kmax), m + 1):
+            Wq[e] = np.where(k >= m - e, total, Wq[e])
 
-    out = np.diff(Wq, axis=1)
+    out = np.diff(Wq, axis=0)
     return np.where((out < 0) & (out >= floor), 0.0, out)
 
 

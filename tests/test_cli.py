@@ -103,7 +103,11 @@ def test_cfl_violation_exits_3(tmp_path):
     ("dt", "0"), ("dt", "nan"), ("nx", "0"), ("nv", "0"),
     ("x_extent", "-1"), ("vmax", "inf"), ("epsilon", "0"),
     ("f_width_x", "0"), ("f_width_v", "0"), ("phi_width", "-0.5"),
-    ("t_end", "2.0"), ("energy_order", "-1"), ("energy_order", "5")])
+    ("t_end", "2.0"), ("energy_order", "-1"), ("energy_order", "5"),
+    ("cfl_safety", "nan"), ("cfl_safety", "0"), ("f_amplitude", "nan"),
+    ("phi_amplitude", "inf"), ("f_center_v", "nan"), ("rmax", "nan"),
+    ("rmax", "-1"), ("support_radius", "nan"), ("boundary_floor", "nan"),
+    ("taus", "nan")])
 def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)

@@ -136,6 +136,142 @@ def test_advect_lines_with_different_shifts(shape, axis, bc, block_cells,
             assert np.any(mass_out < mass_in * (1 - 1e-12))
 
 
+# The row-per-line kernel that advect replaced: each line is a row of an
+# (L, m) array, and the lines that share an integer shift are gathered
+# and interpolated together.  advect must match it bit for bit, and must
+# return its memory layout, which the reductions downstream sum in.
+
+def _reference_advect(g: np.ndarray, sigma: np.ndarray, axis: int,
+                      bc: str = "outgoing") -> np.ndarray:
+    """Shift cell averages by sigma cells along one axis, conservatively.
+
+    sigma must broadcast to g's shape and be constant along the advection
+    axis, so each 1-D line of m cells moves by one uniform shift.  Cell
+    edge j departs from j - sigma = (j + k) + xi, with one integer shift
+    k = floor(-sigma) and one fraction xi in [0, 1) per line, hence four
+    cubic Hermite weights per line.  The primitive W (cumulative sum) and
+    its monotone edge slopes are built once and padded by max|k| + 1 edges
+    on each side, so all lines that share k read the same contiguous
+    window of them.  W at the departure points is differenced back into
+    cell averages, so the total along each line is exact up to boundary
+    outflow.  Outgoing lines take in nothing: an edge departing from left
+    of the line gets W = 0 and one departing from right of it gets the
+    line total, both exactly.  Periodic lines wrap with
+    W(b +- m) = W(b) +- total.
+    """
+    g = np.asarray(g, dtype=float)
+    gm = np.moveaxis(g, axis, -1)
+    m = gm.shape[-1]
+    lines = gm.reshape(-1, m)
+    sig = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
+                                      g.shape), axis, -1)[..., 0]
+    sig = sig.reshape(-1, 1)
+    # cumulative-sum cancellation can leave negatives at the roundoff
+    # scale; zero those without touching genuinely signed data
+    floor = -1e-13 * np.max(np.abs(gm), initial=0.0)
+    out = np.empty(lines.shape)
+    per_block = max(1, solver.BLOCK_CELLS // m)
+    for i in range(0, len(lines), per_block):
+        block = slice(i, i + per_block)
+        out[block] = _reference_advect_lines(lines[block], sig[block], bc,
+                                             floor)
+    return np.moveaxis(out.reshape(gm.shape), -1, axis)
+
+
+def _reference_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
+                            floor: float) -> np.ndarray:
+    """_reference_advect on lines of shape (L, m) with shifts s of shape
+    (L, 1)."""
+    L, m = lines.shape
+    # shifting by whole periods, or past the whole line, changes nothing
+    # and would only widen the padding
+    if bc == "periodic":
+        s = s - m * np.round(s / m)
+    else:
+        s = np.clip(s, -m - 1.0, m + 1.0)
+    k = np.floor(-s)
+    xi = -s - k
+    k = np.nan_to_num(k).astype(np.int64).ravel()
+    xi2 = xi * xi
+    xi3 = xi2 * xi
+    h00 = 2 * xi3 - 3 * xi2 + 1
+    h10 = xi3 - 2 * xi2 + xi
+    h01 = -2 * xi3 + 3 * xi2
+    h11 = xi3 - xi2
+
+    # edge e of a line sits at column P + e of the padded arrays
+    P = int(np.max(np.abs(k))) + 1
+    Wp = np.zeros((L, m + 1 + 2 * P))
+    dp = np.zeros_like(Wp)
+    np.cumsum(lines, axis=1, out=Wp[:, P + 1:P + m + 1])
+    total = Wp[:, P + m:P + m + 1]
+    if bc == "periodic":
+        ghosts = (lines[:, -2:], lines, lines[:, :2])
+    else:
+        zero = np.zeros((L, 2))
+        ghosts = (zero, lines, zero)
+    dp[:, P:P + m + 1] = _limited_slopes(np.concatenate(ghosts, axis=1))
+    if bc == "periodic":
+        e = np.r_[-P:0, m + 1:m + P + 1]
+        Wp[:, P + e] = Wp[:, P + e % m] + (e // m) * total
+        dp[:, P + e] = dp[:, P + e % m]
+    else:
+        Wp[:, P + m + 1:] = total
+
+    Wq = np.empty((L, m + 1))
+    for kk in np.unique(k):
+        rows = np.flatnonzero(k == kk)
+        if rows[-1] - rows[0] + 1 == len(rows):
+            rows = slice(rows[0], rows[-1] + 1)     # a view, not a copy
+        w0 = slice(P + kk, P + kk + m + 1)
+        w1 = slice(P + kk + 1, P + kk + m + 2)
+        Wq[rows] = (h00[rows] * Wp[rows, w0] + h10[rows] * dp[rows, w0]
+                    + h01[rows] * Wp[rows, w1] + h11[rows] * dp[rows, w1])
+        if bc == "outgoing":
+            Wq[rows, :max(0, -kk)] = 0.0
+            Wq[rows, max(0, m - kk):] = total[rows]
+
+    out = np.diff(Wq, axis=1)
+    return np.where((out < 0) & (out >= floor), 0.0, out)
+
+
+def _layouts(a):
+    """a in C order, and in the lines-last layout advect returns for each
+    axis (the layout the solver hands to the next advect call)."""
+    out = [("C", a)]
+    for ax in range(a.ndim):
+        last = np.ascontiguousarray(np.moveaxis(a, ax, -1))
+        out.append((f"lines_last_{ax}", np.moveaxis(last, -1, ax)))
+    return out
+
+
+@pytest.mark.parametrize("block_cells", [solver.BLOCK_CELLS, 200],
+                         ids=["default_blocks", "small_blocks"])
+@pytest.mark.parametrize("bc", ["outgoing", "periodic"])
+@pytest.mark.parametrize("shape,axis",
+                         [((320, 64), ax) for ax in range(2)]
+                         + [((9600, 8), ax) for ax in range(2)]
+                         + [((8, 9, 10, 12), ax) for ax in range(4)])
+def test_advect_matches_reference_kernel(shape, axis, bc, block_cells,
+                                         monkeypatch):
+    """advect equals the row-per-line kernel bit for bit, sign bits of
+    zeros included, and returns the same memory layout."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(sum(shape) + 7 * axis)
+    sig_shape = list(shape)
+    sig_shape[axis] = 1
+    sig = rng.uniform(-2.5, 2.5, size=sig_shape)
+    nonneg = rng.random(shape) * (rng.random(shape) > 0.2)
+    signed = rng.normal(size=shape)
+    for data in (nonneg, signed):
+        for layout, g in _layouts(data):
+            got = advect(g, sig, axis, bc=bc)
+            ref = _reference_advect(g, sig, axis, bc=bc)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), \
+                layout
+            assert got.strides == ref.strides, layout
+
+
 # ---------------------------------------------------------------------------
 # configuration guard rails
 # ---------------------------------------------------------------------------
@@ -238,6 +374,30 @@ def test_step_leaves_its_input_arrays_alone(mode, n):
     step(phase, fld, cfg, *sources)
     for a, b in zip(before, kept):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_matches_reference_kernel(n, monkeypatch):
+    """Coupled steps with advect and with the reference kernel agree bit
+    for bit, and so do the reductions over the state (they sum in memory
+    order, so this also pins the layout advect returns)."""
+    cfg = SimConfig(n=n, mode="coupled", x_extent=4.0, nx=32 if n == 1 else 16,
+                    vmax=2.0, nv=24 if n == 1 else 12, dt=0.1, t0=2.0,
+                    t_end=2.3, epsilon=1e-2, taus=())
+
+    def three_steps():
+        phase, fld = initial_states(cfg)
+        for _ in range(3):
+            step(phase, fld, cfg)
+        return phase.f, fld.phi
+
+    f, phi = three_steps()
+    monkeypatch.setattr(solver, "advect", _reference_advect)
+    f_ref, phi_ref = three_steps()
+    assert np.array_equal(f.view(np.int64), f_ref.view(np.int64))
+    assert np.array_equal(phi.view(np.int64), phi_ref.view(np.int64))
+    assert np.array_equal(source_density(f, cfg), source_density(f_ref, cfg))
+    assert total_mass(f, cfg) == total_mass(f_ref, cfg)
 
 
 def test_source_density_matches_mass():
