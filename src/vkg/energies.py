@@ -324,7 +324,8 @@ def _evaluate_stack(nodes: list[NodeSample], n: int,
         f = np.stack([nd.fblock for nd in nodes])
         phi = np.stack([nd.phiblock for nd in nodes])
     # the summation order of the contractions follows the memory layout,
-    # so fix it: C order, a no-op for captured blocks
+    # so fix it: C order (a one-node stack of captured blocks is a view
+    # into a shared block, so this copies it)
     f, phi = np.ascontiguousarray(f), np.ascontiguousarray(phi)
     indices = multi_indices_up_to(n, order)
     # whole blocks of Z_B f are needed only as the inner blocks of longer
@@ -433,31 +434,54 @@ class EnergyReport:
                             sum(f.values()), sum(fw.values()), phi, f, fw)
 
 
-def _ehat_integral(sq: SliceQuantities, A: MultiIndex,
-                   weight_v0: bool) -> float:
-    vals = []
-    for q in sq.nodes:
-        prof = np.abs(q.f_profiles[A])
-        if weight_v0:
-            vg = _vgrids(q.node, sq.n)
-            prof = prof * np.sqrt(1.0 + sum(v ** 2 for v in vg))
-        vals.append(vlasov_energy_density(prof, q.node, sq.n, sq.dv))
-    return sq.integrate(np.array(vals))
-
-
 def energy_report(sq: SliceQuantities, order: int) -> EnergyReport:
-    indices = multi_indices_up_to(sq.n, order)
+    """Slice energies of every multi-index up to order.
+
+    Each breakdown entry is one weighted sum over the node values of the
+    slice stacked into arrays, (nodes,) for phi and (nodes, v..) for f,
+    with the arithmetic of kg_energy_density and vlasov_energy_density
+    node by node, so the entries equal those of a loop over the nodes.
+    The squares of the phi values are taken by pow, as Python's float
+    ** 2 is (x * x differs from it in the last bit for some x).
+    """
+    n, N = sq.n, len(sq.nodes)
+    nodes = [q.node for q in sq.nodes]
+    t = np.array([nd.t_star for nd in nodes])
+    r = np.array([nd.r for nd in nodes])
+    y = np.array([nd.y for nd in nodes])
+    tau = sq.tau
+    vg = _vgrids(nodes[0], n)
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    # ehat weight (v0 t - v.x) / tau per node and velocity cell
+    node_axes = (N,) + (1,) * n
+    vdotx = sum(vg[d] * y[:, d].reshape(node_axes) for d in range(n))
+    w = (v0 * t.reshape(node_axes) - vdotx) / tau
+
+    def stack(field, A):
+        return np.array([getattr(q, field)[A] for q in sq.nodes])
+
+    def ehat_integral(prof):
+        return sq.integrate(np.sum((w * prof).reshape(N, -1), axis=1)
+                            * sq.dv ** n)
+
+    indices = multi_indices_up_to(n, order)
     half = order // 2
     breakdown_phi = {}
     breakdown_f = {}
     breakdown_fw = {}
     for A in indices:
-        evals = [kg_energy_density(q.phi_values[A], q.phi_dt[A],
-                                   q.phi_grad[A], q.node, sq.n)
-                 for q in sq.nodes]
-        breakdown_phi[A] = sq.integrate(np.array(evals))
-        breakdown_f[A] = _ehat_integral(sq, A, weight_v0=False)
-        breakdown_fw[A] = _ehat_integral(sq, A, weight_v0=True) \
+        phi, dtphi = stack("phi_values", A), stack("phi_dt", A)
+        grad = stack("phi_grad", A)
+        g2 = sum(np.float_power(grad[:, d], 2) for d in range(n))
+        drphi = np.divide(sum(grad[:, d] * y[:, d] for d in range(n)), r,
+                          out=np.zeros(N), where=r > 0)
+        e = (t / (2 * tau)) * (np.float_power(dtphi, 2) + g2
+                               + np.float_power(phi, 2)) \
+            + (r / tau) * dtphi * drphi
+        breakdown_phi[A] = sq.integrate(e)
+        prof = np.abs(stack("f_profiles", A))
+        breakdown_f[A] = ehat_integral(prof)
+        breakdown_fw[A] = ehat_integral(prof * v0) \
             if len(A) <= half else breakdown_f[A]
     return EnergyReport(
         sq.tau, order,

@@ -8,8 +8,10 @@ mass is conserved to roundoff and positivity is preserved); the field by
 velocity Verlet.  Hyperboloidal slice extraction reads the last T_WINDOW
 time levels the solver produced: step never writes into the arrays it is
 given, so the run keeps those arrays themselves, with no state copies,
-and slices a local space-time block out of them around each slice node
-as the simulation time sweeps past it.
+and copies a local space-time block out of them around the slice nodes
+as the simulation time sweeps past them.  Nodes that fire at the same
+step and whose windows overlap share one read-only block, and each
+node's block is a view of its window in it.
 
 Dimensions n = 1 and n = 2 share the same code paths; arrays carry one
 or two x-axes followed by the matching v-axes.
@@ -493,6 +495,7 @@ class NodeSample:
     t_levels: np.ndarray                 # (T_WINDOW,)
     x_axes: tuple[np.ndarray, ...]       # window coordinates per x axis
     v_axes: tuple[np.ndarray, ...]       # full velocity axes
+    # read-only views, possibly into a block that neighbouring nodes share
     fblock: np.ndarray                   # (T_WINDOW, *window, *vgrid)
     phiblock: np.ndarray                 # (T_WINDOW, *window)
 
@@ -521,51 +524,92 @@ class RunResult:
 
 
 def _pending_nodes(cfg: SimConfig):
-    """Slice nodes grouped by firing time, earliest first."""
+    """Slice nodes ordered by firing time, earliest first, each with its
+    window: the 2 * half + 1 cells per x axis centred on the cell nearest
+    the node.  A window that leaves the grid is rejected here, before the
+    run allocates any state."""
+    xc = x_centers(cfg)
+    half = X_HALF if cfg.n == 1 else 4
     pending = []
     for tau in cfg.taus:
         quad = build_slice_quadrature(tau, cfg.n, slice_rmax(cfg, tau),
                                       cfg.slice_resolution)
         for k in range(len(quad.radii)):
             y = tuple(quad.points[k])
+            idx = []
+            for c in y:
+                j = int(np.argmin(np.abs(xc - c)))
+                if j - half < 0 or j + half + 1 > cfg.nx:
+                    raise SolverError(
+                        f"slice node at y={tuple(map(float, y))} too close"
+                        " to the grid boundary")
+                idx.append(slice(j - half, j + half + 1))
             r = float(quad.radii[k])
             t_star = math.sqrt(tau ** 2 + r ** 2)
-            pending.append((t_star, tau, y, r, float(quad.weights[k])))
+            pending.append((t_star, tau, y, r, float(quad.weights[k]),
+                            tuple(idx)))
     pending.sort(key=lambda e: e[0])
     return deque(pending)
 
 
-def _capture_node(levels: deque, cfg: SimConfig, tau, y, r, t_star,
-                  weight) -> NodeSample:
-    """Block around one node from the last T_WINDOW (t, f, phi) levels."""
+def _capture_nodes(levels: deque, cfg: SimConfig,
+                   fired: list) -> list[NodeSample]:
+    """Blocks around the nodes that fire at one step, from the last
+    T_WINDOW (t, f, phi) levels, in the order of fired.
+
+    Overlapping windows are copied once.  The windows fall into groups
+    (connected components of the overlap graph); each group gets one
+    read-only block of f and one of phi over the box that bounds its
+    windows, and each node's fblock and phiblock are views of its window
+    in them.  A group whose box holds more cells than its windows
+    together is copied window by window, so sharing never costs memory.
+    """
     if len(levels) < T_WINDOW:
         raise SolverError("time levels do not cover the slice node")
     t_levels = np.array([e[0] for e in levels])
     xc = x_centers(cfg)
-    vc = v_centers(cfg)
-    half = X_HALF if cfg.n == 1 else 4
-    idx = []
-    for d in range(cfg.n):
-        j = int(np.argmin(np.abs(xc - y[d])))
-        lo, hi = j - half, j + half + 1
-        if lo < 0 or hi > cfg.nx:
-            raise SolverError(
-                f"slice node at y={y} too close to the grid boundary")
-        idx.append(slice(lo, hi))
-    idx = tuple(idx)
-    # np.array copies the windows into C-ordered blocks; the levels
-    # themselves may be transposed views
-    fblock = np.array([e[1][idx] for e in levels])
-    phiblock = np.array([e[2][idx] for e in levels])
-    x_axes = tuple(xc[sl] for sl in idx)
-    v_axes = tuple(vc for _ in range(cfg.n))
-    return NodeSample(tau, y, r, t_star, weight, t_levels, x_axes, v_axes,
-                      fblock, phiblock)
+    v_axes = (v_centers(cfg),) * cfg.n
+    lo = np.array([[s.start for s in e[5]] for e in fired])
+    hi = np.array([[s.stop for s in e[5]] for e in fired])
+    overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]),
+                     axis=2)
+    # label each node with the smallest index connected to it
+    label = np.arange(len(fired))
+    while True:
+        nxt = np.min(np.where(overlap, label, len(fired)), axis=1)
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    groups = []
+    for c in np.unique(label):
+        members = np.flatnonzero(label == c)
+        box_lo, box_hi = lo[members].min(0), hi[members].max(0)
+        if np.prod(box_hi - box_lo) <= np.sum(np.prod(hi - lo, 1)[members]):
+            groups.append((members, box_lo, box_hi))
+        else:
+            groups += [([k], lo[k], hi[k]) for k in members]
+    nodes = [None] * len(fired)
+    for members, box_lo, box_hi in groups:
+        box = tuple(slice(a, b) for a, b in zip(box_lo, box_hi))
+        # np.array copies the box into C-ordered blocks; the levels
+        # themselves may be transposed views
+        fblock = np.array([e[1][box] for e in levels])
+        phiblock = np.array([e[2][box] for e in levels])
+        fblock.flags.writeable = phiblock.flags.writeable = False
+        for k in members:
+            t_star, tau, y, r, weight, idx = fired[k]
+            local = (slice(None),) + tuple(
+                slice(s.start - a, s.stop - a) for s, a in zip(idx, box_lo))
+            nodes[k] = NodeSample(tau, y, r, t_star, weight, t_levels,
+                                  tuple(xc[s] for s in idx), v_axes,
+                                  fblock[local], phiblock[local])
+    return nodes
 
 
 def run(cfg: SimConfig) -> RunResult:
     cfg.validate()
     t_start = time.perf_counter()
+    pending = _pending_nodes(cfg)
     kinetic_source = field_source = None
     if cfg.mode == "mms":
         phi_ex, pi_ex, f_ex, kinetic_source, field_source = mms_forcing(cfg)
@@ -574,7 +618,6 @@ def run(cfg: SimConfig) -> RunResult:
     else:
         phase, fld = initial_states(cfg)
     levels = deque([(phase.t, phase.f, fld.phi)], maxlen=T_WINDOW)
-    pending = _pending_nodes(cfg)
     slices: dict[float, SliceData] = {
         tau: SliceData(tau, cfg.n, [], cfg.dv) for tau in cfg.taus}
     warnings: list[str] = []
@@ -595,10 +638,12 @@ def run(cfg: SimConfig) -> RunResult:
         levels.append((phase.t, phase.f, fld.phi))
         record()
         # fire every node whose block is now centered in the levels
+        fired = []
         while pending and pending[0][0] <= phase.t - 2 * cfg.dt:
-            t_star, tau, y, r, w = pending.popleft()
-            node = _capture_node(levels, cfg, tau, y, r, t_star, w)
-            slices[tau].nodes.append(node)
+            fired.append(pending.popleft())
+        if fired:
+            for node in _capture_nodes(levels, cfg, fired):
+                slices[node.tau].nodes.append(node)
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)
             if edge > cfg.boundary_floor:

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from vkg import solver
 from vkg.cli import main
 from vkg.report import (content_hash, read_binary_grid, svg_plot,
                         write_binary_grid)
@@ -97,6 +98,23 @@ def test_cfl_violation_exits_3(tmp_path):
     conf = tmp_path / "cfl.conf"
     conf.write_text("schema = 1\nnx = 100\nx_extent = 1.0\ndt = 0.1\ntaus =\n")
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_node_window_off_the_grid_exits_3_before_stepping(
+        tmp_path, monkeypatch, capsys):
+    # valid keys, but the outermost slice nodes sit within six cells of
+    # the box edge, so their capture windows would leave the grid
+    conf = tmp_path / "edge.conf"
+    conf.write_text("schema = 1\nn = 1\nx_extent = 6.0\nnx = 120\n"
+                    "nv = 16\ndt = 0.05\nt0 = 2.0\nt_end = 8.0\n"
+                    "taus = 5.0\nrmax = 5.9\nslice_resolution = 20\n")
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "slice node at y=(-5.9,) too close to the grid boundary" in err
+    assert "Traceback" not in err
+    assert steps == []
 
 
 @pytest.mark.parametrize("key,value", [

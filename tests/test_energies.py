@@ -214,8 +214,9 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
 
 @pytest.mark.parametrize("n,count", [(1, 7), (2, 5)])
 def test_slice_energies_independent_of_block_layout(n, count):
-    # captured blocks are C-ordered, but a caller may lay a block out in
-    # any order; the energies must not move by even one ulp
+    # captured blocks are strided views of a shared block, and a caller
+    # may lay a block out in any order; the energies must not move by
+    # even one ulp
     data = random_slice(n, count)
     fortran = SliceData(data.tau, n, [
         dataclasses.replace(nd, fblock=np.asfortranarray(nd.fblock),
@@ -369,6 +370,68 @@ def test_report_breakdown_sums(transport_slices):
     assert abs(rep.E_N_phi - sum(rep.breakdown_phi.values())) < 1e-14
     assert abs(rep.Ehat_N_f - sum(rep.breakdown_f.values())) < 1e-14
     assert set(rep.breakdown_f) == set(multi_indices_up_to(1, 2))
+
+
+def _reference_energy_report(sq, order):
+    """energy_report as a loop over the nodes, one density call each."""
+
+    def ehat_integral(A, weight_v0):
+        vals = []
+        for q in sq.nodes:
+            prof = np.abs(q.f_profiles[A])
+            if weight_v0:
+                vg = energies._vgrids(q.node, sq.n)
+                prof = prof * np.sqrt(1.0 + sum(v ** 2 for v in vg))
+            vals.append(vlasov_energy_density(prof, q.node, sq.n, sq.dv))
+        return sq.integrate(np.array(vals))
+
+    phi, f, fw = {}, {}, {}
+    for A in multi_indices_up_to(sq.n, order):
+        evals = [kg_energy_density(q.phi_values[A], q.phi_dt[A],
+                                   q.phi_grad[A], q.node, sq.n)
+                 for q in sq.nodes]
+        phi[A] = sq.integrate(np.array(evals))
+        f[A] = ehat_integral(A, weight_v0=False)
+        fw[A] = ehat_integral(A, weight_v0=True) \
+            if len(A) <= order // 2 else f[A]
+    return energies.EnergyReport(sq.tau, order, sum(phi.values()),
+                                 sum(f.values()), sum(fw.values()),
+                                 phi, f, fw)
+
+
+def one_node_slices(n: int, count: int, seed: int = 5):
+    """count one-node slices of order-0 node values.  The phi values, time
+    derivatives and gradients are numbers x with x ** 2 != x * x (Python's
+    float ** 2 is pow, not a product) as far as the platform's pow has
+    them, and with one node per slice one ulp of a node's density shows
+    in the slice's integrals."""
+    rng = np.random.default_rng(seed)
+    hard = iter(sorted(rng.normal(size=1_000_000).tolist(),
+                       key=lambda x: x ** 2 == x * x))
+    out = []
+    for _ in range(count):
+        y = tuple(rng.uniform(-4.0, 4.0, size=n).tolist())
+        node = make_node(y=y[0], nv=4) if n == 1 \
+            else make_node2(y=y, nv=4, rng=rng)
+        q = energies.NodeQuantities(
+            node, {(): rng.normal(size=(4,) * n)}, {(): next(hard)},
+            {(): next(hard)}, {(): tuple(next(hard) for _ in range(n))})
+        out.append(energies.SliceQuantities(node.tau, n, 0.25, [q]))
+    return out
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
+def test_energy_report_equals_node_loop(n, count, transport_slices):
+    slices = [evaluate_slice(random_slice(n, count), 2)]
+    if n == 1:
+        # real data, with the r = 0 node
+        slices += transport_slices
+    for sq in slices:
+        for order in (1, 2):
+            assert energy_report(sq, order) \
+                == _reference_energy_report(sq, order)
+    for sq in one_node_slices(n, 100):
+        assert energy_report(sq, 0) == _reference_energy_report(sq, 0)
 
 
 def test_kinetic_energy_linear_in_amplitude():

@@ -2,6 +2,7 @@
 conservation, and manufactured-solution convergence."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -425,6 +426,69 @@ def test_slice_nodes_cover_requested_extent():
     for nd in nodes:
         t_lo, t_hi = nd.t_levels[2], nd.t_levels[3]
         assert t_lo <= nd.t_star <= t_hi
+
+
+def test_overlapping_nodes_share_one_read_only_block(monkeypatch):
+    """Nodes that fire at one step with overlapping windows are views of
+    one copied block: each equals the copy of its own window from the
+    levels, neighbours share memory, and no node can write into another."""
+    cfg = SimConfig(n=2, mode="coupled", x_extent=4.0, nx=32, vmax=2.0,
+                    nv=8, dt=0.1, t0=2.0, t_end=3.0, epsilon=1e-2,
+                    taus=(2.4,), rmax=1.0, slice_resolution=2)
+    calls = []
+    capture = solver._capture_nodes
+
+    def spy(levels, cfg, fired):
+        nodes = capture(levels, cfg, fired)
+        calls.append((list(levels), fired, nodes))
+        return nodes
+
+    monkeypatch.setattr(solver, "_capture_nodes", spy)
+    nodes = run(cfg).slices[2.4].nodes
+    assert len(nodes) == 128 and len(calls) < len(nodes)
+    assert [nd.y for nd in nodes] == [e[2] for e in solver._pending_nodes(cfg)]
+    for levels, fired, captured in calls:
+        for e, nd in zip(fired, captured):
+            idx = e[-1]
+            assert np.array_equal(nd.fblock,
+                                  np.array([lv[1][idx] for lv in levels]))
+            assert np.array_equal(nd.phiblock,
+                                  np.array([lv[2][idx] for lv in levels]))
+    # neighbouring angles on one ring
+    a, b = nodes[0], nodes[1]
+    assert np.shares_memory(a.fblock, b.fblock)
+    assert np.shares_memory(a.phiblock, b.phiblock)
+    for block in (a.fblock, a.phiblock):
+        with pytest.raises(ValueError):
+            block[...] = 0.0
+    bases = {id(nd.fblock.base): nd.fblock.base for nd in nodes}
+    assert sum(base.nbytes for base in bases.values()) \
+        < 0.1 * sum(nd.fblock.nbytes for nd in nodes)
+
+
+def test_capture_shares_a_block_only_where_it_saves_memory():
+    """A diagonal chain of windows that overlap in one cell bounds a box
+    larger than the windows together, so each window is copied alone."""
+    cfg = SimConfig(n=2, x_extent=4.0, nx=32, vmax=2.0, nv=4, dt=0.1,
+                    taus=())
+    rng = np.random.default_rng(0)
+    levels = deque([(0.1 * k, rng.random((32, 32, 4, 4)),
+                     rng.random((32, 32))) for k in range(solver.T_WINDOW)])
+
+    def fired(*starts):
+        return [(2.5, 2.4, (0.0, 0.0), 0.0, 1.0, (slice(j, j + 9),) * 2)
+                for j in starts]
+
+    chain = fired(0, 8, 16)
+    nodes = solver._capture_nodes(levels, cfg, chain)
+    for e, nd in zip(chain, nodes):
+        assert np.array_equal(nd.fblock,
+                              np.array([lv[1][e[-1]] for lv in levels]))
+    assert not any(np.shares_memory(p.fblock, q.fblock)
+                   for p, q in zip(nodes, nodes[1:]))
+    p, q = solver._capture_nodes(levels, cfg, fired(0, 2))
+    assert np.shares_memory(p.fblock, q.fblock)
+    assert p.fblock.base.shape[1:3] == (11, 11)
 
 
 def test_determinism_bitwise():
