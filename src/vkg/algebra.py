@@ -134,6 +134,16 @@ def structure_constants(n: int) -> np.ndarray:
     return C
 
 
+def structure_constant_defects(n: int) -> int:
+    """Entries of the structure constants that break antisymmetry or the
+    Jacobi identity; 0 when they define a Lie algebra."""
+    c = structure_constants(n)
+    jac = (np.einsum("abd,dce->abce", c, c)
+           + np.einsum("bcd,dae->abce", c, c)
+           + np.einsum("cad,dbe->abce", c, c))
+    return int(np.sum(c + np.swapaxes(c, 0, 1) != 0)) + int(np.sum(jac != 0))
+
+
 # ---------------------------------------------------------------------------
 # PPoly: exact polynomials in u_j = v^j / v^0
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -190,22 +191,13 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_defect(n: int) -> int:
-    c = algebra.structure_constants(n)
-    m = c.shape[0]
-    bad = int(np.sum(c + np.swapaxes(c, 0, 1) != 0))
-    jac = (np.einsum("abd,dce->abce", c, c)
-           + np.einsum("bcd,dae->abce", c, c)
-           + np.einsum("cad,dbe->abce", c, c))
-    return bad + int(np.sum(jac != 0))
-
-
-def _suite_algebra():
+def _suite_algebra(small_run):
     for n in (1, 2, 3, 4):
-        yield f"structure constants n={n}", _jacobi_defect(n) == 0, "exact"
+        yield (f"structure constants n={n}",
+               algebra.structure_constant_defects(n) == 0, "exact")
 
 
-def _suite_geometry():
+def _suite_geometry(small_run):
     for n, res in ((1, 4000), (2, 400)):
         q = geometry.build_slice_quadrature(2.0, n, 3.0, res)
         vol = geometry.integrate_slice(lambda p: 1.0, q)
@@ -217,15 +209,15 @@ def _suite_geometry():
     yield "foliation roundtrip", err < 1e-12, f"err {err:.2e}"
 
 
-def _small_run(mode: str):
-    cfg = SimConfig(n=1, mode=mode, x_extent=12.0, nx=240, vmax=4.0, nv=48,
-                    dt=0.04, t0=4.0, t_end=9.0, epsilon=1e-3,
+def _small_run():
+    cfg = SimConfig(n=1, mode="coupled", x_extent=12.0, nx=240, vmax=4.0,
+                    nv=48, dt=0.04, t0=4.0, t_end=9.0, epsilon=1e-3,
                     taus=(4.5, 6.0), rmax=5.0, support_radius=2.4)
     return cfg, run(cfg)
 
 
-def _suite_solver():
-    cfg, result = _small_run("coupled")
+def _suite_solver(small_run):
+    cfg, result = small_run()
     span = result.times[-1] - result.times[0]
     drift = abs(result.mass[-1] - result.mass[0]) / max(result.mass[0], 1e-300)
     yield "mass conservation", drift / span < 1e-8, f"{drift / span:.2e}/t"
@@ -236,8 +228,8 @@ def _suite_solver():
                                for s in result.slices.values()), "nodes fired"
 
 
-def _suite_energies():
-    cfg, result = _small_run("coupled")
+def _suite_energies(small_run):
+    cfg, result = small_run()
     names = ["lower bounds", "hierarchy monotone"]
     ok_slack, ok_mono = True, True
     detail = ""
@@ -264,10 +256,12 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    # the solver and energies suites share one small run
+    small_run = functools.cache(_small_run)
     failed = 0
     results = []
     for name in suites:
-        for check, ok, detail in _SUITES[name]():
+        for check, ok, detail in _SUITES[name](small_run):
             results.append({"suite": name, "check": check, "ok": ok,
                             "detail": detail})
             print(f"[{'PASS' if ok else 'FAIL'}] {name}: {check} ({detail})")
@@ -321,11 +315,10 @@ def cmd_slice_dump(args) -> int:
     written = []
     for tau in sorted(result.slices):
         sq = energies.evaluate_slice(result.slices[tau], 0)
-        fstack = np.stack([q.f_profiles[()] for q in sq.nodes])
-        phistack = np.array([[q.phi_values[()], q.phi_dt[()]]
-                             + list(q.phi_grad[()]) for q in sq.nodes])
-        ystack = np.array([list(q.node.y) + [q.node.t_star, q.node.weight]
-                           for q in sq.nodes])
+        fstack = sq.f[()]
+        phistack = np.column_stack([sq.phi[()], sq.phi_dt[()],
+                                    sq.phi_grad[()]])
+        ystack = np.column_stack([sq.y, sq.t, sq.weight])
         for tag, arr in (("f", fstack), ("phi", phistack), ("nodes", ystack)):
             path = outdir / f"slice_tau{tau:g}_{tag}.bin"
             report.write_binary_grid(path, arr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commuted import MultiIndex, _mi_str
-from .energies import EnergyReport, SliceQuantities, _vgrids
+from .energies import EnergyReport, SliceQuantities
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,15 @@ def decay_fit(times, values, window: tuple[float, float]) -> DecayFit:
 VACUOUS_FLOOR = 1e-300
 
 
+def _worst(name: str, sq: SliceQuantities, vals: np.ndarray,
+           energy: float) -> InequalityRecord:
+    """Record of the largest node value; the first node wins a tie."""
+    i = int(np.argmax(vals))
+    lhs = float(vals[i])
+    return InequalityRecord(name, sq.tau, lhs, energy, lhs / energy,
+                            tuple(sq.y[i]))
+
+
 def ks_check_f(sq: SliceQuantities, report: EnergyReport,
                k: int) -> InequalityRecord:
     """Velocity-average decay against the order-n energy envelope.
@@ -81,17 +90,9 @@ def ks_check_f(sq: SliceQuantities, report: EnergyReport,
     name = f"ks_f_k{k}"
     if energy < VACUOUS_FLOOR:
         return InequalityRecord(name, sq.tau, 0.0, energy, 0.0, (), True)
-    worst = -1.0
-    loc: tuple[float, ...] = ()
-    for q in sq.nodes:
-        vg = _vgrids(q.node, n)
-        v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-        lhs = float(np.sum(np.abs(q.f_profiles[()]) / v0 ** k)) * sq.dv ** n
-        val = lhs * q.node.t_star ** (n - 1 + k) * sq.tau ** (1 - k)
-        if val > worst:
-            worst = val
-            loc = q.node.y
-    return InequalityRecord(name, sq.tau, worst, energy, worst / energy, loc)
+    lhs = sq.integrate_v(np.abs(sq.f[()]) / sq.v0 ** k)
+    vals = lhs * np.float_power(sq.t, n - 1 + k) * sq.tau ** (1 - k)
+    return _worst(name, sq, vals, energy)
 
 
 def ks_check_phi(sq: SliceQuantities, report: EnergyReport
@@ -106,23 +107,13 @@ def ks_check_phi(sq: SliceQuantities, report: EnergyReport
         rec = InequalityRecord("ks_phi", sq.tau, 0.0, energy, 0.0, (), True)
         dec = InequalityRecord("ks_dphi", sq.tau, 0.0, energy, 0.0, (), True)
         return rec, dec
-    worst_p, worst_d = -1.0, -1.0
-    loc_p: tuple[float, ...] = ()
-    loc_d: tuple[float, ...] = ()
-    for q in sq.nodes:
-        t = q.node.t_star
-        val_p = abs(q.phi_values[()]) * t ** (n / 2)
-        dnorm = math.sqrt(q.phi_dt[()] ** 2
-                          + sum(g ** 2 for g in q.phi_grad[()]))
-        val_d = dnorm * t ** (n / 2 - 1) * sq.tau
-        if val_p > worst_p:
-            worst_p, loc_p = val_p, q.node.y
-        if val_d > worst_d:
-            worst_d, loc_d = val_d, q.node.y
-    return (InequalityRecord("ks_phi", sq.tau, worst_p, energy,
-                             worst_p / energy, loc_p),
-            InequalityRecord("ks_dphi", sq.tau, worst_d, energy,
-                             worst_d / energy, loc_d))
+    val_p = np.abs(sq.phi[()]) * np.float_power(sq.t, n / 2)
+    dnorm = np.sqrt(np.float_power(sq.phi_dt[()], 2)
+                    + sum(np.float_power(sq.phi_grad[()][:, d], 2)
+                          for d in range(n)))
+    val_d = dnorm * np.float_power(sq.t, n / 2 - 1) * sq.tau
+    return (_worst("ks_phi", sq, val_p, energy),
+            _worst("ks_dphi", sq, val_d, energy))
 
 
 def l2_estimate_check(sq: SliceQuantities, A: MultiIndex, eps: float,
@@ -132,11 +123,8 @@ def l2_estimate_check(sq: SliceQuantities, A: MultiIndex, eps: float,
     Reports int (t/tau) (int |Zhat_A f| dv)^2 dmu * tau^(n-2delta)/eps^2.
     """
     n = sq.n
-    vals = []
-    for q in sq.nodes:
-        intf = float(np.sum(np.abs(q.f_profiles[A]))) * sq.dv ** n
-        vals.append((q.node.t_star / sq.tau) * intf ** 2)
-    lhs = sq.integrate(np.array(vals))
+    intf = sq.integrate_v(np.abs(sq.f[A]))
+    lhs = sq.integrate((sq.t / sq.tau) * np.float_power(intf, 2))
     env = eps ** 2 * sq.tau ** (2 * delta - n)
     name = f"l2_{_mi_str(A)}"
     if lhs < VACUOUS_FLOOR:

@@ -15,6 +15,13 @@ generator acts on the contracted velocity profile.  Nodes of a slice
 share one block shape, so they are evaluated in stacks of at most
 solver.BLOCK_CELLS cells.
 
+A slice's values are kept stacked along a leading node axis, one array
+per multi-index A: Zhat_A f as (nodes, v..) profiles, Z_A phi and its
+time derivative as (nodes,) and its gradient as (nodes, n), beside the
+(nodes,) t, r, quadrature weights and (nodes, n) positions y.  Every
+density, slack and energy is one array expression over the nodes, and
+a slice integral is the weighted sum of a density.
+
 Lower-bound slacks are evaluated through manifestly nonnegative
 rearrangements (pointwise nonnegative velocity integrands, sums of
 squares), so a reported negative slack means a genuine violation rather
@@ -26,8 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from . import solver
 from .algebra import BOOST, DT, DX, ROT, Generator
 from .commuted import (MultiIndex, derive_commuted_vlasov,
                        multi_indices_up_to, _mi_str)
-from .solver import NodeSample, RunResult, SliceData
+from .solver import NodeSample, SliceData
 
 
 # ---------------------------------------------------------------------------
@@ -211,112 +217,61 @@ def node_value(block: np.ndarray, node: NodeSample, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Densities and lower bounds
-# ---------------------------------------------------------------------------
-
-
-def _vgrids(node: NodeSample, n: int):
-    if n == 1:
-        return (node.v_axes[0],)
-    va, vb = np.meshgrid(node.v_axes[0], node.v_axes[1], indexing="ij")
-    return va, vb
-
-
-def vlasov_energy_density(fprofile: np.ndarray, node: NodeSample, n: int,
-                          dv: float) -> float:
-    """ehat(f) = int (v^0 t - v.x)/tau f dv at the node."""
-    vg = _vgrids(node, n)
-    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    vdotx = sum(vg[d] * node.y[d] for d in range(n))
-    w = (v0 * node.t_star - vdotx) / node.tau
-    return float(np.sum(w * fprofile)) * dv ** n
-
-
-def velocity_moments(fprofile: np.ndarray, node: NodeSample, n: int,
-                     dv: float) -> tuple[float, float, float]:
-    """(int |f| dv, int |f|/v0 dv, int v0 |f| dv) at the node."""
-    vg = _vgrids(node, n)
-    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    a = np.abs(fprofile)
-    s = dv ** n
-    return (float(np.sum(a)) * s, float(np.sum(a / v0)) * s,
-            float(np.sum(v0 * a)) * s)
-
-
-def vlasov_lower_bound_slacks(fprofile: np.ndarray, node: NodeSample, n: int,
-                              dv: float) -> tuple[float, float, float]:
-    """Slack of ehat(|f|) over its three lower bounds, each evaluated as
-    the integral of a pointwise nonnegative integrand."""
-    vg = _vgrids(node, n)
-    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    vdotx = sum(vg[d] * node.y[d] for d in range(n))
-    t, r, tau = node.t_star, node.r, node.tau
-    w = (v0 * t - vdotx) / tau
-    a = np.abs(fprofile)
-    s = dv ** n
-    s1 = float(np.sum((w - t / (2 * tau * v0)) * a)) * s
-    s2 = float(np.sum((w - tau * v0 / (2 * (t + r))) * a)) * s
-    s3 = float(np.sum((w - 1.0) * a)) * s
-    return s1, s2, s3
-
-
-def kg_energy_density(phi: float, dtphi: float, gradphi, node: NodeSample,
-                      n: int) -> float:
-    t, r, tau = node.t_star, node.r, node.tau
-    g2 = sum(g ** 2 for g in gradphi)
-    drphi = sum(gradphi[d] * node.y[d] for d in range(n)) / r if r > 0 else 0.0
-    return (t / (2 * tau)) * (dtphi ** 2 + g2 + phi ** 2) \
-        + (r / tau) * dtphi * drphi
-
-
-def kg_lower_bound_slack(phi: float, dtphi: float, gradphi,
-                         node: NodeSample, n: int) -> float:
-    """e(phi) - (t/2tau)phi^2 - (tau/2(t+r))|dphi|^2 as a sum of squares."""
-    t, r, tau = node.t_star, node.r, node.tau
-    if r > 0:
-        drphi = sum(gradphi[d] * node.y[d] for d in range(n)) / r
-    else:
-        drphi = 0.0
-    # transverse gradient square: |grad|^2 - (d_r)^2, computed exactly
-    if n == 1:
-        trans2 = 0.0
-    else:
-        trans2 = ((node.y[0] * gradphi[1] - node.y[1] * gradphi[0]) / r) ** 2 \
-            if r > 0 else sum(g ** 2 for g in gradphi)
-    return (r / (2 * tau)) * (dtphi + drphi) ** 2 + (r / (2 * tau)) * trans2
-
-
-@dataclass(frozen=True)
-class DensitySample:
-    tau: float
-    t: float
-    y: tuple[float, ...]
-    ehat: float
-    e_kg: float
-    moments: tuple[float, float, float]
-    slacks_f: tuple[float, float, float]
-    slack_kg: float
-
-
-# ---------------------------------------------------------------------------
 # Slice evaluation
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class NodeQuantities:
-    """Everything the diagnostics need at one slice node."""
+class SliceQuantities:
+    """Node values of one slice, stacked along a leading node axis.
 
-    node: NodeSample
-    f_profiles: dict[MultiIndex, np.ndarray]      # Zhat_A f on the v grid
-    phi_values: dict[MultiIndex, float]           # Z_A phi
-    phi_dt: dict[MultiIndex, float]               # d_t Z_A phi
-    phi_grad: dict[MultiIndex, tuple[float, ...]]  # grad_x Z_A phi
+    t, r and weight are (N,) and y is (N, n).  For every multi-index A,
+    f[A] is the (N, v..) velocity profile of Zhat_A f, phi[A] and
+    phi_dt[A] are the (N,) values of Z_A phi and d_t Z_A phi, and
+    phi_grad[A] is the (N, n) gradient of Z_A phi.  v0 = sqrt(1 + |v|^2)
+    on the velocity grid and the (N, v..) weight (v0 t - v.y)/tau of
+    ehat are computed once.
+    """
+
+    tau: float
+    n: int
+    dv: float
+    t: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    weight: np.ndarray
+    v_axes: tuple[np.ndarray, ...]
+    f: dict[MultiIndex, np.ndarray]
+    phi: dict[MultiIndex, np.ndarray]
+    phi_dt: dict[MultiIndex, np.ndarray]
+    phi_grad: dict[MultiIndex, np.ndarray]
+    v0: np.ndarray = field(init=False)
+    ehat_weight: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        vg = np.meshgrid(*self.v_axes, indexing="ij")
+        self.v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+        vdotx = sum(vg[d] * self.nodewise(self.y[:, d])
+                    for d in range(self.n))
+        self.ehat_weight = (self.v0 * self.nodewise(self.t) - vdotx) \
+            / self.tau
+
+    def nodewise(self, values: np.ndarray) -> np.ndarray:
+        """(N,) values shaped to broadcast against (N, v..) profiles."""
+        return values.reshape((-1,) + (1,) * self.n)
+
+    def integrate_v(self, g: np.ndarray) -> np.ndarray:
+        """int g dv at every node of an (N, v..) array."""
+        return np.sum(g.reshape(len(g), -1), axis=1) * self.dv ** self.n
+
+    def integrate(self, values: np.ndarray) -> float:
+        """Quadrature over the slice of one value per node."""
+        return float(np.sum(self.weight * values))
 
 
-def _evaluate_stack(nodes: list[NodeSample], n: int,
-                    order: int) -> list[NodeQuantities]:
-    """evaluate_node on nodes that share a block shape, all at once."""
+def _evaluate_stack(nodes: list[NodeSample], n: int, order: int):
+    """Node values of every index up to order on nodes that share a block
+    shape: the dicts (f, phi, phi_dt, phi_grad) of SliceQuantities."""
     st = _stack(nodes, n)
     if len(nodes) == 1:
         f, phi = nodes[0].fblock[None], nodes[0].phiblock[None]
@@ -337,67 +292,132 @@ def _evaluate_stack(nodes: list[NodeSample], n: int,
         if len(A) < order:
             inner[A] = _apply(A[0], inner[A[1:]], st, True)
     basis = {B: _contract(h, st.weights) for B, h in inner.items()}
-    profiles = {(): basis[()][_row(n)].copy()}
+    profiles = {(): basis[()][_row(n)]}
     for A in indices[1:]:
         profiles[A] = _outer(A[0], basis[A[1:]], st)
     wd = [w[:, :_C] for w in st.weights]
     values, dts, grads = {}, {}, {}
     for A in indices:
         pb = _contract(pblocks[A], wd)
-        values[A] = pb[_row(n)].tolist()
-        dts[A] = pb[_row(n, d=0)].tolist()
-        grads[A] = list(zip(*(pb[_row(n, d=1 + d)].tolist()
-                              for d in range(n))))
-    return [NodeQuantities(nd, {A: profiles[A][k] for A in indices},
-                           {A: values[A][k] for A in indices},
-                           {A: dts[A][k] for A in indices},
-                           {A: grads[A][k] for A in indices})
-            for k, nd in enumerate(nodes)]
-
-
-def evaluate_node(node: NodeSample, n: int, order: int) -> NodeQuantities:
-    return _evaluate_stack([node], n, order)[0]
-
-
-@dataclass
-class SliceQuantities:
-    tau: float
-    n: int
-    dv: float
-    nodes: list[NodeQuantities]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature over the slice; values indexed like self.nodes."""
-        w = np.array([q.node.weight for q in self.nodes])
-        return float(np.sum(w * np.asarray(values)))
+        values[A] = pb[_row(n)]
+        dts[A] = pb[_row(n, d=0)]
+        grads[A] = np.stack([pb[_row(n, d=1 + d)] for d in range(n)], axis=1)
+    return profiles, values, dts, grads
 
 
 def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
     """Every node of the slice, in stacks of at most solver.BLOCK_CELLS
     cells (at least one node per stack)."""
     nodes = data.nodes
-    per = max(1, solver.BLOCK_CELLS // nodes[0].fblock.size) if nodes else 1
-    out = []
-    for i in range(0, len(nodes), per):
-        out += _evaluate_stack(nodes[i:i + per], data.n, order)
-    return SliceQuantities(data.tau, data.n, data.dv, out)
+    per = max(1, solver.BLOCK_CELLS // nodes[0].fblock.size)
+    stacks = [_evaluate_stack(nodes[i:i + per], data.n, order)
+              for i in range(0, len(nodes), per)]
+    f, phi, phi_dt, phi_grad = (
+        {A: np.concatenate([s[k][A] for s in stacks]) for A in stacks[0][k]}
+        for k in range(4))
+    return SliceQuantities(
+        data.tau, data.n, data.dv,
+        t=np.array([nd.t_star for nd in nodes]),
+        y=np.array([nd.y for nd in nodes]),
+        r=np.array([nd.r for nd in nodes]),
+        weight=np.array([nd.weight for nd in nodes]),
+        v_axes=nodes[0].v_axes,
+        f=f, phi=phi, phi_dt=phi_dt, phi_grad=phi_grad)
+
+
+# ---------------------------------------------------------------------------
+# Densities and lower bounds
+# ---------------------------------------------------------------------------
+#
+# Each density is one (N,) array over the nodes of a slice.  Squares of
+# node values are taken with np.float_power, which is C pow as Python's
+# float ** is (x * x differs from it in the last bit for some x), so the
+# densities equal those of a loop over the nodes with Python floats.
+
+
+def vlasov_energy_density(sq: SliceQuantities, prof: np.ndarray
+                          ) -> np.ndarray:
+    """ehat = int (v^0 t - v.x)/tau prof dv of an (N, v..) profile."""
+    return sq.integrate_v(sq.ehat_weight * prof)
+
+
+def velocity_moments(sq: SliceQuantities, f: np.ndarray):
+    """(int |f| dv, int |f|/v0 dv, int v0 |f| dv) at every node."""
+    a = np.abs(f)
+    return (sq.integrate_v(a), sq.integrate_v(a / sq.v0),
+            sq.integrate_v(sq.v0 * a))
+
+
+def vlasov_lower_bound_slacks(sq: SliceQuantities, f: np.ndarray):
+    """Slack of ehat(|f|) over its three lower bounds at every node, each
+    evaluated as the integral of a pointwise nonnegative integrand."""
+    t, r, tau = sq.nodewise(sq.t), sq.nodewise(sq.r), sq.tau
+    w, v0 = sq.ehat_weight, sq.v0
+    a = np.abs(f)
+    return (sq.integrate_v((w - t / (2 * tau * v0)) * a),
+            sq.integrate_v((w - tau * v0 / (2 * (t + r))) * a),
+            sq.integrate_v((w - 1.0) * a))
+
+
+def _squares(g: np.ndarray) -> np.ndarray:
+    """|g|^2 of (N, n) gradients, summed component by component."""
+    return sum(np.float_power(g[:, d], 2) for d in range(g.shape[1]))
+
+
+def _radial(sq: SliceQuantities, A: MultiIndex) -> np.ndarray:
+    """d_r Z_A phi at every node, 0 at r = 0."""
+    g = sq.phi_grad[A]
+    return np.divide(sum(g[:, d] * sq.y[:, d] for d in range(sq.n)), sq.r,
+                     out=np.zeros(len(sq.r)), where=sq.r > 0)
+
+
+def kg_energy_density(sq: SliceQuantities, A: MultiIndex = ()
+                      ) -> np.ndarray:
+    """e(Z_A phi) at every node."""
+    t, r, tau, dtphi = sq.t, sq.r, sq.tau, sq.phi_dt[A]
+    g2 = _squares(sq.phi_grad[A])
+    return (t / (2 * tau)) * (np.float_power(dtphi, 2) + g2
+                              + np.float_power(sq.phi[A], 2)) \
+        + (r / tau) * dtphi * _radial(sq, A)
+
+
+def kg_lower_bound_slack(sq: SliceQuantities, A: MultiIndex = ()
+                         ) -> np.ndarray:
+    """e(phi) - (t/2tau)phi^2 - (tau/2(t+r))|dphi|^2 as a sum of squares."""
+    r, tau, y, g = sq.r, sq.tau, sq.y, sq.phi_grad[A]
+    # transverse gradient square: |grad|^2 - (d_r)^2, computed exactly
+    if sq.n == 1:
+        trans2 = 0.0
+    else:
+        cross = np.divide(y[:, 0] * g[:, 1] - y[:, 1] * g[:, 0], r,
+                          out=np.zeros(len(r)), where=r > 0)
+        trans2 = np.where(r > 0, np.float_power(cross, 2), _squares(g))
+    null = sq.phi_dt[A] + _radial(sq, A)      # (d_t + d_r) Z_A phi
+    return (r / (2 * tau)) * np.float_power(null, 2) \
+        + (r / (2 * tau)) * trans2
+
+
+@dataclass(frozen=True)
+class DensitySample:
+    tau: float
+    t: float
+    y: tuple[float, ...]
+    ehat: float
+    e_kg: float
+    moments: tuple[float, float, float]
+    slacks_f: tuple[float, float, float]
+    slack_kg: float
 
 
 def density_samples(sq: SliceQuantities) -> list[DensitySample]:
-    out = []
-    for q in sq.nodes:
-        nd = q.node
-        f = q.f_profiles[()]
-        ehat = vlasov_energy_density(np.abs(f), nd, sq.n, sq.dv)
-        ekg = kg_energy_density(q.phi_values[()], q.phi_dt[()],
-                                q.phi_grad[()], nd, sq.n)
-        out.append(DensitySample(
-            sq.tau, nd.t_star, nd.y, ehat, ekg,
-            velocity_moments(f, nd, sq.n, sq.dv),
-            vlasov_lower_bound_slacks(f, nd, sq.n, sq.dv),
-            kg_lower_bound_slack(q.phi_values[()], q.phi_dt[()],
-                                 q.phi_grad[()], nd, sq.n)))
-    return out
+    f = sq.f[()]
+    rows = np.column_stack([
+        vlasov_energy_density(sq, np.abs(f)), kg_energy_density(sq),
+        *velocity_moments(sq, f), *vlasov_lower_bound_slacks(sq, f),
+        kg_lower_bound_slack(sq)]).tolist()
+    return [DensitySample(sq.tau, t, tuple(y), row[0], row[1],
+                          tuple(row[2:5]), tuple(row[5:8]), row[8])
+            for t, y, row in zip(sq.t.tolist(), sq.y, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,53 +455,18 @@ class EnergyReport:
 
 
 def energy_report(sq: SliceQuantities, order: int) -> EnergyReport:
-    """Slice energies of every multi-index up to order.
-
-    Each breakdown entry is one weighted sum over the node values of the
-    slice stacked into arrays, (nodes,) for phi and (nodes, v..) for f,
-    with the arithmetic of kg_energy_density and vlasov_energy_density
-    node by node, so the entries equal those of a loop over the nodes.
-    The squares of the phi values are taken by pow, as Python's float
-    ** 2 is (x * x differs from it in the last bit for some x).
-    """
-    n, N = sq.n, len(sq.nodes)
-    nodes = [q.node for q in sq.nodes]
-    t = np.array([nd.t_star for nd in nodes])
-    r = np.array([nd.r for nd in nodes])
-    y = np.array([nd.y for nd in nodes])
-    tau = sq.tau
-    vg = _vgrids(nodes[0], n)
-    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    # ehat weight (v0 t - v.x) / tau per node and velocity cell
-    node_axes = (N,) + (1,) * n
-    vdotx = sum(vg[d] * y[:, d].reshape(node_axes) for d in range(n))
-    w = (v0 * t.reshape(node_axes) - vdotx) / tau
-
-    def stack(field, A):
-        return np.array([getattr(q, field)[A] for q in sq.nodes])
-
-    def ehat_integral(prof):
-        return sq.integrate(np.sum((w * prof).reshape(N, -1), axis=1)
-                            * sq.dv ** n)
-
-    indices = multi_indices_up_to(n, order)
+    """Slice energies of every multi-index up to order: each breakdown
+    entry is the quadrature of a density over the nodes of the slice."""
     half = order // 2
     breakdown_phi = {}
     breakdown_f = {}
     breakdown_fw = {}
-    for A in indices:
-        phi, dtphi = stack("phi_values", A), stack("phi_dt", A)
-        grad = stack("phi_grad", A)
-        g2 = sum(np.float_power(grad[:, d], 2) for d in range(n))
-        drphi = np.divide(sum(grad[:, d] * y[:, d] for d in range(n)), r,
-                          out=np.zeros(N), where=r > 0)
-        e = (t / (2 * tau)) * (np.float_power(dtphi, 2) + g2
-                               + np.float_power(phi, 2)) \
-            + (r / tau) * dtphi * drphi
-        breakdown_phi[A] = sq.integrate(e)
-        prof = np.abs(stack("f_profiles", A))
-        breakdown_f[A] = ehat_integral(prof)
-        breakdown_fw[A] = ehat_integral(prof * v0) \
+    for A in multi_indices_up_to(sq.n, order):
+        breakdown_phi[A] = sq.integrate(kg_energy_density(sq, A))
+        prof = np.abs(sq.f[A])
+        breakdown_f[A] = sq.integrate(vlasov_energy_density(sq, prof))
+        breakdown_fw[A] = sq.integrate(
+            vlasov_energy_density(sq, prof * sq.v0)) \
             if len(A) <= half else breakdown_f[A]
     return EnergyReport(
         sq.tau, order,
@@ -529,31 +514,25 @@ def vlasov_energy_inequality_slack(slices: list[SliceQuantities],
     """
     taus = [sq.tau for sq in slices]
     E = [rep.breakdown_f[A] for rep in reports]
-    n = slices[0].n
-    rhs = derive_commuted_vlasov(A, n) if A else None
+    rhs = derive_commuted_vlasov(A, slices[0].n) if A else None
     flux = []
     for sq in slices:
-        vals = np.zeros(len(sq.nodes))
-        for k, q in enumerate(sq.nodes):
-            gp = q.phi_grad[()]
-            gnorm = math.sqrt(sum(g ** 2 for g in gp))
-            intf = float(np.sum(np.abs(q.f_profiles[A]))) * sq.dv ** n
-            acc = gnorm * intf
-            if rhs is not None:
-                vg = _vgrids(q.node, n)
-                vstack = np.stack([v.ravel() for v in vg], axis=-1)
-                t, y = q.node.t_star, q.node.y
-                h = np.zeros_like(q.f_profiles[A])
-                for tm in rhs.terms:
-                    coeff = tm.coeff.evaluate(
-                        np.full(len(vstack), t),
-                        np.broadcast_to(np.asarray(y), (len(vstack), n)),
-                        vstack).reshape(vg[0].shape)
-                    dphi = q.phi_dt[tm.B] if tm.mu == 0 \
-                        else q.phi_grad[tm.B][tm.mu - 1]
-                    h = h + coeff * dphi * q.f_profiles[tm.C]
-                acc += float(np.sum(np.abs(h))) * sq.dv ** n
-            vals[k] = acc
+        vals = np.sqrt(_squares(sq.phi_grad[()])) \
+            * sq.integrate_v(np.abs(sq.f[A]))
+        if rhs is not None:
+            # the coefficients are elementwise in (t, x, v): evaluate
+            # them once at every (node, velocity) point
+            N, nv = len(sq.t), sq.v0.size
+            v = np.stack(np.meshgrid(*sq.v_axes, indexing="ij"), axis=-1)
+            t, y = np.repeat(sq.t, nv), np.repeat(sq.y, nv, axis=0)
+            v = np.tile(v.reshape(nv, sq.n), (N, 1))
+            h = np.zeros_like(sq.f[A])
+            for tm in rhs.terms:
+                coeff = tm.coeff.evaluate(t, y, v).reshape(sq.f[A].shape)
+                dphi = sq.phi_dt[tm.B] if tm.mu == 0 \
+                    else sq.phi_grad[tm.B][:, tm.mu - 1]
+                h = h + coeff * sq.nodewise(dphi) * sq.f[tm.C]
+            vals = vals + sq.integrate_v(np.abs(h))
         flux.append(sq.integrate(vals))
     integral = float(np.trapezoid(np.array(flux), taus))
     return E[0] + integral - E[-1]

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from vkg import solver
+from vkg import cli, solver
 from vkg.cli import main
 from vkg.report import (content_hash, read_binary_grid, svg_plot,
                         write_binary_grid)
@@ -156,6 +156,21 @@ def test_verify_algebra_suite(capsys, tmp_path):
     assert "PASS" in capsys.readouterr().out
     doc = json.loads(log.read_text())
     assert all(item["ok"] for item in doc)
+
+
+def test_verify_all_runs_the_solver_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_run(cfg):
+        calls.append(cfg)
+        return solver.run(cfg)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    assert main(["verify", "all"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] solver: mass conservation" in out
+    assert "[PASS] energies: lower bounds" in out
+    assert len(calls) == 1
 
 
 def test_decay_fit_command(small_run, capsys):

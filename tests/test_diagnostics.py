@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_energies import node_phi, node_rows, one_node_slices, random_slice
+from vkg import solver
+from vkg.commuted import _mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
                              bootstrap_monitor, decay_fit, delta_rule,
                              first_crossing, fits_to_csv, ks_check_f,
                              ks_check_phi, l2_estimate_check, ratio_variation,
                              records_to_csv)
-from vkg.energies import EnergyReport, evaluate_slice
+from vkg.energies import EnergyReport, energy_report, evaluate_slice
 from vkg.solver import SimConfig, run
 
 
@@ -184,6 +187,81 @@ def test_zero_data_checks_are_vacuous():
     assert ks_check_f(sq, rep, 0).vacuous
     assert ks_check_phi(sq, rep)[0].vacuous
     assert l2_estimate_check(sq, (), 1e-3, 0.0).vacuous
+
+
+# ---------------------------------------------------------------------------
+# node-by-node references: the per-node loops that the stacked monitors
+# replaced, on rows of the stacked arrays with Python floats; the first
+# node wins a tie, as with the strict > below
+# ---------------------------------------------------------------------------
+
+def ref_ks_check_f(sq, report, k):
+    n, energy = sq.n, report.Ehat_N_f
+    vg = np.meshgrid(*sq.v_axes, indexing="ij")
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    worst, loc = -1.0, ()
+    for i, t, y, _ in node_rows(sq):
+        lhs = float(np.sum(np.abs(sq.f[()][i]) / v0 ** k)) * sq.dv ** n
+        val = lhs * t ** (n - 1 + k) * sq.tau ** (1 - k)
+        if val > worst:
+            worst, loc = val, y
+    return InequalityRecord(f"ks_f_k{k}", sq.tau, worst, energy,
+                            worst / energy, loc)
+
+
+def ref_ks_check_phi(sq, report):
+    n = sq.n
+    energy = math.sqrt(max(report.E_N_phi, 0.0))
+    worst_p, worst_d = -1.0, -1.0
+    loc_p, loc_d = (), ()
+    for i, t, y, _ in node_rows(sq):
+        phi, dtphi, grad = node_phi(sq, (), i)
+        val_p = abs(phi) * t ** (n / 2)
+        dnorm = math.sqrt(dtphi ** 2 + sum(g ** 2 for g in grad))
+        val_d = dnorm * t ** (n / 2 - 1) * sq.tau
+        if val_p > worst_p:
+            worst_p, loc_p = val_p, y
+        if val_d > worst_d:
+            worst_d, loc_d = val_d, y
+    return (InequalityRecord("ks_phi", sq.tau, worst_p, energy,
+                             worst_p / energy, loc_p),
+            InequalityRecord("ks_dphi", sq.tau, worst_d, energy,
+                             worst_d / energy, loc_d))
+
+
+def ref_l2_estimate_check(sq, A, eps, delta):
+    n = sq.n
+    vals = []
+    for i, t, _, _ in node_rows(sq):
+        intf = float(np.sum(np.abs(sq.f[A][i]))) * sq.dv ** n
+        vals.append((t / sq.tau) * intf ** 2)
+    lhs = sq.integrate(np.array(vals))
+    env = eps ** 2 * sq.tau ** (2 * delta - n)
+    return InequalityRecord(f"l2_{_mi_str(A)}", sq.tau, lhs, env, lhs / env,
+                            ())
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
+def test_monitors_equal_node_loop(n, count, coupled_pair):
+    data = random_slice(n, count)
+    # more nodes than one BLOCK_CELLS stack holds
+    assert len(data.nodes) * data.nodes[0].fblock.size > solver.BLOCK_CELLS
+    slices = [(evaluate_slice(data, 1), 1)]
+    if n == 1:
+        slices += [(sq, 1) for sq in coupled_pair[1]]
+    # one-node slices of values whose squares differ from x * x
+    slices += [(sq, 0) for sq in one_node_slices(n, 100, hard_f=True)]
+    for sq, order in slices:
+        rep = energy_report(sq, order)
+        for k in (0, 1):
+            rec = ks_check_f(sq, rep, k)
+            assert not rec.vacuous
+            assert rec == ref_ks_check_f(sq, rep, k)
+        assert ks_check_phi(sq, rep) == ref_ks_check_phi(sq, rep)
+        for A in multi_indices_up_to(n, order):
+            for delta in (0.0, 0.25):
+                assert l2_estimate_check(sq, A, 1e-3, delta) \
+                    == ref_l2_estimate_check(sq, A, 1e-3, delta)
 
 
 # ---------------------------------------------------------------------------

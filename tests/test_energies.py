@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from vkg import energies, solver
 from vkg.algebra import BOOST, DT, DX, ROT, Generator
-from vkg.commuted import multi_indices_up_to
-from vkg.energies import (DensitySample, block_apply, block_apply_multi,
-                          density_samples, energy_report, evaluate_node,
+from vkg.commuted import derive_commuted_vlasov, multi_indices_up_to
+from vkg.energies import (DensitySample, SliceQuantities, block_apply,
+                          block_apply_multi, density_samples, energy_report,
                           evaluate_slice, kg_energy_density,
                           kg_lower_bound_slack, node_value, reports_to_csv,
                           reports_to_json, velocity_moments,
@@ -41,6 +41,25 @@ def make_node(tau=3.0, y=1.2, nt=6, nx=13, nv=24,
     return NodeSample(tau, (y,), r, t_star, 1.0, t_levels, (x_axis,),
                       (v_axis,), np.broadcast_to(f, (nt, nx, nv)).copy(),
                       np.broadcast_to(phi, (nt, nx)).copy())
+
+
+def evaluate_single(node: NodeSample, order: int) -> SliceQuantities:
+    """The stacked quantities of a one-node slice."""
+    return evaluate_slice(SliceData(node.tau, len(node.y), [node], 0.25),
+                          order)
+
+
+def node_quantities(node: NodeSample, dv: float, f=None, phi=0.0, dtphi=0.0,
+                    grad=None) -> SliceQuantities:
+    """A one-node slice of the given order-0 node values."""
+    n = len(node.y)
+    vshape = tuple(len(v) for v in node.v_axes)
+    return SliceQuantities(
+        node.tau, n, dv, np.array([node.t_star]), np.array([node.y]),
+        np.array([node.r]), np.array([node.weight]), node.v_axes,
+        f={(): np.zeros((1,) + vshape) if f is None else f[None]},
+        phi={(): np.array([phi])}, phi_dt={(): np.array([dtphi])},
+        phi_grad={(): np.array([grad if grad is not None else (0.0,) * n])})
 
 
 def test_block_apply_boost_exact_on_polynomials():
@@ -81,16 +100,16 @@ def test_node_value_exact_on_cubics():
 def test_evaluate_node_matches_analytic_derivatives():
     node = make_node(f_fn=lambda t, x, v: t ** 2 + x ** 2 * v,
                      phi_fn=lambda t, x: t ** 2 - x ** 2)
-    q = evaluate_node(node, 1, 1)
+    q = evaluate_single(node, 1)
     t, x = node.t_star, node.y[0]
     v = node.v_axes[0]
     v0 = np.sqrt(1 + v ** 2)
-    assert np.allclose(q.f_profiles[()], t ** 2 + x ** 2 * v, atol=1e-10)
-    assert np.allclose(q.f_profiles[(Generator(BOOST, 1),)],
+    assert np.allclose(q.f[()][0], t ** 2 + x ** 2 * v, atol=1e-10)
+    assert np.allclose(q.f[(Generator(BOOST, 1),)][0],
                        2 * t * x * v + 2 * t * x + v0 * x ** 2, atol=1e-9)
-    assert abs(q.phi_values[(Generator(BOOST, 1),)]) < 1e-9
-    assert abs(q.phi_dt[()] - 2 * t) < 1e-9
-    assert abs(q.phi_grad[()][0] + 2 * x) < 1e-9
+    assert abs(q.phi[(Generator(BOOST, 1),)][0]) < 1e-9
+    assert abs(q.phi_dt[()][0] - 2 * t) < 1e-9
+    assert abs(q.phi_grad[()][0, 0] + 2 * x) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +172,7 @@ def test_evaluate_node_n2_matches_analytic_derivatives():
            + t * x1 * x2 + x1)
     node = make_node2(f_fn=sp.lambdify((t, x1, x2, v1, v2), f, "numpy"),
                       phi_fn=sp.lambdify((t, x1, x2), phi, "numpy"))
-    q = evaluate_node(node, 2, 1)
+    q = evaluate_single(node, 1)
     at = {t: node.t_star, x1: node.y[0], x2: node.y[1]}
     V1, V2 = np.meshgrid(*node.v_axes, indexing="ij")
     for A in multi_indices_up_to(2, 1):
@@ -162,28 +181,30 @@ def test_evaluate_node_n2_matches_analytic_derivatives():
             zf = _sym_apply(g, zf, t, xs, vs, True)
             zphi = _sym_apply(g, zphi, t, xs, vs, False)
         prof = sp.lambdify((v1, v2), zf.subs(at), "numpy")
-        assert np.allclose(q.f_profiles[A], prof(V1, V2), rtol=0, atol=1e-9)
-        assert abs(q.phi_values[A] - float(zphi.subs(at))) < 1e-9
-        assert abs(q.phi_dt[A] - float(sp.diff(zphi, t).subs(at))) < 1e-9
+        assert np.allclose(q.f[A][0], prof(V1, V2), rtol=0, atol=1e-9)
+        assert abs(q.phi[A][0] - float(zphi.subs(at))) < 1e-9
+        assert abs(q.phi_dt[A][0] - float(sp.diff(zphi, t).subs(at))) < 1e-9
         for d in range(2):
             exact = float(sp.diff(zphi, xs[d]).subs(at))
-            assert abs(q.phi_grad[A][d] - exact) < 1e-9
+            assert abs(q.phi_grad[A][0, d] - exact) < 1e-9
     assert {(Generator(BOOST, 1),), (Generator(BOOST, 2),),
-            (Generator(ROT, 1, 2),)} <= set(q.f_profiles)
+            (Generator(ROT, 1, 2),)} <= set(q.f)
 
 
-def random_slice(n: int, count: int, seed: int = 3) -> SliceData:
+def random_slice(n: int, count: int, seed: int = 3,
+                 tau: float = 3.0) -> SliceData:
     rng = np.random.default_rng(seed)
     nodes = []
     for k in range(count):
         if n == 1:
-            node = make_node(y=-1.5 + 0.4 * k, nv=16)
+            node = make_node(tau=tau, y=-1.5 + 0.4 * k, nv=16)
             node.fblock[...] = rng.normal(size=node.fblock.shape)
             node.phiblock[...] = rng.normal(size=node.phiblock.shape)
         else:
-            node = make_node2(y=(-1.0 + 0.3 * k, 0.2 * k), nv=4, rng=rng)
+            node = make_node2(tau=tau, y=(-1.0 + 0.3 * k, 0.2 * k), nv=4,
+                              rng=rng)
         nodes.append(node)
-    return SliceData(3.0, n, nodes, 0.25)
+    return SliceData(tau, n, nodes, 0.25)
 
 
 @pytest.mark.parametrize("n,count,order,per", [(1, 7, 2, 3), (2, 5, 2, 2)])
@@ -203,11 +224,12 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
     sq = evaluate_slice(data, order)
     # full stacks and a one-node remainder, which takes the view path
     assert stacks == [per] * (count // per) + [count % per]
-    alone = [evaluate_node(nd, n, order) for nd in data.nodes]
-    for field in ("f_profiles", "phi_values", "phi_dt", "phi_grad"):
+    alone = [evaluate_single(nd, order) for nd in data.nodes]
+    for field in ("f", "phi", "phi_dt", "phi_grad"):
         for A in multi_indices_up_to(n, order):
-            got = np.array([getattr(q, field)[A] for q in sq.nodes])
-            want = np.array([getattr(q, field)[A] for q in alone])
+            got = getattr(sq, field)[A]
+            want = np.concatenate([getattr(q, field)[A] for q in alone])
+            assert got.shape == want.shape
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (field, A)
 
@@ -240,7 +262,7 @@ def test_vlasov_energy_density_even_profile():
     v = node.v_axes[0]
     dv = v[1] - v[0]
     f = np.exp(-v ** 2)
-    got = vlasov_energy_density(f, node, 1, dv)
+    got = vlasov_energy_density(node_quantities(node, dv), f[None])[0]
     expect = node.t_star / node.tau * np.sum(np.sqrt(1 + v ** 2) * f) * dv
     assert abs(got - expect) < 1e-13
 
@@ -249,7 +271,8 @@ def test_velocity_moments_ordering():
     node = make_node()
     v = node.v_axes[0]
     f = np.exp(-v ** 2)
-    m1, m_inv, m_w = velocity_moments(f, node, 1, v[1] - v[0])
+    sq = node_quantities(node, v[1] - v[0])
+    m1, m_inv, m_w = (m[0] for m in velocity_moments(sq, f[None]))
     assert m_inv <= m1 <= m_w
 
 
@@ -264,7 +287,8 @@ def test_vlasov_lower_bound_slacks_nonnegative(geom, data):
     node = make_node(tau=tau, y=y)
     f = np.asarray(data)
     dv = node.v_axes[0][1] - node.v_axes[0][0]
-    s1, s2, s3 = vlasov_lower_bound_slacks(f, node, 1, dv)
+    sq = node_quantities(node, dv)
+    s1, s2, s3 = (s[0] for s in vlasov_lower_bound_slacks(sq, f[None]))
     assert s1 > -1e-12 and s2 > -1e-12 and s3 > -1e-12
 
 
@@ -277,8 +301,9 @@ def test_kg_density_decomposes_into_bound_plus_squares(geom, phi, dtphi, gx):
     tau, y = geom
     node = make_node(tau=tau, y=y)
     t, r = node.t_star, node.r
-    e = kg_energy_density(phi, dtphi, (gx,), node, 1)
-    slack = kg_lower_bound_slack(phi, dtphi, (gx,), node, 1)
+    sq = node_quantities(node, 0.25, phi=phi, dtphi=dtphi, grad=(gx,))
+    e = kg_energy_density(sq)[0]
+    slack = kg_lower_bound_slack(sq)[0]
     bound = (t / (2 * tau)) * phi ** 2 \
         + (tau / (2 * (t + r))) * (dtphi ** 2 + gx ** 2)
     assert slack >= 0.0
@@ -297,8 +322,9 @@ def test_kg_density_nonnegative_n2():
                           np.zeros((6, 9, 9, 4, 4)), np.zeros((6, 9, 9)))
         phi, dtphi = rng.normal(size=2)
         grad = tuple(rng.normal(size=2))
-        e = kg_energy_density(phi, dtphi, grad, node, 2)
-        slack = kg_lower_bound_slack(phi, dtphi, grad, node, 2)
+        sq = node_quantities(node, 0.25, phi=phi, dtphi=dtphi, grad=grad)
+        e = kg_energy_density(sq)[0]
+        slack = kg_lower_bound_slack(sq)[0]
         assert e >= -1e-12
         assert slack >= -1e-12
 
@@ -339,21 +365,21 @@ def test_energy_hierarchy_monotone_in_order(transport_slices):
 @pytest.mark.parametrize("n", [1, 2])
 def test_evaluate_node_matches_whole_block_route(n):
     # reference: build Z_A on the whole block, then interpolate it, for
-    # every index up to order 2 on random data; evaluate_node contracts
+    # every index up to order 2 on random data; evaluate_slice contracts
     # the outermost generator instead, which reorders the roundoff only
     node = random_slice(n, 1).nodes[0]
-    q = evaluate_node(node, n, 2)
+    q = evaluate_single(node, 2)
     for A in multi_indices_up_to(n, 2):
         fb = block_apply_multi(A, node.fblock, node, n, True)
         want = node_value(fb, node, n)
-        assert np.max(np.abs(q.f_profiles[A] - want)) \
+        assert np.max(np.abs(q.f[A][0] - want)) \
             <= 1e-13 * np.max(np.abs(want)), A
         pb = block_apply_multi(A, node.phiblock, node, n, False)
         derivs = [Generator(DT)] + [Generator(DX, d) for d in range(1, n + 1)]
         want = [float(node_value(pb, node, n))] + [
             float(node_value(block_apply(g, pb, node, n, False), node, n))
             for g in derivs]
-        got = [q.phi_values[A], q.phi_dt[A], *q.phi_grad[A]]
+        got = [q.phi[A][0], q.phi_dt[A][0], *q.phi_grad[A][0]]
         assert np.allclose(got, want, rtol=0, atol=1e-13 * max(map(abs, want)))
 
 
@@ -372,24 +398,112 @@ def test_report_breakdown_sums(transport_slices):
     assert set(rep.breakdown_f) == set(multi_indices_up_to(1, 2))
 
 
-def _reference_energy_report(sq, order):
+# ---------------------------------------------------------------------------
+# node-by-node references: the per-node loops that the stacked densities,
+# energy report and balance slack replaced, on rows of the stacked arrays
+# with Python floats; the stacked code must equal them exactly
+# ---------------------------------------------------------------------------
+
+def node_rows(sq):
+    """(k, t, y, r) of every node, as Python floats."""
+    return zip(range(len(sq.t)), sq.t.tolist(), map(tuple, sq.y.tolist()),
+               sq.r.tolist())
+
+
+def node_phi(sq, A, k):
+    """(Z_A phi, d_t Z_A phi, grad Z_A phi) at node k, as Python floats."""
+    return (sq.phi[A].tolist()[k], sq.phi_dt[A].tolist()[k],
+            tuple(sq.phi_grad[A][k].tolist()))
+
+
+def ref_vgrids(sq):
+    return tuple(np.meshgrid(*sq.v_axes, indexing="ij"))
+
+
+def ref_vlasov_energy_density(fprofile, t, y, sq):
+    vg = ref_vgrids(sq)
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    vdotx = sum(vg[d] * y[d] for d in range(sq.n))
+    w = (v0 * t - vdotx) / sq.tau
+    return float(np.sum(w * fprofile)) * sq.dv ** sq.n
+
+
+def ref_velocity_moments(fprofile, sq):
+    vg = ref_vgrids(sq)
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    a = np.abs(fprofile)
+    s = sq.dv ** sq.n
+    return (float(np.sum(a)) * s, float(np.sum(a / v0)) * s,
+            float(np.sum(v0 * a)) * s)
+
+
+def ref_vlasov_lower_bound_slacks(fprofile, t, y, r, sq):
+    vg = ref_vgrids(sq)
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    vdotx = sum(vg[d] * y[d] for d in range(sq.n))
+    tau = sq.tau
+    w = (v0 * t - vdotx) / tau
+    a = np.abs(fprofile)
+    s = sq.dv ** sq.n
+    s1 = float(np.sum((w - t / (2 * tau * v0)) * a)) * s
+    s2 = float(np.sum((w - tau * v0 / (2 * (t + r))) * a)) * s
+    s3 = float(np.sum((w - 1.0) * a)) * s
+    return s1, s2, s3
+
+
+def ref_kg_energy_density(phi, dtphi, gradphi, t, y, r, sq):
+    tau, n = sq.tau, sq.n
+    g2 = sum(g ** 2 for g in gradphi)
+    drphi = sum(gradphi[d] * y[d] for d in range(n)) / r if r > 0 else 0.0
+    return (t / (2 * tau)) * (dtphi ** 2 + g2 + phi ** 2) \
+        + (r / tau) * dtphi * drphi
+
+
+def ref_kg_lower_bound_slack(phi, dtphi, gradphi, t, y, r, sq):
+    tau, n = sq.tau, sq.n
+    if r > 0:
+        drphi = sum(gradphi[d] * y[d] for d in range(n)) / r
+    else:
+        drphi = 0.0
+    if n == 1:
+        trans2 = 0.0
+    else:
+        trans2 = ((y[0] * gradphi[1] - y[1] * gradphi[0]) / r) ** 2 \
+            if r > 0 else sum(g ** 2 for g in gradphi)
+    return (r / (2 * tau)) * (dtphi + drphi) ** 2 + (r / (2 * tau)) * trans2
+
+
+def ref_density_samples(sq):
+    out = []
+    for k, t, y, r in node_rows(sq):
+        f = sq.f[()][k]
+        phi = node_phi(sq, (), k)
+        out.append(DensitySample(
+            sq.tau, t, y, ref_vlasov_energy_density(np.abs(f), t, y, sq),
+            ref_kg_energy_density(*phi, t, y, r, sq),
+            ref_velocity_moments(f, sq),
+            ref_vlasov_lower_bound_slacks(f, t, y, r, sq),
+            ref_kg_lower_bound_slack(*phi, t, y, r, sq)))
+    return out
+
+
+def ref_energy_report(sq, order):
     """energy_report as a loop over the nodes, one density call each."""
 
     def ehat_integral(A, weight_v0):
         vals = []
-        for q in sq.nodes:
-            prof = np.abs(q.f_profiles[A])
+        for k, t, y, _ in node_rows(sq):
+            prof = np.abs(sq.f[A][k])
             if weight_v0:
-                vg = energies._vgrids(q.node, sq.n)
+                vg = ref_vgrids(sq)
                 prof = prof * np.sqrt(1.0 + sum(v ** 2 for v in vg))
-            vals.append(vlasov_energy_density(prof, q.node, sq.n, sq.dv))
+            vals.append(ref_vlasov_energy_density(prof, t, y, sq))
         return sq.integrate(np.array(vals))
 
     phi, f, fw = {}, {}, {}
     for A in multi_indices_up_to(sq.n, order):
-        evals = [kg_energy_density(q.phi_values[A], q.phi_dt[A],
-                                   q.phi_grad[A], q.node, sq.n)
-                 for q in sq.nodes]
+        evals = [ref_kg_energy_density(*node_phi(sq, A, k), t, y, r, sq)
+                 for k, t, y, r in node_rows(sq)]
         phi[A] = sq.integrate(np.array(evals))
         f[A] = ehat_integral(A, weight_v0=False)
         fw[A] = ehat_integral(A, weight_v0=True) \
@@ -399,12 +513,47 @@ def _reference_energy_report(sq, order):
                                  phi, f, fw)
 
 
-def one_node_slices(n: int, count: int, seed: int = 5):
+def ref_vlasov_energy_inequality_slack(slices, reports, A):
+    taus = [sq.tau for sq in slices]
+    E = [rep.breakdown_f[A] for rep in reports]
+    n = slices[0].n
+    rhs = derive_commuted_vlasov(A, n) if A else None
+    flux = []
+    for sq in slices:
+        vals = np.zeros(len(sq.t))
+        for k, t, y, _ in node_rows(sq):
+            gp = node_phi(sq, (), k)[2]
+            gnorm = math.sqrt(sum(g ** 2 for g in gp))
+            intf = float(np.sum(np.abs(sq.f[A][k]))) * sq.dv ** n
+            acc = gnorm * intf
+            if rhs is not None:
+                vg = ref_vgrids(sq)
+                vstack = np.stack([v.ravel() for v in vg], axis=-1)
+                h = np.zeros_like(sq.f[A][k])
+                for tm in rhs.terms:
+                    coeff = tm.coeff.evaluate(
+                        np.full(len(vstack), t),
+                        np.broadcast_to(np.asarray(y), (len(vstack), n)),
+                        vstack).reshape(vg[0].shape)
+                    _, dt, grad = node_phi(sq, tm.B, k)
+                    dphi = dt if tm.mu == 0 else grad[tm.mu - 1]
+                    h = h + coeff * dphi * sq.f[tm.C][k]
+                acc += float(np.sum(np.abs(h))) * sq.dv ** n
+            vals[k] = acc
+        flux.append(sq.integrate(vals))
+    integral = float(np.trapezoid(np.array(flux), taus))
+    return E[0] + integral - E[-1]
+
+
+def one_node_slices(n: int, count: int, seed: int = 5,
+                    hard_f: bool = False):
     """count one-node slices of order-0 node values.  The phi values, time
     derivatives and gradients are numbers x with x ** 2 != x * x (Python's
     float ** 2 is pow, not a product) as far as the platform's pow has
     them, and with one node per slice one ulp of a node's density shows
-    in the slice's integrals."""
+    in the slice's integrals.  With hard_f the f profile is one such
+    number at one velocity and zero elsewhere, so int |f| dv is one too
+    (dv = 0.25 scales it by a power of two)."""
     rng = np.random.default_rng(seed)
     hard = iter(sorted(rng.normal(size=1_000_000).tolist(),
                        key=lambda x: x ** 2 == x * x))
@@ -413,25 +562,51 @@ def one_node_slices(n: int, count: int, seed: int = 5):
         y = tuple(rng.uniform(-4.0, 4.0, size=n).tolist())
         node = make_node(y=y[0], nv=4) if n == 1 \
             else make_node2(y=y, nv=4, rng=rng)
-        q = energies.NodeQuantities(
-            node, {(): rng.normal(size=(4,) * n)}, {(): next(hard)},
-            {(): next(hard)}, {(): tuple(next(hard) for _ in range(n))})
-        out.append(energies.SliceQuantities(node.tau, n, 0.25, [q]))
+        f = rng.normal(size=(4,) * n)
+        if hard_f:
+            f = np.zeros_like(f)
+            f.flat[rng.integers(f.size)] = next(hard)
+        out.append(node_quantities(
+            node, 0.25, f=f, phi=next(hard), dtphi=next(hard),
+            grad=tuple(next(hard) for _ in range(n))))
     return out
+
+
+def reference_slices(n, count, transport_slices):
+    """Random stacks over more than one BLOCK_CELLS chunk, and at n = 1
+    the transport run's slices, with the r = 0 node."""
+    data = random_slice(n, count)
+    assert len(data.nodes) * data.nodes[0].fblock.size > solver.BLOCK_CELLS
+    slices = [evaluate_slice(data, 2),
+              evaluate_slice(random_slice(n, count, seed=4, tau=4.0), 2)]
+    return slices + (transport_slices if n == 1 else [])
 
 
 @pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
 def test_energy_report_equals_node_loop(n, count, transport_slices):
-    slices = [evaluate_slice(random_slice(n, count), 2)]
-    if n == 1:
-        # real data, with the r = 0 node
-        slices += transport_slices
-    for sq in slices:
+    for sq in reference_slices(n, count, transport_slices):
         for order in (1, 2):
-            assert energy_report(sq, order) \
-                == _reference_energy_report(sq, order)
+            assert energy_report(sq, order) == ref_energy_report(sq, order)
     for sq in one_node_slices(n, 100):
-        assert energy_report(sq, 0) == _reference_energy_report(sq, 0)
+        assert energy_report(sq, 0) == ref_energy_report(sq, 0)
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
+def test_density_samples_equal_node_loop(n, count, transport_slices):
+    for sq in reference_slices(n, count, transport_slices) \
+            + one_node_slices(n, 100):
+        assert density_samples(sq) == ref_density_samples(sq)
+
+
+@pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
+def test_inequality_slack_equals_node_loop(n, count, transport_slices):
+    slices = reference_slices(n, count, transport_slices)
+    pairs = [slices[:2]] + ([slices[2:]] if n == 1 else [])
+    for pair in pairs:
+        reps = [energy_report(sq, 1) for sq in pair]
+        for A in ((), (Generator(BOOST, 1),)):
+            assert vlasov_energy_inequality_slack(pair, reps, A) \
+                == ref_vlasov_energy_inequality_slack(pair, reps, A)
 
 
 def test_kinetic_energy_linear_in_amplitude():
