@@ -4,28 +4,14 @@
 The massive scalar propagates strictly inside the light cone of its
 data, so with lightcone-mode slice truncation the energy on every
 hyperboloid is the same up to scheme error.  This sweep reports the
-worst relative deviation across the slice window per resolution.
+worst relative deviation across the slice window per resolution, on the
+reference run of acceptance criterion 06(b) (`vkg.criteria`).
 """
 
 import argparse
 import time
 
-import numpy as np
-
-from vkg.energies import energy_report, evaluate_slice
-from vkg.solver import SimConfig, run
-
-
-def deviation(nx, dt, taus):
-    cfg = SimConfig(n=1, mode="free_kg", x_extent=30.0, nx=nx, vmax=1.0,
-                    nv=8, dt=dt, t0=6.0, t_end=28.0, epsilon=1e-3,
-                    phi_amplitude=2e-5, phi_width=0.4, taus=taus,
-                    rmax=25.0, rmax_mode="lightcone", support_radius=2.4,
-                    slice_resolution=60)
-    res = run(cfg)
-    E = np.array([energy_report(evaluate_slice(res.slices[tau], 0), 0).E_N_phi
-                  for tau in taus])
-    return E, float(np.max(np.abs(E - E[0])) / E[0])
+from vkg.criteria import free_kg_slice_energies, relative_deviation
 
 
 def main():
@@ -46,7 +32,8 @@ def main():
         nx = args.nx0 * 2 ** lvl
         dt = args.dt0 / 2 ** lvl
         t0 = time.perf_counter()
-        E, dev = deviation(nx, dt, taus)
+        E = free_kg_slice_energies(nx, dt, taus)
+        dev = relative_deviation(E)
         el = time.perf_counter() - t0
         ratio = f"{prev / dev:.2f}" if prev else "-"
         print(f"{nx:>6} {dt:>8.4f} {E[0]:>13.6e} {dev:>10.3e} "

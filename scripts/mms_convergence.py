@@ -3,20 +3,15 @@
 
 Runs the forced coupled system on a ladder of (nx, dt) pairs with a
 fixed refinement factor, compares the final state to the closed-form
-target, and prints the sup-norm errors with the observed orders.
+target, and prints the sup-norm errors with the observed orders.  The
+run is the one acceptance criterion 07 refines (`vkg.criteria`).
 """
 
 import argparse
 import math
 import time
 
-from vkg.solver import SimConfig, run
-
-
-def mms_errors(nx, dt, nv, span):
-    return run(SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
-                         nv=nv, dt=dt, t0=1.0, t_end=1.0 + span,
-                         epsilon=1e-3, taus=())).mms_error
+from vkg.criteria import mms_errors
 
 
 def main():

@@ -140,6 +140,14 @@ def ratio_variation(records: list[InequalityRecord]) -> float:
     return max(ratios) / min(ratios)
 
 
+def ratio_variations(records: list[InequalityRecord]) -> dict[str, float]:
+    """`ratio_variation` of each record name's group, in name order."""
+    by_name: dict[str, list[InequalityRecord]] = {}
+    for r in records:
+        by_name.setdefault(r.name, []).append(r)
+    return {name: ratio_variation(rs) for name, rs in sorted(by_name.items())}
+
+
 # ---------------------------------------------------------------------------
 # Bootstrap monitor
 # ---------------------------------------------------------------------------

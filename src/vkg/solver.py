@@ -13,8 +13,12 @@ as the simulation time sweeps past them.  Nodes that fire at the same
 step and whose windows overlap share one read-only block, and each
 node's block is a view of its window in it.
 
-Dimensions n = 1 and n = 2 share the same code paths; arrays carry one
-or two x-axes followed by the matching v-axes.
+Arrays carry one or two x-axes (n = 1 or 2) followed by the matching
+v-axes.  The advection kernel, the run loop and slice capture are
+written once for both dimensions; seven places branch on n = 1: the
+initial data (`initial_states`), the Sommerfeld boundary, the x sweep
+and the velocity kick in `step`, the capture half-width in
+`_pending_nodes`, `_boundary_max` and `mms_forcing`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """End-to-end acceptance checks.
 
-Each test covers one release criterion, prints a single PASS/FAIL line,
-and pins its tolerances.  Reference runs are shared through session
-fixtures; total runtime is a few minutes.
+Each test covers one release criterion, prints a single PASS/FAIL line
+in the form `vkg verify` uses, and pins its tolerances.  The checks and
+reference runs that `vkg verify` and the sweep scripts also use live in
+`vkg.criteria`.  Reference runs are shared through session fixtures;
+the suite takes about a minute.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vkg import algebra, commuted, diagnostics, energies, fdtools
+from vkg import algebra, commuted, criteria, diagnostics, energies, fdtools
 from vkg.cli import main, run_pipeline
 from vkg.config import load_settings
 from vkg.solver import SimConfig, run
@@ -22,9 +24,8 @@ from vkg.solver import SimConfig, run
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _line(num: int, name: str, ok: bool, detail: str = ""):
-    tag = "PASS" if ok else "FAIL"
-    print(f"[{tag}] acceptance {num:02d} {name}: {detail}")
+def _line(num: int, name: str, ok: bool, detail: str):
+    print(criteria.line(f"acceptance {num:02d}", name, ok, detail))
 
 
 def _load(name: str):
@@ -50,9 +51,7 @@ def free_kg_reference():
 
 def test_criterion_01_algebra_exactness():
     t0 = time.perf_counter()
-    ok = True
-    for n in (1, 2, 3, 4):
-        ok = ok and algebra.structure_constant_defects(n) == 0
+    ok = all(criteria.structure_constants(n)[1] for n in (1, 2, 3, 4))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     _line(1, "algebra exactness", ok,
@@ -103,11 +102,9 @@ def test_criterion_03_commuted_vlasov():
         gens = algebra.generators(n)
         for order in (1, 2, 3):
             for A in itertools.product(gens, repeat=order):
-                rhs = commuted.derive_commuted_vlasov(A, n)
-                for tm in rhs.terms:
-                    if not (len(tm.B) + len(tm.C) <= len(A) + 1
-                            and 1 <= len(tm.C) <= len(A)):
-                        failures.append(("bounds", tuple(map(str, A))))
+                if not commuted.check_index_bounds(
+                        commuted.derive_commuted_vlasov(A, n)):
+                    failures.append(("bounds", tuple(map(str, A))))
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 120.0
     _line(3, "commuted transport equations", ok,
@@ -135,42 +132,21 @@ def test_criterion_04_moment_exchange():
 
 
 def test_criterion_05_density_lower_bounds(coupled_reference):
-    _, slices_q, _, _, _ = coupled_reference
-    total = 0
-    bad = 0
-    for sq in slices_q:
-        for s in energies.density_samples(sq):
-            total += 1
-            if min(s.slacks_f) < 0.0 or s.slack_kg < 0.0:
-                bad += 1
-    ok = total > 0 and bad == 0
-    _line(5, "density lower bounds", ok,
-          f"nonnegative slack at {total - bad}/{total} nodes "
-          f"across {len(slices_q)} slices")
+    _, ok, detail = criteria.density_lower_bounds(coupled_reference[1])
+    _line(5, "density lower bounds", ok, detail)
     assert ok
 
 
 def test_criterion_06_balance_laws(coupled_reference, free_kg_reference):
     # (a) free-field energy conservation at default resolution
     _, slices_kg, _, _, _ = free_kg_reference
-    E0 = np.array([energies.energy_report(sq, 0).E_N_phi
-                   for sq in slices_kg])
-    dev = float(np.max(np.abs(E0 - E0[0])) / E0[0])
+    dev = criteria.relative_deviation(np.array(
+        [energies.energy_report(sq, 0).E_N_phi for sq in slices_kg]))
     # (b) second-order convergence of the deviation on a scaled run
-    def deviation(nx, dt):
-        cfg = SimConfig(n=1, mode="free_kg", x_extent=30.0, nx=nx, vmax=1.0,
-                        nv=8, dt=dt, t0=6.0, t_end=28.0, epsilon=1e-3,
-                        phi_amplitude=2e-5, phi_width=0.4,
-                        taus=(6.5, 8.0, 10.0, 12.0), rmax=25.0,
-                        rmax_mode="lightcone", support_radius=2.4,
-                        slice_resolution=60)
-        res = run(cfg)
-        E = np.array([energies.energy_report(
-            energies.evaluate_slice(res.slices[tau], 0), 0).E_N_phi
-            for tau in cfg.taus])
-        return float(np.max(np.abs(E - E[0])) / E[0])
-
-    ratio = deviation(2400, 0.02) / deviation(4800, 0.01)
+    ratio = (criteria.relative_deviation(
+        criteria.free_kg_slice_energies(2400, 0.02))
+        / criteria.relative_deviation(
+            criteria.free_kg_slice_energies(4800, 0.01)))
     # (c) kinetic balance inequality on the coupled reference
     _, slices_c, reports_c, _, _ = coupled_reference
     slack = energies.vlasov_energy_inequality_slack(slices_c, reports_c, ())
@@ -189,23 +165,15 @@ def test_criterion_07_conservation_and_mms():
                     nv=72, dt=0.04, t0=2.0, t_end=8.0, epsilon=1e-3,
                     taus=(), f_width_x=0.5, f_width_v=0.3)
     res = run(cfg)
-    span = res.times[-1] - res.times[0]
-    drift = abs(res.mass[-1] - res.mass[0]) / res.mass[0] / span
-    negativity = -float(np.min(res.min_f)) / float(np.max(res.sup_f))
-
-    def mms_errors(nx, dt):
-        return run(SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
-                             nv=160, dt=dt, t0=1.0, t_end=2.0, epsilon=1e-3,
-                             taus=())).mms_error
-
-    coarse = mms_errors(640, 0.005)
-    fine = mms_errors(1280, 0.0025)
+    checks = [criteria.mass_conservation(res), criteria.positivity(res)]
+    coarse = criteria.mms_errors(640, 0.005)
+    fine = criteria.mms_errors(1280, 0.0025)
     orders = tuple(math.log2(c / f) for c, f in zip(coarse, fine))
-    ok = (drift < 1e-8 and negativity < 1e-14
+    ok = (all(check[1] for check in checks)
           and all(1.7 <= p <= 2.3 for p in orders))
     _line(7, "conservation and manufactured solutions", ok,
-          f"mass drift {drift:.2e}/t, negativity {negativity:.2e}·sup, "
-          f"orders phi {orders[0]:.2f} f {orders[1]:.2f}")
+          ", ".join(detail for _, _, detail in checks)
+          + f", orders phi {orders[0]:.2f} f {orders[1]:.2f}")
     assert ok
 
 
@@ -229,12 +197,9 @@ def test_criterion_09_klainerman_sobolev_boundedness():
     for name in ("n1-free-transport.conf", "n1-free-kg-ks.conf"):
         settings = _load(name)
         _, _, _, records, _ = run_pipeline(settings)
-        by_name: dict[str, list] = {}
-        for r in records:
-            if r.name.startswith("ks_"):
-                by_name.setdefault(r.name, []).append(r)
-        worsts[name] = max(diagnostics.ratio_variation(rs)
-                           for rs in by_name.values())
+        worsts[name] = max(
+            v for k, v in diagnostics.ratio_variations(records).items()
+            if k.startswith("ks_"))
     elapsed = time.perf_counter() - t0
     ok = all(w < 5.0 for w in worsts.values()) and elapsed < 300.0
     detail = ", ".join(f"{k}: {v:.2f}" for k, v in worsts.items())

@@ -1,14 +1,17 @@
 """Command-line surface: exit codes, artifact layout, manifest hashing,
-determinism, and the binary/SVG report helpers."""
+determinism, the binary/SVG report helpers, and the scripts' --help."""
 
 import hashlib
 import json
+import runpy
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vkg import cli, solver
+from vkg import cli, criteria, solver
 from vkg.cli import main
 from vkg.report import (content_hash, read_binary_grid, svg_plot,
                         write_binary_grid)
@@ -143,11 +146,15 @@ def test_derive_json_and_text(capsys):
                  "--format", "text"]) == 0
     text = capsys.readouterr().out
     assert "boost_1" in text
+    assert main(["derive", "--order", "0", "--target", "kg"]) == 0
 
 
-def test_derive_cap_exits_2(capsys):
-    assert main(["derive", "--order", "5", "--n", "1"]) == 2
-    assert "cap" in capsys.readouterr().err
+@pytest.mark.parametrize("order,message", [
+    ("5", "exceeds cap 4"), ("-1", "is below 1"), ("0", "is below 1")],
+    ids=["5", "-1", "0"])
+def test_derive_cap_exits_2(order, message, capsys):
+    assert main(["derive", "--order", order, "--n", "1"]) == 2
+    assert f"config error: order {order} {message}" in capsys.readouterr().err
 
 
 def test_verify_algebra_suite(capsys, tmp_path):
@@ -171,6 +178,16 @@ def test_verify_all_runs_the_solver_once(capsys, monkeypatch):
     assert "[PASS] solver: mass conservation" in out
     assert "[PASS] energies: lower bounds" in out
     assert len(calls) == 1
+
+
+def test_verify_failure_exits_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(criteria, "positivity",
+                        lambda result: ("positivity", False, "forced"))
+    log = tmp_path / "log.json"
+    assert main(["verify", "all", "--log", str(log)]) == 4
+    assert "[FAIL] solver: positivity (forced)" in capsys.readouterr().out
+    doc = json.loads(log.read_text())
+    assert [item["check"] for item in doc if not item["ok"]] == ["positivity"]
 
 
 def test_decay_fit_command(small_run, capsys):
@@ -239,3 +256,20 @@ def test_svg_plot_deterministic_and_clean():
     assert "polyline" in a
     for word in ("date", "time", "2026"):
         assert word not in a
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent
+                  / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_help_exits_0(path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(path), "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
