@@ -4,7 +4,10 @@ The generator set in n spatial dimensions consists of the time and space
 translations, the boosts t d_{x^i} + x^i d_t, and the spatial rotations
 x^i d_{x^j} - x^j d_{x^i} (i < j); (n+1)(n+2)/2 fields in total.  Complete
 lifts add the velocity terms v^0 d_{v^i} (boosts) and
-v^i d_{v^j} - v^j d_{v^i} (rotations).
+v^i d_{v^j} - v^j d_{v^i} (rotations).  The field table `_FIELDS` writes
+each field out once, as the terms `Generator.terms` and `Generator.lift`;
+every numerical application of a generator (block calculus, finite
+differences) and QPoly.apply_lifted loop over these terms.
 
 Coefficients of derived equations live in two exact polynomial classes:
 ``PPoly`` - polynomials in the bounded velocity ratios u_j = v^j/v^0 with
@@ -34,6 +37,18 @@ class Generator:
     i: int = 0
     j: int = 0
 
+    @property
+    def terms(self) -> tuple[tuple[int, int | None, int], ...]:
+        """Space-time part: (sign, coordinate factor, derivative axis) per
+        term, axes t = 0 and x_i = i, factor None for none."""
+        return _FIELDS[self.kind](self.i, self.j)[0]
+
+    @property
+    def lift(self) -> tuple[tuple[int, int, int], ...]:
+        """Velocity part of the complete lift: (sign, factor, v axis) per
+        term, factor 0 for v^0 and k for v^k, v axes 1-based."""
+        return _FIELDS[self.kind](self.i, self.j)[1]
+
     def __str__(self):
         if self.kind == DT:
             return "d_t"
@@ -42,6 +57,17 @@ class Generator:
         if self.kind == BOOST:
             return f"boost_{self.i}"
         return f"rot_{self.i}{self.j}"
+
+
+# The field table: per kind, the space-time terms and the velocity terms
+# of the complete lift of the generator with indices i, j (formats in
+# Generator.terms and Generator.lift).  The first sign of each part is +1.
+_FIELDS = {
+    DT: lambda i, j: (((1, None, 0),), ()),
+    DX: lambda i, j: (((1, None, i),), ()),
+    BOOST: lambda i, j: (((1, 0, i), (1, i, 0)), ((1, 0, i),)),
+    ROT: lambda i, j: (((1, i, j), (-1, j, i)), ((1, i, j), (-1, j, i))),
+}
 
 
 def generators(n: int) -> list[Generator]:
@@ -265,6 +291,15 @@ class PPoly:
                 out += PPoly(self.n, {tuple(d): -c * deg[i - 1]})
         return out
 
+    def lifted_derive(self, g: Generator) -> "PPoly":
+        """The velocity part of g's complete lift acting on the polynomial
+        (zero for translations)."""
+        if g.kind == BOOST:
+            return self.boost_derive(g.i)
+        if g.kind == ROT:
+            return self.rot_derive(g.i, g.j)
+        return PPoly(self.n)
+
     def evaluate(self, v) -> np.ndarray | float:
         """Evaluate at velocities v (shape (..., n) or (n,))."""
         v = np.asarray(v, dtype=float)
@@ -339,34 +374,17 @@ class QPoly:
     def apply_lifted(self, g: Generator) -> "QPoly":
         """Derivative of the coefficient polynomial by a lifted generator.
 
-        Closure: d_t and d_x pick out the affine coefficients; boosts and
-        rotations act on the (t, x) part through the Killing field and on
-        each PPoly through the velocity derivations.
+        Closure: each space-time term c d_a of g picks out the coefficient
+        of coordinate a and moves it onto c; the lift acts on every PPoly
+        through its velocity derivation.
         """
-        n = self.n
-        if g.kind == DT:
-            return QPoly(n, p0=self.pt)
-        if g.kind == DX:
-            return QPoly(n, p0=self.px[g.i - 1])
-        if g.kind == BOOST:
-            i = g.i
-            out = QPoly(
-                n,
-                p0=self.p0.boost_derive(i),
-                pt=self.px[i - 1] + self.pt.boost_derive(i),
-                px=[p.boost_derive(i) for p in self.px],
-            )
-            out.px[i - 1] += self.pt
-            return out
-        if g.kind == ROT:
-            i, j = g.i, g.j
-            px = [p.rot_derive(i, j) for p in self.px]
-            # rot_{ij} x^k = x^i delta_{jk} - x^j delta_{ik}
-            px[i - 1] += self.px[j - 1]
-            px[j - 1] += self.px[i - 1].scale(-1)
-            return QPoly(n, p0=self.p0.rot_derive(i, j),
-                         pt=self.pt.rot_derive(i, j), px=px)
-        raise AssertionError(f"unknown generator kind {g.kind}")
+        # coefficient of each coordinate, t = 0 and x_i = i
+        coeff = [self.pt, *self.px]
+        out = [p.lifted_derive(g) for p in (self.p0, *coeff)]
+        for sign, c, a in g.terms:
+            k = 0 if c is None else 1 + c
+            out[k] = out[k] + coeff[a].scale(sign)
+        return QPoly(self.n, out[0], out[1], out[2:])
 
     def evaluate(self, t, x, v):
         """Evaluate at (t, x, v); arrays broadcast over leading axes."""

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import (BOOST, DT, DX, ROT, Generator, PPoly, QPoly,
+from .algebra import (BOOST, DT, DX, Generator, PPoly, QPoly, bracket,
                       generators)
 
 MultiIndex = tuple[Generator, ...]
@@ -85,20 +84,14 @@ def _base_commutator(a: Generator, n: int) -> dict:
     PPoly coeff and gets rewritten into lifted-field form.
     """
     one = PPoly.constant(n, 1)
-    raw: list[tuple[PPoly, int, MultiIndex, int]] = []
-    if a.kind in (DT, DX, ROT):
-        for k in range(1, n + 1):
-            raw.append((one, k, (a,), k))
-    elif a.kind == BOOST:
+    raw: list[tuple[PPoly, int, MultiIndex, int]] = [
+        (one, k, (a,), k) for k in range(1, n + 1)]
+    if a.kind == BOOST:
         i = a.i
-        for k in range(1, n + 1):
-            raw.append((one, k, (a,), k))
         raw.append((-one, 0, (), i))                      # -v^0 (d_t phi) d_{v^i}
         for k in range(1, n + 1):
             raw.append((-PPoly.u(n, k), k, (), i))        # -(v . grad phi) d_{v^i}
             raw.append((PPoly.u(n, i), k, (), k))         # +v^i grad phi . grad_v
-    else:
-        raise AssertionError(a.kind)
     out: dict = {}
     for coeff, mu, B, k in raw:
         for q, m, BB, C in _vbd_terms(coeff, mu, B, k):
@@ -117,20 +110,9 @@ def _accumulate(table: dict, key, q: QPoly):
         table[key] = q
 
 
-def _translation_correction(a: Generator, mu: int, n: int):
-    """Constants in Zhat_a d_{x^mu} = d_{x^mu} Z_a + sum c^nu d_{x^nu}."""
-    out = []
-    if a.kind == BOOST:
-        if mu == 0:
-            out.append((Fraction(-1), a.i))
-        elif mu == a.i:
-            out.append((Fraction(-1), 0))
-    elif a.kind == ROT:
-        if mu == a.i:
-            out.append((Fraction(-1), a.j))
-        elif mu == a.j:
-            out.append((Fraction(1), a.i))
-    return out
+def _translation(mu: int) -> Generator:
+    """d_{x^mu}; mu = 0 is d_t."""
+    return Generator(DX, mu) if mu else Generator(DT)
 
 
 def derive_commuted_vlasov(A: MultiIndex, n: int) -> CommutedVlasovRHS:
@@ -151,8 +133,9 @@ def derive_commuted_vlasov(A: MultiIndex, n: int) -> CommutedVlasovRHS:
         for tm in inner.terms:
             _accumulate(table, (tm.mu, tm.B, tm.C), tm.coeff.apply_lifted(a))
             _accumulate(table, (tm.mu, (a,) + tm.B, tm.C), tm.coeff)
-            for c, nu in _translation_correction(a, tm.mu, n):
-                _accumulate(table, (nu, tm.B, tm.C), tm.coeff.scale(c))
+            # Z_a d_{x^mu} = d_{x^mu} Z_a + [Z_a, d_{x^mu}], a translation
+            for c, z in bracket(a, _translation(tm.mu)):
+                _accumulate(table, (z.i, tm.B, tm.C), tm.coeff.scale(c))
             _accumulate(table, (tm.mu, tm.B, (a,) + tm.C), tm.coeff)
     terms = tuple(
         VlasovTerm(q, mu, B, C)
@@ -175,27 +158,16 @@ def derive_commuted_kg(A: MultiIndex, n: int) -> CommutedKGRHS:
     for a in reversed(A):
         new: dict[MultiIndex, PPoly] = {}
         for B, P in table.items():
-            _accumulate_p(new, (a,) + B, P)
-            if a.kind == ROT:
-                _accumulate_p(new, B, P.rot_derive(a.i, a.j))
-            elif a.kind == BOOST:
-                _accumulate_p(new, B, P.boost_derive(a.i) + P.mul_u(a.i))
+            _accumulate(new, (a,) + B, P)
+            w = P.lifted_derive(a)
+            if a.kind == BOOST:           # d_{v^i} v^0 = u_i
+                w = w + P.mul_u(a.i)
+            _accumulate(new, B, w)
         table = new
     terms = tuple(
         KGTerm(P, B) for B, P in sorted(table.items(), key=lambda kv: _mi_key(kv[0]))
     )
     return CommutedKGRHS(A, n, terms)
-
-
-def _accumulate_p(table: dict, key, p: PPoly):
-    if key in table:
-        s = table[key] + p
-        if s:
-            table[key] = s
-        else:
-            del table[key]
-    elif p:
-        table[key] = p
 
 
 def _mi_key(mi: MultiIndex):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver
-from .algebra import BOOST, DT, DX, ROT, Generator
+from .algebra import Generator
 from .commuted import (MultiIndex, derive_commuted_vlasov,
                        multi_indices_up_to, _mi_str)
 from .solver import NodeSample, SliceData
@@ -105,38 +105,22 @@ def _stack(nodes: list[NodeSample], n: int) -> _Stack:
     return _Stack(coords, grads, weights, nodes[0].v_axes)
 
 
-def _terms(g: Generator):
-    """Space-time part of g: (sign, coordinate axis or None, derivative
-    axis) per term, axes counted t = 0, x_i = i; the first sign is +1."""
-    if g.kind == DT:
-        return ((1.0, None, 0),)
-    if g.kind == DX:
-        return ((1.0, None, g.i),)
-    if g.kind == BOOST:                     # t d_i + x_i d_t
-        return ((1.0, 0, g.i), (1.0, g.i, 0))
-    if g.kind == ROT:                       # x_i d_j - x_j d_i
-        return ((1.0, g.i, g.j), (-1.0, g.j, g.i))
-    raise AssertionError(g.kind)
-
-
-def _velocity_part(g: Generator, p: np.ndarray, v_axes, first: int):
-    """Lifted velocity part of g (v0 d_{v_i}, or v_i d_{v_j} - v_j d_{v_i})
-    on p, whose v axes start at axis `first`; None for translations."""
+def _velocity_part(g: Generator, p: np.ndarray, v_axes):
+    """Lifted velocity part of g (Generator.lift) on p, whose last axes
+    are the v axes; None for translations."""
+    if not g.lift:
+        return None
     n = len(v_axes)
-
-    def v(d):
-        shape = [1] * p.ndim
-        shape[first + d] = len(v_axes[d])
-        return v_axes[d].reshape(shape)
-
-    def dv(d):
-        return np.gradient(p, v_axes[d], axis=first + d, edge_order=2)
-
-    if g.kind == BOOST:
-        return np.sqrt(1.0 + sum(v(d) ** 2 for d in range(n))) * dv(g.i - 1)
-    if g.kind == ROT:
-        return v(g.i - 1) * dv(g.j - 1) - v(g.j - 1) * dv(g.i - 1)
-    return None
+    # v axis d shaped to broadcast against the trailing v axes
+    v = [a.reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(v_axes)]
+    out = None
+    for sign, k, d in g.lift:
+        factor = np.sqrt(1.0 + sum(vd ** 2 for vd in v)) if k == 0 \
+            else v[k - 1]
+        term = factor * np.gradient(p, v_axes[d - 1], axis=d - 1 - n,
+                                    edge_order=2)
+        out = term if out is None else out + sign * term
+    return out
 
 
 def _apply(g: Generator, h: np.ndarray, st: _Stack, lifted: bool
@@ -144,7 +128,7 @@ def _apply(g: Generator, h: np.ndarray, st: _Stack, lifted: bool
     """g (or its complete lift) applied to a stack of whole blocks."""
     letters = "abcdefg"[:h.ndim - 1]
     out = None
-    for sign, c, a in _terms(g):
+    for sign, c, a in g.terms:
         ax = letters[a]
         term = np.einsum(f"nz{ax},n{letters}->n{letters.replace(ax, 'z')}",
                          st.grads[a], h)
@@ -154,7 +138,7 @@ def _apply(g: Generator, h: np.ndarray, st: _Stack, lifted: bool
             term = st.coords[c].reshape(shape) * term
         out = term if out is None else out + sign * term
     if lifted:
-        vpart = _velocity_part(g, h, st.v_axes, 1 + len(st.coords))
+        vpart = _velocity_part(g, h, st.v_axes)
         if vpart is not None:
             out = out + vpart
     return out
@@ -189,9 +173,9 @@ def _outer(g: Generator, basis: np.ndarray, st: _Stack) -> np.ndarray:
     so that the profiles do not keep the basis alive)."""
     n = len(st.coords) - 1
     out = 0.0
-    for sign, c, a in _terms(g):
+    for sign, c, a in g.terms:
         out = out + sign * basis[_row(n, c=c, d=a)]
-    vpart = _velocity_part(g, basis[_row(n)], st.v_axes, 1)
+    vpart = _velocity_part(g, basis[_row(n)], st.v_axes)
     return out if vpart is None else out + vpart
 
 

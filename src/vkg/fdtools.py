@@ -10,11 +10,11 @@ study: halving the step must shrink a genuine O(h^2) error by about 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .algebra import BOOST, DT, DX, ROT, Generator
+from .algebra import BOOST, Generator
 from .commuted import (CommutedKGRHS, CommutedVlasovRHS, MultiIndex,
                        derive_commuted_kg, derive_commuted_vlasov)
 
@@ -45,33 +45,22 @@ def apply_generator(func: PointFunc, g: Generator, h: float,
 
     def act(pts):
         pts = np.asarray(pts, dtype=float)
-        t = pts[:, 0]
-        if g.kind == DT:
-            return partial(func, 0, h)(pts)
-        if g.kind == DX:
-            return partial(func, g.i, h)(pts)
-        if g.kind == BOOST:
-            i = g.i
-            xi = pts[:, i]
-            out = t * partial(func, i, h)(pts) + xi * partial(func, 0, h)(pts)
-            if lifted:
-                n = _dim_n(pts)
-                v = pts[:, 1 + n:]
-                v0 = np.sqrt(1.0 + np.sum(v * v, axis=1))
-                out = out + v0 * partial(func, n + i, h)(pts)
-            return out
-        if g.kind == ROT:
-            i, j = g.i, g.j
-            out = (pts[:, i] * partial(func, j, h)(pts)
-                   - pts[:, j] * partial(func, i, h)(pts))
-            if lifted:
-                n = _dim_n(pts)
-                vi = pts[:, n + i]
-                vj = pts[:, n + j]
-                out = out + (vi * partial(func, n + j, h)(pts)
-                             - vj * partial(func, n + i, h)(pts))
-            return out
-        raise AssertionError(g.kind)
+        out = None
+        for sign, c, a in g.terms:
+            term = partial(func, a, h)(pts)
+            if c is not None:
+                term = pts[:, c] * term
+            out = term if out is None else out + sign * term
+        if lifted and g.lift:
+            n = _dim_n(pts)
+            v = pts[:, 1 + n:]
+            factors = [np.sqrt(1.0 + np.sum(v * v, axis=1)), *v.T]
+            vpart = None
+            for sign, k, d in g.lift:
+                term = factors[k] * partial(func, n + d, h)(pts)
+                vpart = term if vpart is None else vpart + sign * term
+            out = out + vpart
+        return out
 
     return act
 
@@ -236,11 +225,10 @@ def gauss_quadrature_grid(n: int, vmax: float, m: int):
     w1 = np.full(m, axis[1] - axis[0])
     w1[0] *= 0.5
     w1[-1] *= 0.5
-    if n == 1:
-        return axis[:, None], w1
-    va, vb = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([va.ravel(), vb.ravel()])
-    return pts, np.outer(w1, w1).ravel()
+    pts = np.meshgrid(*[axis] * n, indexing="ij")
+    weights = np.meshgrid(*[w1] * n, indexing="ij")
+    return (np.column_stack([p.ravel() for p in pts]),
+            np.prod(weights, axis=0).ravel())
 
 
 def evaluate_kg_rhs(rhs: CommutedKGRHS, func: PointFunc, tx: np.ndarray,

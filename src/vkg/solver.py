@@ -14,11 +14,9 @@ step and whose windows overlap share one read-only block, and each
 node's block is a view of its window in it.
 
 Arrays carry one or two x-axes (n = 1 or 2) followed by the matching
-v-axes.  The advection kernel, the run loop and slice capture are
-written once for both dimensions; seven places branch on n = 1: the
-initial data (`initial_states`), the Sommerfeld boundary, the x sweep
-and the velocity kick in `step`, the capture half-width in
-`_pending_nodes`, `_boundary_max` and `mms_forcing`.
+v-axes.  Everything is written once for both dimensions, with loops over
+the axes, except the Sommerfeld boundary and the capture half-width in
+`_pending_nodes`, which branch on n = 1.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -150,6 +148,12 @@ def x_centers(cfg: SimConfig) -> np.ndarray:
 
 def v_centers(cfg: SimConfig) -> np.ndarray:
     return -cfg.vmax + (np.arange(cfg.nv) + 0.5) * cfg.dv
+
+
+def _grids(cfg: SimConfig):
+    """The x grids on (x..) and the v grids on (v..), one per axis."""
+    return (np.meshgrid(*[x_centers(cfg)] * cfg.n, indexing="ij"),
+            np.meshgrid(*[v_centers(cfg)] * cfg.n, indexing="ij"))
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +313,11 @@ class FieldState:
 
 def initial_states(cfg: SimConfig) -> tuple[PhaseState, FieldState]:
     n = cfg.n
-    xc = x_centers(cfg)
-    vc = v_centers(cfg)
-    if n == 1:
-        x2 = xc[:, None] ** 2
-        v2 = (vc[None, :] - cfg.f_center_v) ** 2
-        phi_x2 = xc ** 2
-    else:
-        xa, xb = np.meshgrid(xc, xc, indexing="ij")
-        va, vb = np.meshgrid(vc, vc, indexing="ij")
-        x2 = (xa ** 2 + xb ** 2)[:, :, None, None]
-        v2 = ((va - cfg.f_center_v) ** 2 + vb ** 2)[None, None, :, :]
-        phi_x2 = xa ** 2 + xb ** 2
+    xg, vg = _grids(cfg)
+    vg = (vg[0] - cfg.f_center_v,) + vg[1:]
+    phi_x2 = sum(x ** 2 for x in xg)
+    x2 = phi_x2[(...,) + (None,) * n]
+    v2 = sum(v ** 2 for v in vg)[(None,) * n]
     amp_f = cfg.f_amplitude if cfg.f_amplitude >= 0 else cfg.epsilon
     amp_phi = cfg.phi_amplitude if cfg.phi_amplitude >= 0 else cfg.epsilon
     f0 = amp_f * np.exp(-x2 / (2 * cfg.f_width_x ** 2)
@@ -387,9 +384,10 @@ def _sommerfeld(field: FieldState, cfg: SimConfig):
     r = np.hypot(xa, xb)
     gx = np.gradient(phi, dx, axis=0, edge_order=1)
     gy = np.gradient(phi, dx, axis=1, edge_order=1)
-    val = -(xa * gx + xb * gy) / r - (n - 1) * phi / (2 * r)
+    # on the frame only: r vanishes at the centre cell when nx is odd
     for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
-        pi[sl] = val[sl]
+        pi[sl] = -(xa[sl] * gx[sl] + xb[sl] * gy[sl]) / r[sl] \
+            - (n - 1) * phi[sl] / (2 * r[sl])
 
 
 def field_substep(field: FieldState, rho: np.ndarray, k: float,
@@ -433,10 +431,10 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     f = phase.f
 
     def advect_x(f, h):
-        if n == 1:
-            return advect(f, vhat[None, :] * h / cfg.dx, axis=0, bc=cfg.bc)
-        f = advect(f, vhat[None, None, :, None] * h / cfg.dx, axis=0, bc=cfg.bc)
-        f = advect(f, vhat[None, None, None, :] * h / cfg.dx, axis=1, bc=cfg.bc)
+        for d in range(n):
+            shape = [1] * 2 * n
+            shape[n + d] = len(vhat)
+            f = advect(f, vhat.reshape(shape) * h / cfg.dx, axis=d, bc=cfg.bc)
         return f
 
     # in free_kg mode f is identically zero and advecting it is a no-op
@@ -455,13 +453,8 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
     if kick:
-        gp = grad_phi(field.phi, cfg)
-        if n == 1:
-            f = advect(f, -gp[0][:, None] * dt / cfg.dv, axis=1, bc=cfg.bc)
-        else:
-            f = advect(f, -gp[0][:, :, None, None] * dt / cfg.dv, axis=2,
-                       bc=cfg.bc)
-            f = advect(f, -gp[1][:, :, None, None] * dt / cfg.dv, axis=3,
+        for d, gp in enumerate(grad_phi(field.phi, cfg)):
+            f = advect(f, -gp[(...,) + (None,) * n] * dt / cfg.dv, axis=n + d,
                        bc=cfg.bc)
     if kinetic_source is not None:
         f = f + (dt / 2) * kinetic_source(t_mid)
@@ -669,10 +662,9 @@ def run(cfg: SimConfig) -> RunResult:
 
 
 def _boundary_max(f: np.ndarray, n: int) -> float:
-    if n == 1:
-        return float(max(np.max(np.abs(f[0])), np.max(np.abs(f[-1]))))
-    return float(max(np.max(np.abs(f[0])), np.max(np.abs(f[-1])),
-                     np.max(np.abs(f[:, 0])), np.max(np.abs(f[:, -1]))))
+    """max |f| over the cells at either end of each x axis."""
+    return float(max(np.max(np.abs(np.moveaxis(f, d, 0)[e]))
+                     for d in range(n) for e in (0, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -723,18 +715,9 @@ def mms_forcing(cfg: SimConfig):
     hkg_fn = sp.lambdify((t,) + xs, h_kg, "numpy")
     hv_fn = sp.lambdify((t,) + xs + vs, h_v, "numpy")
 
-    xc = x_centers(cfg)
-    vc = v_centers(cfg)
-    if n == 1:
-        xg = (xc,)
-        xgrid_f = (xc[:, None],)
-        vgrid_f = (vc[None, :],)
-    else:
-        xa, xb = np.meshgrid(xc, xc, indexing="ij")
-        va, vb = np.meshgrid(vc, vc, indexing="ij")
-        xg = (xa, xb)
-        xgrid_f = (xa[:, :, None, None], xb[:, :, None, None])
-        vgrid_f = (va[None, None, :, :], vb[None, None, :, :])
+    xg, vg = _grids(cfg)
+    xgrid_f = [x[(...,) + (None,) * n] for x in xg]
+    vgrid_f = [v[(None,) * n] for v in vg]
 
     def field_source(tt):
         return hkg_fn(tt, *xg)

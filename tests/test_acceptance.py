@@ -8,7 +8,6 @@ the suite takes about a minute.
 """
 
 import itertools
-import json
 import math
 import time
 from pathlib import Path
@@ -20,6 +19,8 @@ from vkg import algebra, commuted, criteria, diagnostics, energies, fdtools
 from vkg.cli import main, run_pipeline
 from vkg.config import load_settings
 from vkg.solver import SimConfig, run
+
+from run_outputs import same_outputs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -234,20 +235,9 @@ def test_criterion_11_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     code1 = main(["simulate", conf, "--out", str(out1)])
     code2 = main(["simulate", conf, "--out", str(out2)])
-    names = sorted(p.name for p in out1.iterdir())
-    identical = []
-    for name in names:
-        if name == "manifest.json":
-            a = json.loads((out1 / name).read_text())
-            b = json.loads((out2 / name).read_text())
-            a.pop("timings"), b.pop("timings")   # wall-clock only
-            identical.append(a == b)
-        else:
-            identical.append((out1 / name).read_bytes()
-                             == (out2 / name).read_bytes())
-    ok = code1 == 0 and code2 == 0 and names == sorted(
-        p.name for p in out2.iterdir()) and all(identical)
+    same = same_outputs(out1, out2)
+    ok = code1 == 0 and code2 == 0 and all(same.values())
     _line(11, "determinism", ok,
-          f"{sum(identical)}/{len(names)} artifacts byte-identical "
+          f"{sum(same.values())}/{len(same)} artifacts byte-identical "
           "(manifest compared without timings)")
     assert ok

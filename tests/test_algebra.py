@@ -1,8 +1,9 @@
 """Poincare algebra and coefficient-class tests.
 
-The bracket table is checked against an independent sympy realization of
-the generators as first-order differential operators, and the structure
-constants against their exact invariants.
+The bracket table and the field table are checked against an independent
+sympy realization of the generators (and their complete lifts) as
+first-order differential operators, and the structure constants against
+their exact invariants.
 """
 
 from fractions import Fraction
@@ -48,6 +49,35 @@ def test_bracket_matches_sympy_commutator(n):
             table = sum((c * sympy_operator(g, syms)(probe)
                          for c, g in bracket(a, b)), sp.S.Zero)
             assert sp.expand(direct - table) == 0, (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_table_matches_sympy_operators(n):
+    t = sp.Symbol("t")
+    xs = sp.symbols(f"x1:{n + 1}")
+    vs = sp.symbols(f"v1:{n + 1}")
+    v0 = sp.sqrt(1 + sum(v ** 2 for v in vs))
+    probe = sp.Function("w")(t, *xs, *vs)
+    coords = (t,) + xs
+    for g in generators(n):
+        # the operator the table describes
+        table = sum((s * (1 if c is None else coords[c])
+                     * sp.diff(probe, coords[a]) for s, c, a in g.terms),
+                    sp.S.Zero)
+        table += sum((s * (v0 if k == 0 else vs[k - 1])
+                      * sp.diff(probe, vs[d - 1]) for s, k, d in g.lift),
+                     sp.S.Zero)
+        # the space-time field plus its lift, written out independently
+        lift = sp.S.Zero
+        if str(g).startswith("boost"):
+            lift = v0 * sp.diff(probe, vs[g.i - 1])
+        elif str(g).startswith("rot"):
+            lift = (vs[g.i - 1] * sp.diff(probe, vs[g.j - 1])
+                    - vs[g.j - 1] * sp.diff(probe, vs[g.i - 1]))
+        direct = sympy_operator(g, (t, xs))(probe) + lift
+        assert sp.expand(table - direct) == 0, g
+        # the numerical loops take the first term of each part unsigned
+        assert all(part[0][0] == 1 for part in (g.terms, g.lift) if part)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

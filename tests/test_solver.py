@@ -2,6 +2,7 @@
 conservation, and manufactured-solution convergence."""
 
 import dataclasses
+import warnings
 from collections import deque
 
 import numpy as np
@@ -399,6 +400,28 @@ def test_step_matches_reference_kernel(n, monkeypatch):
     assert np.array_equal(phi.view(np.int64), phi_ref.view(np.int64))
     assert np.array_equal(source_density(f, cfg), source_density(f_ref, cfg))
     assert total_mass(f, cfg) == total_mass(f_ref, cfg)
+
+
+def test_sommerfeld_frame_at_odd_nx_divides_by_no_zero():
+    """At odd nx the n = 2 grid has a cell at r = 0.  The radiation value
+    is set on the boundary frame only, so a step warns of nothing, and the
+    frame gets the values of the formula evaluated on the whole grid."""
+    cfg = SimConfig(n=2, mode="coupled", x_extent=3.0, nx=15, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.2, epsilon=1e-2, taus=())
+    phase, fld = initial_states(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step(phase, fld, cfg)
+    xa, xb = np.meshgrid(x_centers(cfg), x_centers(cfg), indexing="ij")
+    phi = fld.phi
+    gx = np.gradient(phi, cfg.dx, axis=0, edge_order=1)
+    gy = np.gradient(phi, cfg.dx, axis=1, edge_order=1)
+    r = np.hypot(xa, xb)
+    assert r[7, 7] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -(xa * gx + xb * gy) / r - phi / (2 * r)
+    for sl in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+        assert np.array_equal(fld.pi[sl], val[sl])
 
 
 def test_source_density_matches_mass():
