@@ -263,6 +263,9 @@ def cmd_verify(args) -> int:
 
 def cmd_ks_check(args) -> int:
     settings = _load_settings_path(args.config)
+    if not settings.sim.taus:
+        raise ConfigError("ks-check needs slices: taus is empty, so there"
+                          " are no ks records to check")
     _, _, _, records, _ = run_pipeline(settings)
     sys.stdout.write(diagnostics.records_to_csv(records))
     worst = max(diagnostics.ratio_variations(records).values())
@@ -277,8 +280,9 @@ def cmd_decay_fit(args) -> int:
         raise ConfigError(f"series file not found: {args.series}")
     with open(p, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    if not rows or args.column not in rows[0]:
-        raise ConfigError(f"column {args.column!r} not present in series")
+    for column in ("t", args.column):
+        if not rows or column not in rows[0]:
+            raise ConfigError(f"column {column!r} not present in series")
     t = np.array([float(r["t"]) for r in rows])
     v = np.array([float(r[args.column]) for r in rows])
     fit = diagnostics.decay_fit(t, v, (args.window[0], args.window[1]))

@@ -179,27 +179,6 @@ def _outer(g: Generator, basis: np.ndarray, st: _Stack) -> np.ndarray:
     return out if vpart is None else out + vpart
 
 
-def block_apply(g: Generator, block: np.ndarray, node: NodeSample,
-                n: int, lifted: bool) -> np.ndarray:
-    """One generator (or its complete lift) applied to a block."""
-    return _apply(g, block[None], _stack([node], n), lifted)[0]
-
-
-def block_apply_multi(A: MultiIndex, block: np.ndarray, node: NodeSample,
-                      n: int, lifted: bool) -> np.ndarray:
-    st = _stack([node], n)
-    out = block[None]
-    for g in reversed(A):
-        out = _apply(g, out, st, lifted)
-    return out[0]
-
-
-def node_value(block: np.ndarray, node: NodeSample, n: int) -> np.ndarray:
-    """Block interpolated to the node's (t*, y); v axes (if any) remain."""
-    w = [ws[:, :1] for ws in _stack([node], n).weights]
-    return _contract(block[None], w).reshape(block.shape[1 + n:])
-
-
 # ---------------------------------------------------------------------------
 # Slice evaluation
 # ---------------------------------------------------------------------------

@@ -676,63 +676,61 @@ def mms_forcing(cfg: SimConfig):
     """Closed-form target pair and the forcing that makes it exact.
 
     Returns (phi_exact, pi_exact, f_exact, kinetic_source, field_source)
-    as grid-shaped functions of t.  The kinetic source is h_V = T_phi* f*
-    divided by v^0 (the solver advances d_t f + vhat.grad_x f
-    - grad phi.grad_v f = h_V / v^0).
+    as grid-shaped functions of t for the manufactured pair
+
+        phi* = eps exp(-|x|^2 / 2 w_p^2) T(t),  T = cos t exp(-t/20),
+        f*   = eps exp(-|x|^2 / 2 w_x^2 - |v|^2 / 2 w_v^2) s(t),
+        s    = 1 + sin(t) / 2,
+
+    with widths phi_width, f_width_x and f_width_v.  Both amplitudes are
+    eps = cfg.epsilon; f_amplitude and phi_amplitude are ignored in mms
+    mode.  The field source is h_KG = box phi* + phi* + rho*, since the
+    solver's acceleration is lap(phi) - phi - rho + h_KG, and the kinetic
+    source is h_V = T_phi* f* divided by v^0 (the solver advances
+    d_t f + vhat.grad_x f - grad phi.grad_v f = h_V / v^0).  The
+    t-independent Gaussian factors are built once here; each call only
+    scales them by scalar factors of t.
     """
-    import sympy as sp
-
     n = cfg.n
-    t = sp.Symbol("t")
-    xs = sp.symbols(f"x1:{n + 1}")
-    vs = sp.symbols(f"v1:{n + 1}")
-    v0 = sp.sqrt(1 + sum(v ** 2 for v in vs))
-    wx, wv, wp = cfg.f_width_x, cfg.f_width_v, cfg.phi_width
-    amp = cfg.epsilon
-
-    phi_star = amp * sp.exp(-sum(x ** 2 for x in xs) / (2 * wp ** 2)) \
-        * sp.cos(t) * sp.exp(-t / 20)
-    f_star = amp * sp.exp(-sum(x ** 2 for x in xs) / (2 * wx ** 2)
-                          - sum(v ** 2 for v in vs) / (2 * wv ** 2)) \
-        * (1 + sp.sin(t) / 2)
-
-    box = sp.diff(phi_star, t, 2) - sum(sp.diff(phi_star, x, 2) for x in xs)
-    rho_star = f_star
-    for v in vs:
-        rho_star = sp.integrate(rho_star, (v, -sp.oo, sp.oo))
-    # solver accel is lap(phi) - phi - rho + S, so S restores d_t^2 phi*
-    h_kg = box + phi_star + rho_star
-
-    transport = v0 * sp.diff(f_star, t) \
-        + sum(vs[i] * sp.diff(f_star, xs[i]) for i in range(n)) \
-        - v0 * sum(sp.diff(phi_star, xs[i]) * sp.diff(f_star, vs[i])
-                   for i in range(n))
-    h_v = sp.simplify(transport / v0)
-
-    phi_fn = sp.lambdify((t,) + xs, phi_star, "numpy")
-    pi_fn = sp.lambdify((t,) + xs, sp.diff(phi_star, t), "numpy")
-    f_fn = sp.lambdify((t,) + xs + vs, f_star, "numpy")
-    hkg_fn = sp.lambdify((t,) + xs, h_kg, "numpy")
-    hv_fn = sp.lambdify((t,) + xs + vs, h_v, "numpy")
-
+    eps, wx, wv, wp = cfg.epsilon, cfg.f_width_x, cfg.f_width_v, cfg.phi_width
     xg, vg = _grids(cfg)
-    xgrid_f = [x[(...,) + (None,) * n] for x in xg]
-    vgrid_f = [v[(None,) * n] for v in vg]
+    r2 = sum(x ** 2 for x in xg)
+    gp = eps * np.exp(-r2 / (2 * wp ** 2))           # phi* / T
+    lap_gp = (r2 / wp ** 4 - n / wp ** 2) * gp       # lap(phi*) / T
+    gx = eps * np.exp(-r2 / (2 * wx ** 2))
+    rho_g = (2 * math.pi * wv ** 2) ** (n / 2) * gx  # rho* / s
+    # phase-grid factors on (x.., v..), with which
+    # h_V = f* (cos t / 2s - drift - T coupling)
+    xf = [x[(...,) + (None,) * n] for x in xg]
+    vf = [v[(None,) * n] for v in vg]
+    xv = sum(x * v for x, v in zip(xf, vf))
+    g = gx[(...,) + (None,) * n] * np.exp(
+        -sum(v ** 2 for v in vf) / (2 * wv ** 2))     # f* / s
+    drift = xv / (np.sqrt(1 + sum(v ** 2 for v in vf)) * wx ** 2)
+    coupling = xv * gp[(...,) + (None,) * n] / (wp ** 2 * wv ** 2)
 
-    def field_source(tt):
-        return hkg_fn(tt, *xg)
+    def T(t, k=0):
+        """k-th derivative of cos t exp(-t/20)."""
+        c, sn = math.cos(t), math.sin(t)
+        return math.exp(-t / 20) * (c, -sn - c / 20,
+                                    sn / 10 - c * 399 / 400)[k]
 
-    def kinetic_source(tt):
-        return hv_fn(tt, *xgrid_f, *vgrid_f)
+    def s(t):
+        return 1 + math.sin(t) / 2
 
-    def phi_exact(tt):
-        return phi_fn(tt, *xg)
+    def field_source(t):
+        return gp * (T(t, 2) + T(t)) - lap_gp * T(t) + rho_g * s(t)
 
-    def pi_exact(tt):
-        return pi_fn(tt, *xg)
+    def kinetic_source(t):
+        return g * (math.cos(t) / 2 - s(t) * (drift + T(t) * coupling))
 
-    def f_exact(tt):
-        return np.broadcast_to(f_fn(tt, *xgrid_f, *vgrid_f),
-                               (cfg.nx,) * n + (cfg.nv,) * n).copy()
+    def phi_exact(t):
+        return gp * T(t)
+
+    def pi_exact(t):
+        return gp * T(t, 1)
+
+    def f_exact(t):
+        return g * s(t)
 
     return phi_exact, pi_exact, f_exact, kinetic_source, field_source

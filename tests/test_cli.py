@@ -187,7 +187,7 @@ def test_verify_failure_exits_4(capsys, monkeypatch, tmp_path):
     assert [item["check"] for item in doc if not item["ok"]] == ["positivity"]
 
 
-def test_decay_fit_command(small_run, capsys):
+def test_decay_fit_command(small_run, tmp_path, capsys):
     _, out, _ = small_run
     assert main(["decay-fit", str(out / "series.csv"), "--column", "sup_phi",
                  "--window", "2.5", "6.0"]) == 0
@@ -195,6 +195,17 @@ def test_decay_fit_command(small_run, capsys):
     assert main(["decay-fit", str(out / "series.csv"), "--column", "bogus",
                  "--window", "2.5", "6.0"]) == 2
     assert main(["decay-fit", str(out / "nope.csv")]) == 2
+    no_t = tmp_path / "no_t.csv"
+    no_t.write_text("x,sup_phi\n1,2\n")
+    assert main(["decay-fit", str(no_t)]) == 2
+    assert "column 't'" in capsys.readouterr().err
+
+
+def test_ks_check_without_slices_exits_2(tmp_path, capsys):
+    conf = tmp_path / "no_slices.conf"
+    conf.write_text(SMALL_CONF.replace("taus = 3.0, 4.0", "taus ="))
+    assert main(["ks-check", str(conf)]) == 2
+    assert "taus is empty" in capsys.readouterr().err
 
 
 def test_slice_dump_roundtrip(small_run, tmp_path, capsys):

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from vkg import energies, solver
 from vkg.algebra import BOOST, DT, DX, ROT, Generator
 from vkg.commuted import derive_commuted_vlasov, multi_indices_up_to
-from vkg.energies import (DensitySample, SliceQuantities, block_apply,
-                          block_apply_multi, density_samples, energy_report,
-                          evaluate_slice, kg_energy_density,
-                          kg_lower_bound_slack, node_value, reports_to_csv,
+from vkg.energies import (DensitySample, SliceQuantities, density_samples,
+                          energy_report, evaluate_slice, kg_energy_density,
+                          kg_lower_bound_slack, reports_to_csv,
                           reports_to_json, velocity_moments,
                           vlasov_energy_density, vlasov_energy_inequality_slack,
                           vlasov_lower_bound_slacks)
@@ -41,6 +40,34 @@ def make_node(tau=3.0, y=1.2, nt=6, nx=13, nv=24,
     return NodeSample(tau, (y,), r, t_star, 1.0, t_levels, (x_axis,),
                       (v_axis,), np.broadcast_to(f, (nt, nx, nv)).copy(),
                       np.broadcast_to(phi, (nt, nx)).copy())
+
+
+# ---------------------------------------------------------------------------
+# whole-block reference route: differentiate a node's block, then
+# interpolate it to the node
+# ---------------------------------------------------------------------------
+
+def block_apply(g: Generator, block: np.ndarray, node: NodeSample,
+                n: int, lifted: bool) -> np.ndarray:
+    """One generator (or its complete lift) applied to a block."""
+    return energies._apply(g, block[None], energies._stack([node], n),
+                           lifted)[0]
+
+
+def block_apply_multi(A, block: np.ndarray, node: NodeSample,
+                      n: int, lifted: bool) -> np.ndarray:
+    """Z_A = Z_{A[0]} ... Z_{A[-1]} applied to a block, innermost first."""
+    stack = energies._stack([node], n)
+    out = block[None]
+    for g in reversed(A):
+        out = energies._apply(g, out, stack, lifted)
+    return out[0]
+
+
+def node_value(block: np.ndarray, node: NodeSample, n: int) -> np.ndarray:
+    """Block interpolated to the node's (t*, y); v axes (if any) remain."""
+    w = [ws[:, :1] for ws in energies._stack([node], n).weights]
+    return energies._contract(block[None], w).reshape(block.shape[1 + n:])
 
 
 def evaluate_single(node: NodeSample, order: int) -> SliceQuantities:

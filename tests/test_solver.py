@@ -2,11 +2,16 @@
 conservation, and manufactured-solution convergence."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -357,7 +362,8 @@ def test_free_kg_step_skips_transport(n, monkeypatch):
 
 @pytest.mark.parametrize("mode,n", [
     ("coupled", 1), ("coupled", 2), ("free_transport", 1),
-    ("free_transport", 2), ("free_kg", 1), ("free_kg", 2), ("mms", 1)])
+    ("free_transport", 2), ("free_kg", 1), ("free_kg", 2), ("mms", 1),
+    ("mms", 2)])
 def test_step_leaves_its_input_arrays_alone(mode, n):
     """run keeps the arrays of its last T_WINDOW levels without copying
     them, so step must rebind the state to new arrays, never write into
@@ -530,6 +536,99 @@ def test_n2_short_coupled_run():
     assert drift < 1e-10
     assert np.min(res.min_f) >= -1e-14 * np.max(res.sup_f)
     assert len(res.slices[2.4].nodes) > 0
+
+
+def sympy_mms_forcing(cfg: SimConfig):
+    """Reference for mms_forcing: the same five grid functions of t,
+    derived symbolically (sympy integrates rho* and simplifies h_V)."""
+    n = cfg.n
+    t = sp.Symbol("t")
+    xs = sp.symbols(f"x1:{n + 1}")
+    vs = sp.symbols(f"v1:{n + 1}")
+    v0 = sp.sqrt(1 + sum(v ** 2 for v in vs))
+    wx, wv, wp = cfg.f_width_x, cfg.f_width_v, cfg.phi_width
+    amp = cfg.epsilon
+
+    phi_star = amp * sp.exp(-sum(x ** 2 for x in xs) / (2 * wp ** 2)) \
+        * sp.cos(t) * sp.exp(-t / 20)
+    f_star = amp * sp.exp(-sum(x ** 2 for x in xs) / (2 * wx ** 2)
+                          - sum(v ** 2 for v in vs) / (2 * wv ** 2)) \
+        * (1 + sp.sin(t) / 2)
+
+    box = sp.diff(phi_star, t, 2) - sum(sp.diff(phi_star, x, 2) for x in xs)
+    rho_star = f_star
+    for v in vs:
+        rho_star = sp.integrate(rho_star, (v, -sp.oo, sp.oo))
+    # solver accel is lap(phi) - phi - rho + S, so S restores d_t^2 phi*
+    h_kg = box + phi_star + rho_star
+
+    transport = v0 * sp.diff(f_star, t) \
+        + sum(vs[i] * sp.diff(f_star, xs[i]) for i in range(n)) \
+        - v0 * sum(sp.diff(phi_star, xs[i]) * sp.diff(f_star, vs[i])
+                   for i in range(n))
+    h_v = sp.simplify(transport / v0)
+
+    phi_fn = sp.lambdify((t,) + xs, phi_star, "numpy")
+    pi_fn = sp.lambdify((t,) + xs, sp.diff(phi_star, t), "numpy")
+    f_fn = sp.lambdify((t,) + xs + vs, f_star, "numpy")
+    hkg_fn = sp.lambdify((t,) + xs, h_kg, "numpy")
+    hv_fn = sp.lambdify((t,) + xs + vs, h_v, "numpy")
+
+    xg, vg = solver._grids(cfg)
+    xgrid_f = [x[(...,) + (None,) * n] for x in xg]
+    vgrid_f = [v[(None,) * n] for v in vg]
+
+    def field_source(tt):
+        return hkg_fn(tt, *xg)
+
+    def kinetic_source(tt):
+        return hv_fn(tt, *xgrid_f, *vgrid_f)
+
+    def phi_exact(tt):
+        return phi_fn(tt, *xg)
+
+    def pi_exact(tt):
+        return pi_fn(tt, *xg)
+
+    def f_exact(tt):
+        return np.broadcast_to(f_fn(tt, *xgrid_f, *vgrid_f),
+                               (cfg.nx,) * n + (cfg.nv,) * n).copy()
+
+    return phi_exact, pi_exact, f_exact, kinetic_source, field_source
+
+
+# worst relative deviation measured over all five functions, n = 1 and 2,
+# t in {1, 1.37, 2.5}: 6.25e-15 (h_KG, n = 1)
+MMS_ORACLE_RTOL = 7e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mms_forcing_matches_sympy_oracle(n):
+    """The closed forms agree with the symbolic derivation to roundoff,
+    for all five functions at several t."""
+    cfg = SimConfig(n=n, mode="mms", x_extent=4.0, nx=24 if n == 1 else 12,
+                    vmax=2.0, nv=16 if n == 1 else 8, dt=0.1, t0=1.0,
+                    t_end=2.0, epsilon=1e-3, taus=())
+    for fn, ref in zip(mms_forcing(cfg), sympy_mms_forcing(cfg)):
+        for t in (1.0, 1.37, 2.5):
+            got, want = fn(t), ref(t)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= MMS_ORACLE_RTOL * np.max(
+                np.abs(want))
+
+
+def test_mms_run_and_cli_do_not_import_sympy():
+    """sympy is a test oracle only: a manufactured-solution run and the
+    command-line module load without it."""
+    code = (
+        "import sys\n"
+        "import vkg.cli\n"
+        "from vkg.solver import SimConfig, run\n"
+        "run(SimConfig(n=1, mode='mms', x_extent=4.0, nx=16, vmax=2.0, nv=8,"
+        " dt=0.1, t0=1.0, t_end=1.2, taus=()))\n"
+        "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_run_mms_error_matches_stepping_by_hand():
