@@ -9,13 +9,18 @@ n = 1 coupled run, (9600, 8) a free-field n = 1 run, (40, 40, 24, 24) the
 n = 2 coupled run.  Each case is timed on two inputs: a C-ordered array,
 and the layout the solver passes, which is the lines-last output of the
 advect call on the axis before (cyclically: axis 0 follows the last
-axis, as the x-sweep follows the velocity kick).  Prints the median time
-per call over the repeats and the throughput in Mcell/s.
+axis, as the x-sweep follows the velocity kick).  The first call of each
+case is reported on its own: the earlier cases have warmed the allocator
+for some shapes and not for others, so its time and its minor page
+faults show each shape's allocation pattern.  Then the median time per
+call over the repeats, the throughput in Mcell/s and the minor page
+faults per warm call (resource.getrusage's ru_minflt).
 
     PYTHONPATH=src python3 scripts/bench_advect.py [--repeat 7]
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -25,14 +30,26 @@ from vkg.solver import advect
 SHAPES = ((320, 64), (9600, 8), (40, 40, 24, 24))
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def time_call(g, sigma, axis, bc, repeat):
-    advect(g, sigma, axis, bc)              # first touch of the temporaries
+    """(first call s, its minor faults, median warm call s, minor faults
+    per warm call)"""
+    faults = minor_faults()
+    t0 = time.perf_counter()
+    advect(g, sigma, axis, bc)
+    first = time.perf_counter() - t0
+    first_faults = minor_faults() - faults
     times = []
+    faults = minor_faults()
     for _ in range(repeat):
         t0 = time.perf_counter()
         advect(g, sigma, axis, bc)
         times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return (first, first_faults, float(np.median(times)),
+            (minor_faults() - faults) / repeat)
 
 
 def main():
@@ -45,7 +62,8 @@ def main():
     rng = np.random.default_rng(args.seed)
 
     print(f"{'shape':>18} {'axis':>4} {'bc':>9} {'input':>6} "
-          f"{'ms/call':>9} {'Mcell/s':>9}")
+          f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
+          f"{'flt/call':>8}")
     for shape in SHAPES:
         g = rng.random(shape)
         sigmas = []
@@ -59,9 +77,12 @@ def main():
                       ("solver", advect(g, sigmas[before], before)))
             for bc in ("outgoing", "periodic"):
                 for name, data in inputs:
-                    sec = time_call(data, sigma, axis, bc, args.repeat)
+                    first, first_flt, sec, flt = time_call(
+                        data, sigma, axis, bc, args.repeat)
                     print(f"{str(shape):>18} {axis:>4} {bc:>9} {name:>6} "
-                          f"{sec * 1e3:9.2f} {g.size / sec / 1e6:9.1f}")
+                          f"{first * 1e3:8.2f} {first_flt:8d} "
+                          f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
+                          f"{flt:8.1f}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ the outermost generator of A contracted against the whole block Z_B f
 of the inner composition B, and the lifted velocity part of that
 generator acts on the contracted velocity profile.  Nodes of a slice
 share one block shape, so they are evaluated in stacks of at most
-solver.BLOCK_CELLS cells.
+STACK_CELLS cells.
 
 A slice's values are kept stacked along a leading node axis, one array
 per multi-index A: Zhat_A f as (nodes, v..) profiles, Z_A phi and its
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solver
 from .algebra import Generator
 from .commuted import (MultiIndex, derive_commuted_vlasov,
                        multi_indices_up_to, _mi_str)
@@ -52,6 +51,10 @@ from .solver import NodeSample, SliceData
 # contracted basis of a stack has axes (node, row_t, row_x1.., v..), one
 # row per weight vector of each space-time axis.
 _W, _D, _C = 0, 1, 2               # rows: value, derivative, coordinate
+
+# evaluate_slice takes the nodes of a slice in stacks of at most this
+# many cells of f (at least one node per stack)
+STACK_CELLS = 1 << 15
 
 
 def _lagrange_weights(xs: np.ndarray, x: float) -> np.ndarray:
@@ -269,10 +272,10 @@ def _evaluate_stack(nodes: list[NodeSample], n: int, order: int):
 
 
 def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
-    """Every node of the slice, in stacks of at most solver.BLOCK_CELLS
-    cells (at least one node per stack)."""
+    """Every node of the slice, in stacks of at most STACK_CELLS cells
+    (at least one node per stack)."""
     nodes = data.nodes
-    per = max(1, solver.BLOCK_CELLS // nodes[0].fblock.size)
+    per = max(1, STACK_CELLS // nodes[0].fblock.size)
     stacks = [_evaluate_stack(nodes[i:i + per], data.n, order)
               for i in range(0, len(nodes), per)]
     f, phi, phi_dt, phi_grad = (

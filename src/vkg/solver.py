@@ -11,7 +11,8 @@ given, so the run keeps those arrays themselves, with no state copies,
 and copies a local space-time block out of them around the slice nodes
 as the simulation time sweeps past them.  Nodes that fire at the same
 step and whose windows overlap share one read-only block, and each
-node's block is a view of its window in it.
+node's block is a view of its window in it.  Once the last node has
+fired the run keeps no earlier level.
 
 Arrays carry one or two x-axes (n = 1 or 2) followed by the matching
 v-axes.  Everything is written once for both dimensions, with loops over
@@ -161,31 +162,64 @@ def _grids(cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 
-def _limited_slopes(fpad2: np.ndarray) -> np.ndarray:
+def _limited_slopes(fpad2: np.ndarray, out: np.ndarray | None = None,
+                    tmp: np.ndarray | None = None) -> np.ndarray:
     """Edge slopes of the primitive from cell averages (two ghost cells).
 
     Fourth-order edge-value estimate, limited into the monotone region
     [0, 3 min] of the adjacent one-signed averages; zero across sign
     changes.  Keeping the interpolant of the cumulative sum monotone is
     what preserves positivity; the high-order interior estimate keeps
-    the advection second-order globally.
+    the advection second-order globally.  The stencil runs along the last
+    axis.  The slopes are written to out and tmp holds the bounds; both
+    have the shape of the result and are fresh arrays when not given.
     """
     z = fpad2[..., :-3]
     a = fpad2[..., 1:-2]
     b = fpad2[..., 2:-1]
     c = fpad2[..., 3:]
-    d4 = (7.0 * (a + b) - (z + c)) / 12.0
+    if out is None:
+        out = np.empty(a.shape)
+    if tmp is None:
+        tmp = np.empty(a.shape)
+    # d4 = (7 (a + b) - (z + c)) / 12
+    np.add(a, b, out=out)
+    np.multiply(7.0, out, out=out)
+    np.subtract(out, np.add(z, c, out=tmp), out=out)
+    np.divide(out, 12.0, out=out)
     # the region is [0, 3 min(a, b)] for a positive pair, [3 max(a, b), 0]
     # for a negative one, and {0} when a and b differ in sign
-    hi = np.maximum(3.0 * np.minimum(a, b), 0.0)
-    lo = np.minimum(3.0 * np.maximum(a, b), 0.0)
-    return np.minimum(np.maximum(d4, lo), hi)
+    np.multiply(3.0, np.maximum(a, b, out=tmp), out=tmp)
+    np.maximum(out, np.minimum(tmp, 0.0, out=tmp), out=out)
+    np.multiply(3.0, np.minimum(a, b, out=tmp), out=tmp)
+    return np.minimum(out, np.maximum(tmp, 0.0, out=tmp), out=out)
 
 
-# advect works through the lines in blocks of about this many cells (a
+# advect works through the lines in blocks of at most this many cells (a
 # block is a set of whole lines, the columns of the (m, L) line array),
-# so that the temporaries of one block stay in cache
-BLOCK_CELLS = 1 << 15
+# so that the workspace of one block stays in cache while the numpy calls
+# per block stay few.  On the n = 2 benchmark state, (40, 40, 24, 24), a
+# call took 7-14% less time at 1 << 16 than at 1 << 15, and more at
+# 1 << 14 and 1 << 17; the n = 1 state, (320, 64), is one block at either
+# size.
+BLOCK_CELLS = 1 << 16
+
+
+def _line_blocks(shape: tuple[int, ...], per_block: int):
+    """Blocks of at most per_block lines (at least one) that tile an array
+    of lines of this shape in C order.  Each block is an index tuple into
+    the array: fixed indices on the leading axes, a range on one axis and
+    whole axes after it, so the block is a view of the array."""
+    j = 0
+    while math.prod(shape[j:]) > per_block:
+        j += 1
+    if j == 0:
+        yield ()
+        return
+    step = per_block // math.prod(shape[j:])
+    for lead in np.ndindex(*shape[:j - 1]):
+        for i in range(0, shape[j - 1], step):
+            yield lead + (slice(i, i + step),)
 
 
 def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
@@ -202,24 +236,38 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     primitive W (cumulative sum) and its monotone edge slopes are padded
     by max|k| + 1 edges at both ends; the Hermite sum is evaluated for
     every line over the rows that any shift in the block reads, and each
-    line's window is then picked with one np.where per further shift.
+    line's window is then picked with one masked copy per further shift.
     W at the departure points is differenced back into cell averages, so
     the total along each line is exact up to boundary outflow.  Outgoing
     lines take in nothing: an edge departing from left of the line gets
     W = 0 and one departing from right of it gets the line total, both
     exactly.  Periodic lines wrap with W(b +- m) = W(b) +- total.
 
-    The result is laid out with the advection axis last in memory.  The
-    callers' reductions (source_density, total_mass) sum in memory order,
-    so this layout is part of the result: another one moves their sums,
-    and every artifact built from them, in the last bits.
+    The lines are taken in blocks of at most BLOCK_CELLS cells, each a
+    box of lines with the line axes in g's memory order, copied straight
+    from g into a ghost-padded (m + 4, lines) buffer, so g is never
+    transposed as a whole.  The buffers of every step are allocated once
+    per call and every block writes into them.  Blocks of 512 lines or
+    more sum the primitive row by row, one np.add per row: the same sums
+    as np.cumsum, which is faster on narrower blocks.
+
+    The result is a fresh array laid out with the advection axis last in
+    memory.  The callers' reductions (source_density, total_mass) sum in
+    memory order, so this layout is part of the result: another one moves
+    their sums, and every artifact built from them, in the last bits.
     """
     g = np.asarray(g, dtype=float)
     m = g.shape[axis]
-    lines = np.moveaxis(g, axis, 0).reshape(m, -1)
-    L = lines.shape[1]
-    sig = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
-                                      g.shape), axis, 0)[0].reshape(L)
+    result = np.moveaxis(np.empty(np.moveaxis(g, axis, -1).shape), -1, axis)
+    # the advection axis first, then the line axes in g's memory order
+    # (largest stride first): blocks are then boxes of whole cache lines
+    order = [axis] + sorted((a for a in range(g.ndim) if a != axis),
+                            key=lambda a: -abs(g.strides[a]))
+    lines = g.transpose(order)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float),
+                          g.shape).transpose(order)[0].reshape(-1)
+    if not sig.size:
+        return result
     # shifting by whole periods, or past the whole line, changes nothing
     # and would only widen the padding
     if bc == "periodic":
@@ -236,61 +284,107 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     # cumulative-sum cancellation can leave negatives at the roundoff
     # scale; zero those without touching genuinely signed data
     floor = -1e-13 * max(np.max(g, initial=0.0), -np.min(g, initial=0.0))
-    out = np.empty((L, m))
-    per_block = max(1, BLOCK_CELLS // m)
-    for i in range(0, L, per_block):
-        b = slice(i, i + per_block)
-        out[b] = _advect_lines(lines[:, b], k[b], [w[b] for w in h], bc,
-                               floor).T
-    # back to the lines-last layout: the advection axis is the fastest
-    return np.moveaxis(out.reshape(np.moveaxis(g, axis, -1).shape), -1, axis)
+    boxes = list(_line_blocks(lines.shape[1:], max(1, BLOCK_CELLS // m)))
+    # the workspace of one block, at the size of the first (largest) one:
+    # the padded primitive and slopes (edge e at row P + e), the padded
+    # averages, the Hermite sum and its term, and the picked windows.  It
+    # is one allocation: freeing one large block raises glibc's mmap and
+    # trim thresholds above its size, so later calls reuse the same heap
+    # pages instead of faulting in fresh ones
+    kmin, kmax = int(np.min(k)), int(np.max(k))
+    P = max(-kmin, kmax) + 1
+    starts = np.cumsum([0] + [m + 1 + 2 * P] * 2 + [m + 4]
+                       + [kmax - kmin + m + 1] * 2 + [m + 1])
+    work = np.empty(starts[-1] * lines[(0,) + boxes[0]].size)
+    dest = result.transpose(order)
+    i = 0
+    for box in boxes:
+        block = lines[(slice(None),) + box]
+        nb = block[0].size
+        Wp, dp, gp, H, T, Wq = (work[lo * nb:hi * nb].reshape(hi - lo, nb)
+                                for lo, hi in zip(starts[:-1], starts[1:]))
+        np.copyto(gp[2:m + 2].reshape(block.shape), block)
+        b = slice(i, i + nb)
+        _advect_lines(gp, k[b], [w[b] for w in h], bc, floor,
+                      (Wp, dp, H, T, Wq), dest[(slice(None),) + box])
+        i += nb
+    return result
 
 
-def _advect_lines(lines: np.ndarray, k: np.ndarray, h: list, bc: str,
-                  floor: float) -> np.ndarray:
-    """advect on the columns of lines, shape (m, L), with integer shifts
-    k and Hermite weights h = (h00, h10, h01, h11), each of shape (L,)."""
-    m, L = lines.shape
+def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
+                  floor: float, work: tuple, out: np.ndarray):
+    """advect on the L columns of one block into out, shape (m, ...).
+
+    gp, shape (m + 4, L), holds the cell averages in rows 2 to m + 1; its
+    two ghost rows at each end are filled here.  k are the integer shifts
+    and h = (h00, h10, h01, h11) the Hermite weights, each of shape (L,).
+    work = (Wp, dp, H, T, Wq) is the workspace: the padded primitive and
+    slopes, m + 1 + 2 P rows for some P > max|k|, the Hermite sum and its
+    term, at least max k - min k + m + 1 rows, and the picked windows,
+    m + 1 rows; each has L columns.
+    """
+    Wp, dp, H, T, Wq = work
+    m, L = out.shape[0], k.size
     kmin, kmax = int(np.min(k)), int(np.max(k))
     # edge e of a line sits at row P + e of the padded arrays
-    P = max(-kmin, kmax) + 1
-    Wp = np.zeros((m + 1 + 2 * P, L))
-    dp = np.zeros_like(Wp)
-    np.cumsum(lines, axis=0, out=Wp[P + 1:P + m + 1])
+    P = (Wp.shape[0] - m - 1) // 2
+    lines = gp[2:m + 2]
+    Wp[:P + 1] = 0.0
+    # the primitive: on blocks this wide the rows are long enough that
+    # one np.add per row beats np.cumsum, which adds the same numbers in
+    # the same order
+    if L >= 512:
+        np.copyto(Wp[P + 1], lines[0])
+        for r in range(1, m):
+            np.add(Wp[P + r], lines[r], out=Wp[P + 1 + r])
+    else:
+        np.cumsum(lines, axis=0, out=Wp[P + 1:P + m + 1])
     total = Wp[P + m]
     if bc == "periodic":
-        ghosts = (lines[-2:], lines, lines[:2])
+        gp[:2] = lines[-2:]
+        gp[m + 2:] = lines[:2]
     else:
-        zero = np.zeros((2, L))
-        ghosts = (zero, lines, zero)
-    dp[P:P + m + 1] = _limited_slopes(np.concatenate(ghosts).T).T
+        gp[:2] = gp[m + 2:] = 0.0
+    _limited_slopes(gp.T, dp[P:P + m + 1].T, T[:m + 1].T)
     if bc == "periodic":
         e = np.r_[-P:0, m + 1:m + P + 1]
         Wp[P + e] = Wp[P + e % m] + (e // m)[:, None] * total
         dp[P + e] = dp[P + e % m]
     else:
         Wp[P + m + 1:] = total
+        dp[:P] = dp[P + m + 1:] = 0.0
 
     # Hermite sum at every row any line of the block reads: H[r] uses
     # rows P + kmin + r and the one after, so a line with shift kk reads
-    # H[kk - kmin:kk - kmin + m + 1]
+    # H[kk - kmin:kk - kmin + m + 1]; summed as ((a + b) + c) + d
     h00, h10, h01, h11 = h
-    w0 = slice(P + kmin, P + kmax + m + 1)
-    w1 = slice(P + kmin + 1, P + kmax + m + 2)
-    H = h00 * Wp[w0] + h10 * dp[w0] + h01 * Wp[w1] + h11 * dp[w1]
-    Wq = H[:m + 1]
-    for kk in range(kmin + 1, kmax + 1):
-        Wq = np.where(k == kk, H[kk - kmin:kk - kmin + m + 1], Wq)
+    n_rows = kmax - kmin + m + 1
+    H, T = H[:n_rows], T[:n_rows]
+    w0 = slice(P + kmin, P + kmin + n_rows)
+    w1 = slice(P + kmin + 1, P + kmin + n_rows + 1)
+    np.multiply(h00, Wp[w0], out=H)
+    for hw, src in ((h10, dp[w0]), (h01, Wp[w1]), (h11, dp[w1])):
+        H += np.multiply(hw, src, out=T)
+    if kmin == kmax:
+        Wq = H[:m + 1]
+    else:
+        np.copyto(Wq, H[:m + 1])
+        for kk in range(kmin + 1, kmax + 1):
+            np.copyto(Wq, H[kk - kmin:kk - kmin + m + 1], where=k == kk)
     if bc == "outgoing":
         # edge e departs from left of the line when e < -k, and from
         # right of it when e >= m - k
         for e in range(max(0, -kmin)):
-            Wq[e] = np.where(k < -e, 0.0, Wq[e])
+            np.copyto(Wq[e], 0.0, where=k < -e)
         for e in range(max(0, m - kmax), m + 1):
-            Wq[e] = np.where(k >= m - e, total, Wq[e])
+            np.copyto(Wq[e], total, where=k >= m - e)
 
-    out = np.diff(Wq, axis=0)
-    return np.where((out < 0) & (out >= floor), 0.0, out)
+    # the difference goes through T, which is free now and contiguous,
+    # and then into out in one copy
+    D = T[:m]
+    np.subtract(Wq[1:], Wq[:-1], out=D)
+    np.copyto(D, 0.0, where=(D < 0) & (D >= floor))
+    np.copyto(out, D.reshape(out.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +735,9 @@ def run(cfg: SimConfig) -> RunResult:
         if fired:
             for node in _capture_nodes(levels, cfg, fired):
                 slices[node.tau].nodes.append(node)
+        if not pending:
+            # no node left to capture: hold no level beyond the state
+            levels.clear()
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)
             if edge > cfg.boundary_floor:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_energies import node_phi, node_rows, one_node_slices, random_slice
-from vkg import solver
+from vkg import energies
 from vkg.commuted import _mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
                              bootstrap_monitor, decay_fit, delta_rule,
@@ -244,8 +244,8 @@ def ref_l2_estimate_check(sq, A, eps, delta):
 @pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
 def test_monitors_equal_node_loop(n, count, coupled_pair):
     data = random_slice(n, count)
-    # more nodes than one BLOCK_CELLS stack holds
-    assert len(data.nodes) * data.nodes[0].fblock.size > solver.BLOCK_CELLS
+    # more nodes than one STACK_CELLS stack holds
+    assert len(data.nodes) * data.nodes[0].fblock.size > energies.STACK_CELLS
     slices = [(evaluate_slice(data, 1), 1)]
     if n == 1:
         slices += [(sq, 1) for sq in coupled_pair[1]]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkg import energies, solver
+from vkg import energies
 from vkg.algebra import BOOST, DT, DX, ROT, Generator
 from vkg.commuted import derive_commuted_vlasov, multi_indices_up_to
 from vkg.energies import (DensitySample, SliceQuantities, density_samples,
@@ -238,7 +238,7 @@ def random_slice(n: int, count: int, seed: int = 3,
 def test_stacked_slice_matches_single_nodes(n, count, order, per,
                                             monkeypatch):
     data = random_slice(n, count)
-    monkeypatch.setattr(solver, "BLOCK_CELLS",
+    monkeypatch.setattr(energies, "STACK_CELLS",
                         per * data.nodes[0].fblock.size + 1)
     stacks = []
     evaluate_stack = energies._evaluate_stack
@@ -600,10 +600,10 @@ def one_node_slices(n: int, count: int, seed: int = 5,
 
 
 def reference_slices(n, count, transport_slices):
-    """Random stacks over more than one BLOCK_CELLS chunk, and at n = 1
+    """Random stacks over more than one STACK_CELLS chunk, and at n = 1
     the transport run's slices, with the r = 0 node."""
     data = random_slice(n, count)
-    assert len(data.nodes) * data.nodes[0].fblock.size > solver.BLOCK_CELLS
+    assert len(data.nodes) * data.nodes[0].fblock.size > energies.STACK_CELLS
     slices = [evaluate_slice(data, 2),
               evaluate_slice(random_slice(n, count, seed=4, tau=4.0), 2)]
     return slices + (transport_slices if n == 1 else [])

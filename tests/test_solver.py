@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -279,6 +280,66 @@ def test_advect_matches_reference_kernel(shape, axis, bc, block_cells,
             assert got.strides == ref.strides, layout
 
 
+# x shifts depend on the velocity of their axis and kick shifts on x, as
+# in solver.step; past 3 integer values each, so blocks mix shifts
+def _solver_shift(shape, axis, rng):
+    n = len(shape) // 2
+    sig_shape = [1] * len(shape)
+    if axis < n:
+        sig_shape[n + axis] = shape[n + axis]
+    else:
+        sig_shape[:n] = shape[:n]
+    return rng.uniform(-2.5, 2.5, size=sig_shape)
+
+
+@pytest.mark.parametrize("block_cells", [solver.BLOCK_CELLS, 9200],
+                         ids=["default_blocks", "short_last_blocks"])
+@pytest.mark.parametrize("bc", ["outgoing", "periodic"])
+def test_advect_matches_reference_kernel_on_n2_chain(bc, block_cells,
+                                                     monkeypatch):
+    """The n = 2 benchmark state through the advect calls of one step, in
+    solver order, each on the layout the call before returned: advect
+    equals the row-per-line kernel bit for bit at every call.  At 9200
+    cells per block (230 lines of 40 cells, 383 of 24) no block size
+    divides the lines of a call, so every call ends in a shorter block."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", block_cells)
+    shape = (40, 40, 24, 24)
+    rng = np.random.default_rng(12)
+    g = rng.random(shape) * (rng.random(shape) > 0.2)
+    for axis in (0, 1, 2, 3, 0, 1):
+        sig = _solver_shift(shape, axis, rng)
+        k = np.floor(-sig)
+        assert np.max(k) - np.min(k) >= 2
+        got = advect(g, sig, axis, bc=bc)
+        ref = _reference_advect(g, sig, axis, bc=bc)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), axis
+        assert got.strides == ref.strides, axis
+        g = got
+
+
+@pytest.mark.parametrize("block_cells", [solver.BLOCK_CELLS, 200],
+                         ids=["default_blocks", "small_blocks"])
+@pytest.mark.parametrize("shape", [(320, 64), (12, 10, 8, 6)])
+def test_advect_result_is_not_a_workspace_view(shape, block_cells,
+                                               monkeypatch):
+    """Each result is a fresh array of its own: two results stay bit for
+    bit as they were after a third call on other data, and the memory
+    behind a result holds the result and nothing else."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(len(shape))
+    results = [advect(rng.random(shape), _solver_shift(shape, ax, rng), ax)
+               for ax in (0, 1)]
+    kept = [r.copy() for r in results]
+    advect(rng.normal(size=shape), _solver_shift(shape, 0, rng), 0)
+    for r, before in zip(results, kept):
+        assert np.array_equal(r.view(np.int64), before.view(np.int64))
+        owner = r
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.flags.owndata and owner.nbytes == r.nbytes
+    assert not np.shares_memory(*results)
+
+
 # ---------------------------------------------------------------------------
 # configuration guard rails
 # ---------------------------------------------------------------------------
@@ -518,6 +579,38 @@ def test_capture_shares_a_block_only_where_it_saves_memory():
     p, q = solver._capture_nodes(levels, cfg, fired(0, 2))
     assert np.shares_memory(p.fblock, q.fblock)
     assert p.fblock.base.shape[1:3] == (11, 11)
+
+
+@pytest.mark.parametrize("taus", [(), (2.4,)], ids=["no_slice", "slice"])
+def test_run_holds_no_level_after_the_last_node_fires(taus, monkeypatch):
+    """While nodes are pending, run keeps the last T_WINDOW levels of f;
+    from the step after the last node fires (from the start when there
+    is none), every f a step replaced has been freed."""
+    cfg = SimConfig(n=1, mode="coupled", x_extent=4.0, nx=32, vmax=2.0,
+                    nv=8, dt=0.1, t0=2.0, t_end=3.6, epsilon=1e-2,
+                    taus=taus, rmax=1.0, slice_resolution=2)
+    replaced = []           # (t, weak reference) of each f a step was given
+    alive = []              # (t, how many of them are alive) at each step
+    captured = [cfg.t0]     # times at which nodes fired
+    real_step, capture = solver.step, solver._capture_nodes
+
+    def step_spy(phase, *args):
+        alive.append((phase.t, sum(ref() is not None
+                                   for _, ref in replaced)))
+        replaced.append((phase.t, weakref.ref(phase.f)))
+        real_step(phase, *args)
+
+    def capture_spy(levels, *args):
+        captured.append(levels[-1][0])
+        return capture(levels, *args)
+
+    monkeypatch.setattr(solver, "step", step_spy)
+    monkeypatch.setattr(solver, "_capture_nodes", capture_spy)
+    run(cfg)
+    after = [count for t, count in alive if t >= captured[-1]]
+    assert len(after) >= 5 and not any(after)
+    if taus:
+        assert max(count for t, count in alive) == solver.T_WINDOW - 1
 
 
 def test_determinism_bitwise():
