@@ -5,9 +5,11 @@ translations, the boosts t d_{x^i} + x^i d_t, and the spatial rotations
 x^i d_{x^j} - x^j d_{x^i} (i < j); (n+1)(n+2)/2 fields in total.  Complete
 lifts add the velocity terms v^0 d_{v^i} (boosts) and
 v^i d_{v^j} - v^j d_{v^i} (rotations).  The field table `_FIELDS` writes
-each field out once, as the terms `Generator.terms` and `Generator.lift`;
-every numerical application of a generator (block calculus, finite
-differences) and QPoly.apply_lifted loop over these terms.
+each field out once, as the terms `Generator.terms` and `Generator.lift`.
+Everything else is computed from these terms: the Lie brackets (and with
+them the structure constants), the lifted derivations of the coefficient
+classes, and every numerical application of a generator (block calculus,
+finite differences).
 
 Coefficients of derived equations live in two exact polynomial classes:
 ``PPoly`` - polynomials in the bounded velocity ratios u_j = v^j/v^0 with
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -81,70 +84,31 @@ def generators(n: int) -> list[Generator]:
     return gens
 
 
-def _rot(i: int, j: int) -> list[tuple[int, Generator]]:
-    """Normalized rotation: rot_{ij} = -rot_{ji}, rot_{ii} = 0."""
-    if i == j:
-        return []
-    if i < j:
-        return [(1, Generator(ROT, i, j))]
-    return [(-1, Generator(ROT, j, i))]
-
-
-def bracket(a: Generator, b: Generator) -> list[tuple[int, Generator]]:
+@cache
+def bracket(a: Generator, b: Generator) -> tuple[tuple[int, Generator], ...]:
     """Exact commutator [Z_a, Z_b] as integer combinations of generators.
 
-    The same table holds for the complete lifts.
+    Both fields are sums of terms s x^c d_e (x^0 = t, x^None = 1), and
+    two terms commute to s s' ([e = c'] x^c d_e' - [e' = c] x^c' d_e).
+    The sum is decomposed by each generator's first term, which no other
+    generator contains.  The same table holds for the complete lifts.
     """
-    ka, kb = a.kind, b.kind
-    if a == b or (ka, kb) == (DT, DT):
-        return []
-    if (ka, kb) == (DT, DX) or (ka, kb) == (DX, DT):
-        return []
-    if (ka, kb) == (DT, BOOST):
-        return [(1, Generator(DX, b.i))]
-    if (ka, kb) == (BOOST, DT):
-        return [(-1, Generator(DX, a.i))]
-    if ka == DT and kb == ROT or ka == ROT and kb == DT:
-        return []
-    if (ka, kb) == (DX, DX):
-        return []
-    if (ka, kb) == (DX, BOOST):
-        return [(1, Generator(DT))] if a.i == b.i else []
-    if (ka, kb) == (BOOST, DX):
-        return [(-1, Generator(DT))] if a.i == b.i else []
-    if (ka, kb) == (DX, ROT):
-        out = []
-        if a.i == b.i:
-            out.append((1, Generator(DX, b.j)))
-        if a.i == b.j:
-            out.append((-1, Generator(DX, b.i)))
-        return out
-    if (ka, kb) == (ROT, DX):
-        return [(-c, g) for c, g in bracket(b, a)]
-    if (ka, kb) == (BOOST, BOOST):
-        return _rot(a.i, b.i)
-    if (ka, kb) == (BOOST, ROT):
-        out = []
-        if a.i == b.i:
-            out.append((1, Generator(BOOST, b.j)))
-        if a.i == b.j:
-            out.append((-1, Generator(BOOST, b.i)))
-        return out
-    if (ka, kb) == (ROT, BOOST):
-        return [(-c, g) for c, g in bracket(b, a)]
-    if (ka, kb) == (ROT, ROT):
-        i, j, k, l = a.i, a.j, b.i, b.j
-        out = []
-        if j == k:
-            out += _rot(i, l)
-        if i == k:
-            out += [(-c, g) for c, g in _rot(j, l)]
-        if j == l:
-            out += [(-c, g) for c, g in _rot(i, k)]
-        if i == l:
-            out += _rot(j, k)
-        return out
-    raise AssertionError(f"unhandled pair {ka}, {kb}")
+    raw: dict = {}
+    for s, c, e in a.terms:
+        for s2, c2, e2 in b.terms:
+            if e == c2:
+                raw[c, e2] = raw.get((c, e2), 0) + s * s2
+            if e2 == c:
+                raw[c2, e] = raw.get((c2, e), 0) - s * s2
+    lookup = {g.terms[0][1:]: g
+              for g in generators(max(a.i, a.j, b.i, b.j, 1))}
+    out = tuple((k, lookup[key]) for key, k in raw.items()
+                if k and key in lookup)
+    for k, g in out:
+        for s, c, e in g.terms:
+            raw[c, e] = raw.get((c, e), 0) - k * s
+    assert not any(raw.values()), (a, b)
+    return out
 
 
 def structure_constants(n: int) -> np.ndarray:
@@ -248,57 +212,33 @@ class PPoly:
                     out.pop(d, None)
         return PPoly(self.n, out)
 
-    def mul_u(self, i: int) -> "PPoly":
-        return self * PPoly.u(self.n, i)
-
     def coeff_norm(self) -> Fraction:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
-    def boost_derive(self, i: int) -> "PPoly":
-        """v^0 d_{v^i} acting on the polynomial (closed in the class).
-
-        On a monomial u^a:  a_i u^{a - e_i} - |a| u^{a + e_i}.
-        """
-        out = PPoly(self.n)
-        for deg, c in self.terms.items():
-            tot = sum(deg)
-            if deg[i - 1]:
-                lower = list(deg)
-                lower[i - 1] -= 1
-                out += PPoly(self.n, {tuple(lower): c * deg[i - 1]})
-            if tot:
-                upper = list(deg)
-                upper[i - 1] += 1
-                out += PPoly(self.n, {tuple(upper): -c * tot})
-        return out
-
-    def rot_derive(self, i: int, j: int) -> "PPoly":
-        """(v^i d_{v^j} - v^j d_{v^i}) acting on the polynomial.
-
-        On a monomial u^a:  a_j u^{a + e_i - e_j} - a_i u^{a + e_j - e_i}.
-        """
-        out = PPoly(self.n)
-        for deg, c in self.terms.items():
-            if deg[j - 1]:
-                d = list(deg)
-                d[i - 1] += 1
-                d[j - 1] -= 1
-                out += PPoly(self.n, {tuple(d): c * deg[j - 1]})
-            if deg[i - 1]:
-                d = list(deg)
-                d[j - 1] += 1
-                d[i - 1] -= 1
-                out += PPoly(self.n, {tuple(d): -c * deg[i - 1]})
-        return out
-
     def lifted_derive(self, g: Generator) -> "PPoly":
         """The velocity part of g's complete lift acting on the polynomial
-        (zero for translations)."""
-        if g.kind == BOOST:
-            return self.boost_derive(g.i)
-        if g.kind == ROT:
-            return self.rot_derive(g.i, g.j)
-        return PPoly(self.n)
+        (zero for translations); closed in the class.
+
+        With u_0 = 1, each lift term v^k d_{v^d} maps a monomial u^a to
+        u_k (a_d u^{a - e_d} - |a| u^{a + e_d}).
+        """
+        out = PPoly(self.n)
+        if not g.lift:
+            return out
+        for deg, c in self.terms.items():
+            mono: dict = {}
+            tot = sum(deg)
+            for s, k, d in g.lift:
+                for shift, w in ((-1, deg[d - 1]), (1, -tot)):
+                    if w:
+                        e = list(deg)
+                        e[d - 1] += shift
+                        if k:
+                            e[k - 1] += 1
+                        e = tuple(e)
+                        mono[e] = mono.get(e, 0) + s * w * c
+            out += PPoly(self.n, mono)
+        return out
 
     def evaluate(self, v) -> np.ndarray | float:
         """Evaluate at velocities v (shape (..., n) or (n,))."""

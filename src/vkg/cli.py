@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", help="dump commuted-equation coefficients")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--n", type=int, default=1, choices=(1, 2))
+    p.add_argument("--n", type=int, default=1, choices=(1, 2, 3, 4))
     p.add_argument("--target", choices=("vlasov", "kg"), default="vlasov")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_derive)

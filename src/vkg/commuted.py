@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import (BOOST, DT, DX, Generator, PPoly, QPoly, bracket,
                       generators)
@@ -75,31 +76,45 @@ def _vbd_terms(coeff: PPoly, mu: int, B: MultiIndex, i: int) -> list:
     return out
 
 
-def _base_commutator(a: Generator, n: int) -> dict:
-    """Terms of [T_phi, Zhat_a] keyed by (mu, B, C).
+@cache
+def _base_commutator(a: Generator, n: int) -> tuple:
+    """Terms ((mu, B, C), Q) of [T_phi, Zhat_a].
 
-    Raw form: translations and rotations give v^0 grad_x(Z_a phi).grad_v;
-    boosts add -v^0 (d_t phi) d_{v^i} - (v . grad phi) d_{v^i}
-    + v^i grad phi . grad_v.  Every raw piece is coeff * v^0 d_{v^k} for a
-    PPoly coeff and gets rewritten into lifted-field form.
+    Free transport commutes with every lift, so with F_k = v^0 d_k phi and
+    Zhat_a = Z_a + L_a (L_a the velocity part, terms s v^j d_{v^d}, v^0 for
+    j = 0):
+
+        [T_phi, Zhat_a] = Zhat_a(F_k) d_{v^k} + F_k [L_a, d_{v^k}],
+
+    where Z_a d_k = d_k Z_a + [Z_a, d_k], L_a v^0 = v^0 sum s u_j u_d
+    (u_0 = 1) and [v^j d_{v^d}, d_{v^k}] = -(d_{v^k} v^j) d_{v^d}.  Every
+    piece is coeff * v^0 d_{v^k} for a PPoly coeff; equal pieces are merged
+    before the rewrite into lifted-field form.  Cached: callers share the
+    QPolys, which nothing modifies in place.
     """
     one = PPoly.constant(n, 1)
-    raw: list[tuple[PPoly, int, MultiIndex, int]] = [
-        (one, k, (a,), k) for k in range(1, n + 1)]
-    if a.kind == BOOST:
-        i = a.i
-        raw.append((-one, 0, (), i))                      # -v^0 (d_t phi) d_{v^i}
-        for k in range(1, n + 1):
-            raw.append((-PPoly.u(n, k), k, (), i))        # -(v . grad phi) d_{v^i}
-            raw.append((PPoly.u(n, i), k, (), k))         # +v^i grad phi . grad_v
+    u = [one] + [PPoly.u(n, k) for k in range(1, n + 1)]
+    lv0 = PPoly(n)
+    for s, j, d in a.lift:
+        lv0 += (u[j] * u[d]).scale(s)
+    raw: dict = {}
+    for k in range(1, n + 1):
+        _accumulate(raw, (k, (a,), k), one)
+        for c, z in bracket(a, _translation(k)):
+            _accumulate(raw, (z.i, (), k), one.scale(c))
+        _accumulate(raw, (k, (), k), lv0)
+    for s, j, d in a.lift:
+        # d_{v^k} v^0 = v^0 u_k and d_{v^k} v^j = [j = k]
+        for k in range(1, n + 1) if j == 0 else (j,):
+            _accumulate(raw, (k, (), d), (u[k] if j == 0 else one).scale(-s))
     out: dict = {}
-    for coeff, mu, B, k in raw:
+    for (mu, B, k), coeff in raw.items():
         for q, m, BB, C in _vbd_terms(coeff, mu, B, k):
             _accumulate(out, (m, BB, C), q)
-    return out
+    return tuple(out.items())
 
 
-def _accumulate(table: dict, key, q: QPoly):
+def _accumulate(table: dict, key, q: QPoly | PPoly):
     if key in table:
         s = table[key] + q
         if s:
@@ -120,15 +135,12 @@ def derive_commuted_vlasov(A: MultiIndex, n: int) -> CommutedVlasovRHS:
     A = tuple(A)
     if not A:
         raise ValueError("commutation with the empty multi-index is trivial")
-    table = _base_commutator(A[0], n)
+    table = dict(_base_commutator(A[0], n))
     if len(A) > 1:
         rest = A[1:]
         inner = derive_commuted_vlasov(rest, n)
         # [T, Zhat_a Zhat_rest] = [T, Zhat_a] Zhat_rest + Zhat_a [T, Zhat_rest]
-        head = dict(table)
-        table = {}
-        for (mu, B, C), q in head.items():
-            _accumulate(table, (mu, B, C + rest), q)
+        table = {(mu, B, C + rest): q for (mu, B, C), q in table.items()}
         a = A[0]
         for tm in inner.terms:
             _accumulate(table, (tm.mu, tm.B, tm.C), tm.coeff.apply_lifted(a))
@@ -149,20 +161,22 @@ def derive_commuted_vlasov(A: MultiIndex, n: int) -> CommutedVlasovRHS:
 def derive_commuted_kg(A: MultiIndex, n: int) -> CommutedKGRHS:
     """Exact weights of Z_A applied to the velocity integral of f.
 
-    Recursion per leading generator: translations pass through; a rotation
-    adds its velocity derivation of the weight; a boost adds
-    v^0 d_{v^i} P + u_i P from integration by parts in v.
+    Recursion per leading generator a: integration by parts in v moves the
+    velocity part L_a of its lift onto the weight, which gains
+    L_a P + (div L_a) P.  Only lift terms s v^0 d_{v^d} have a divergence,
+    s u_d; those of rotations (v^j d_{v^d}, j != d) have none.
     """
     A = tuple(A)
     table: dict[MultiIndex, PPoly] = {(): PPoly.constant(n, 1)}
     for a in reversed(A):
+        div = PPoly(n)
+        for s, j, d in a.lift:
+            if j == 0:
+                div += PPoly.u(n, d).scale(s)
         new: dict[MultiIndex, PPoly] = {}
         for B, P in table.items():
             _accumulate(new, (a,) + B, P)
-            w = P.lifted_derive(a)
-            if a.kind == BOOST:           # d_{v^i} v^0 = u_i
-                w = w + P.mul_u(a.i)
-            _accumulate(new, B, w)
+            _accumulate(new, B, P.lifted_derive(a) + P * div)
         table = new
     terms = tuple(
         KGTerm(P, B) for B, P in sorted(table.items(), key=lambda kv: _mi_key(kv[0]))

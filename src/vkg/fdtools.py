@@ -194,14 +194,11 @@ def moment_exchange_check(func: PointFunc, g: Generator, k: int,
     vgrid, vw = gauss_quadrature_grid(n, vmax, m)
     v0 = np.sqrt(1.0 + np.sum(vgrid * vgrid, axis=1))
 
-    def stack(txk):
-        return np.column_stack([
-            np.broadcast_to(txk, (len(vgrid), 1 + n)), vgrid])
-
     def chi(txp):
         out = np.zeros(len(txp))
         for j, txk in enumerate(txp):
-            out[j] = float(np.sum(vw * func(stack(txk)) / v0 ** k))
+            out[j] = float(np.sum(vw * func(velocity_points(txk, vgrid))
+                                  / v0 ** k))
         return out
 
     def residual(step):
@@ -209,7 +206,7 @@ def moment_exchange_check(func: PointFunc, g: Generator, k: int,
         zf = apply_generator(func, g, step, True)
         rhs = np.zeros(len(tx))
         for j, txk in enumerate(tx):
-            pts = stack(txk)
+            pts = velocity_points(txk, vgrid)
             rhs[j] = float(np.sum(vw * zf(pts) / v0 ** k))
             if g.kind == BOOST:
                 rhs[j] += (1 - k) * float(np.sum(
@@ -217,6 +214,12 @@ def moment_exchange_check(func: PointFunc, g: Generator, k: int,
         return lhs - rhs
 
     return refinement_study(residual, h, floor)
+
+
+def velocity_points(txk: np.ndarray, vgrid: np.ndarray) -> np.ndarray:
+    """Phase-space points (t, x, v) at one (t, x) and every velocity node."""
+    return np.column_stack([
+        np.broadcast_to(txk, (len(vgrid), len(txk))), vgrid])
 
 
 def gauss_quadrature_grid(n: int, vmax: float, m: int):
@@ -235,13 +238,11 @@ def evaluate_kg_rhs(rhs: CommutedKGRHS, func: PointFunc, tx: np.ndarray,
                     vgrid: np.ndarray, vweights: np.ndarray,
                     h: float) -> np.ndarray:
     """Numeric value of the derived moment expression at (t, x) points."""
-    n = rhs.n
     total = np.zeros(len(tx))
     for tm in rhs.terms:
         zf = apply_multi_index(func, tm.B, h, True)
         for k, txk in enumerate(tx):
-            pts = np.column_stack([
-                np.broadcast_to(txk, (len(vgrid), 1 + n)), vgrid])
+            pts = velocity_points(txk, vgrid)
             w = tm.coeff.evaluate(vgrid)
             total[k] += float(np.sum(vweights * w * zf(pts)))
     return total
@@ -261,9 +262,7 @@ def verify_commuted_kg(A: MultiIndex, n: int, func: PointFunc,
     def rho(txp):
         out = np.zeros(len(txp))
         for k, txk in enumerate(txp):
-            pts = np.column_stack([
-                np.broadcast_to(txk, (len(vgrid), 1 + n)), vgrid])
-            out[k] = float(np.sum(vw * func(pts)))
+            out[k] = float(np.sum(vw * func(velocity_points(txk, vgrid))))
         return out
 
     def residual(step):

@@ -1,9 +1,9 @@
 """Poincare algebra and coefficient-class tests.
 
-The bracket table and the field table are checked against an independent
-sympy realization of the generators (and their complete lifts) as
-first-order differential operators, and the structure constants against
-their exact invariants.
+The brackets, the field table and the lifted derivations are checked
+against an independent sympy realization of the generators (and their
+complete lifts) as first-order differential operators, and the structure
+constants against their exact invariants.
 """
 
 from fractions import Fraction
@@ -14,7 +14,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkg.algebra import PPoly, QPoly, bracket, generators, structure_constants
+from vkg.algebra import (BOOST, Generator, PPoly, QPoly, bracket, generators,
+                         structure_constants)
 
 
 def sympy_operator(g, syms):
@@ -35,6 +36,26 @@ def sympy_operator(g, syms):
     return op
 
 
+def sympy_velocity_operator(g, vs):
+    """The velocity part of g's complete lift as a sympy operator on v."""
+    v0 = sp.sqrt(1 + sum(v ** 2 for v in vs))
+
+    def op(expr):
+        if str(g).startswith("boost"):
+            return v0 * sp.diff(expr, vs[g.i - 1])
+        if str(g).startswith("rot"):
+            return (vs[g.i - 1] * sp.diff(expr, vs[g.j - 1])
+                    - vs[g.j - 1] * sp.diff(expr, vs[g.i - 1]))
+        return sp.S.Zero
+
+    return op
+
+
+def lift_symbols(n):
+    return (sp.Symbol("t"), sp.symbols(f"x1:{n + 1}"),
+            sp.symbols(f"v1:{n + 1}"))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bracket_matches_sympy_commutator(n):
     t = sp.Symbol("t")
@@ -48,6 +69,25 @@ def test_bracket_matches_sympy_commutator(n):
             direct = sp.expand(oa(ob(probe)) - ob(oa(probe)))
             table = sum((c * sympy_operator(g, syms)(probe)
                          for c, g in bracket(a, b)), sp.S.Zero)
+            assert sp.expand(direct - table) == 0, (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_holds_for_complete_lifts(n):
+    t, xs, vs = lift_symbols(n)
+    probe = sp.Function("w")(t, *xs, *vs)
+
+    def lifted(g):
+        return lambda e: (sympy_operator(g, (t, xs))(e)
+                          + sympy_velocity_operator(g, vs)(e))
+
+    gens = generators(n)
+    for a in gens:
+        for b in gens:
+            la, lb = lifted(a), lifted(b)
+            direct = la(lb(probe)) - lb(la(probe))
+            table = sum((c * lifted(g)(probe) for c, g in bracket(a, b)),
+                        sp.S.Zero)
             assert sp.expand(direct - table) == 0, (a, b)
 
 
@@ -68,13 +108,8 @@ def test_field_table_matches_sympy_operators(n):
                       * sp.diff(probe, vs[d - 1]) for s, k, d in g.lift),
                      sp.S.Zero)
         # the space-time field plus its lift, written out independently
-        lift = sp.S.Zero
-        if str(g).startswith("boost"):
-            lift = v0 * sp.diff(probe, vs[g.i - 1])
-        elif str(g).startswith("rot"):
-            lift = (vs[g.i - 1] * sp.diff(probe, vs[g.j - 1])
-                    - vs[g.j - 1] * sp.diff(probe, vs[g.i - 1]))
-        direct = sympy_operator(g, (t, xs))(probe) + lift
+        direct = (sympy_operator(g, (t, xs))(probe)
+                  + sympy_velocity_operator(g, vs)(probe))
         assert sp.expand(table - direct) == 0, g
         # the numerical loops take the first term of each part unsigned
         assert all(part[0][0] == 1 for part in (g.terms, g.lift) if part)
@@ -114,8 +149,9 @@ def ppolys(n):
 @settings(max_examples=50, deadline=None)
 @given(p=ppolys(2), q=ppolys(2))
 def test_ppoly_boost_derive_product_rule(p, q):
-    lhs = (p * q).boost_derive(1)
-    rhs = p.boost_derive(1) * q + p * q.boost_derive(1)
+    boost = Generator(BOOST, 1)
+    lhs = (p * q).lifted_derive(boost)
+    rhs = p.lifted_derive(boost) * q + p * q.lifted_derive(boost)
     assert lhs == rhs
 
 
@@ -141,9 +177,45 @@ def test_ppoly_boost_derive_is_velocity_derivative(p, v):
     h = 1e-5
     v0 = np.sqrt(1 + v * v)
     fd = v0 * (p.evaluate(np.array([v + h])) - p.evaluate(np.array([v - h]))) / (2 * h)
-    exact = p.boost_derive(1).evaluate(np.array([v]))
+    exact = p.lifted_derive(Generator(BOOST, 1)).evaluate(np.array([v]))
     scale = max(1.0, float(p.coeff_norm()))
     assert abs(fd - exact) < 1e-6 * scale
+
+
+def ppoly_sympy(p, vs):
+    v0 = sp.sqrt(1 + sum(v ** 2 for v in vs))
+    return sum((sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*[(v / v0) ** d for v, d in zip(vs, deg)])
+                for deg, c in p.terms.items()), sp.S.Zero)
+
+
+def vanishes(expr, vs):
+    """Exact zero test for a rational expression in v and v^0: write v^0
+    as a symbol w, clear its negative powers (w^8 does for polynomials in
+    u of degree up to 4) and reduce modulo w^2 = 1 + |v|^2."""
+    w = sp.Symbol("w", positive=True)
+    shell = 1 + sum(v ** 2 for v in vs)
+    poly = sp.expand(expr.subs(shell, w ** 2) * w ** 8)
+    return sp.rem(poly, w ** 2 - shell, w) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ppoly_lifted_derive_matches_sympy_lift(n):
+    """Every generator's lift on a polynomial with monomials of degree
+    0 to 3, against sympy's action on the evaluated polynomial."""
+    _, _, vs = lift_symbols(n)
+    degs = [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,),
+            (1,) * n, (0, 2) + (1,) * (n - 2)]
+    p = PPoly(n, {d: Fraction(k + 2, k + 1) * (-1) ** k
+                  for k, d in enumerate(degs)})
+    expr = ppoly_sympy(p, vs)
+    off = PPoly.u(n, 1).scale(Fraction(1, 7))
+    for g in generators(n):
+        direct = sympy_velocity_operator(g, vs)(expr)
+        assert vanishes(direct - ppoly_sympy(p.lifted_derive(g), vs), vs), g
+        # the zero test is sharp
+        assert not vanishes(
+            direct - ppoly_sympy(p.lifted_derive(g) + off, vs), vs), g
 
 
 def test_qpoly_lifted_translations_pick_affine_parts():

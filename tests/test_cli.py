@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vkg import cli, criteria, solver
+from vkg import algebra, cli, commuted, criteria, solver
 from vkg.cli import main
 from vkg.report import (content_hash, read_binary_grid, svg_plot,
                         write_binary_grid)
@@ -144,6 +144,27 @@ def test_derive_json_and_text(capsys):
     text = capsys.readouterr().out
     assert "boost_1" in text
     assert main(["derive", "--order", "0", "--target", "kg"]) == 0
+
+
+def test_derive_n4_json_obeys_index_bounds(capsys):
+    assert main(["derive", "--n", "4", "--order", "1",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc) == 15
+    gens = {str(g): g for g in algebra.generators(4)}
+    for name, entry in doc.items():
+        rhs = commuted.derive_commuted_vlasov((gens[name],), 4)
+        assert json.loads(commuted.vlasov_rhs_to_json(rhs)) == entry
+        assert commuted.check_index_bounds(rhs), name
+
+
+def test_derive_n5_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--n", "5", "--order", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 5" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("order,message", [

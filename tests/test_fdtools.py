@@ -12,7 +12,7 @@ from vkg.fdtools import (check_free_transport_commutation,
                          verify_commuted_vlasov)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_free_transport_commutes_with_every_lift(n):
     func = gaussian_test_function(n, seed=0)
     pts = sample_points(n, m=30, seed=2)
@@ -21,7 +21,7 @@ def test_free_transport_commutes_with_every_lift(n):
         assert st.second_order, (g, st)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_commuted_vlasov_first_order(n):
     func = gaussian_test_function(n, seed=0)
     phi = gaussian_field(n, seed=1)
@@ -72,16 +72,15 @@ def test_moment_exchange_boost_correction_is_needed():
 
     # rerun with a fake k that suppresses the correction term: k=1 weight
     # removed by hand would not converge; emulate by comparing magnitudes
-    from vkg.fdtools import apply_generator, gauss_quadrature_grid, partial
+    from vkg.fdtools import (apply_generator, gauss_quadrature_grid,
+                             velocity_points)
     vgrid, vw = gauss_quadrature_grid(n, 11.0, 321)
     v0 = np.sqrt(1.0 + np.sum(vgrid * vgrid, axis=1))
 
     def chi(txp):
         out = np.zeros(len(txp))
         for j, txk in enumerate(txp):
-            pts = np.column_stack([
-                np.broadcast_to(txk, (len(vgrid), 1 + n)), vgrid])
-            out[j] = float(np.sum(vw * func(pts)))
+            out[j] = float(np.sum(vw * func(velocity_points(txk, vgrid))))
         return out
 
     def residual(step):
@@ -89,9 +88,7 @@ def test_moment_exchange_boost_correction_is_needed():
         zf = apply_generator(func, g, step, True)
         rhs = np.zeros(len(tx))
         for j, txk in enumerate(tx):
-            pts = np.column_stack([
-                np.broadcast_to(txk, (len(vgrid), 1 + n)), vgrid])
-            rhs[j] = float(np.sum(vw * zf(pts)))
+            rhs[j] = float(np.sum(vw * zf(velocity_points(txk, vgrid))))
         return lhs - rhs
 
     broken = refinement_study(residual, 1e-3)
