@@ -368,6 +368,11 @@ def main(argv=None) -> int:
     except (SolverError, ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # run rejects what cannot fit before allocating; this is what
+        # that estimate does not cover
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

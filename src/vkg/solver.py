@@ -6,13 +6,14 @@ The distribution f(t, x, v) obeys  d_t f + vhat . grad_x f
 semi-Lagrangian split (monotone cubic interpolation of the primitive, so
 mass is conserved to roundoff and positivity is preserved); the field by
 velocity Verlet.  Hyperboloidal slice extraction reads the last T_WINDOW
-time levels the solver produced: step never writes into the arrays it is
-given, so the run keeps those arrays themselves, with no state copies,
-and copies a local space-time block out of them around the slice nodes
-as the simulation time sweeps past them.  Nodes that fire at the same
-step and whose windows overlap share one read-only block, and each
-node's block is a view of its window in it.  Once the last node has
-fired the run keeps no earlier level.
+time levels of the kept box, the x cells that bound every slice node's
+window: the run holds a copy of f and phi over that box per level, not
+the whole state, and copies a local space-time block out of those
+copies around the slice nodes as the simulation time sweeps past them.
+Nodes that fire at the same step and whose windows overlap share one
+read-only block, and each node's block is a view of its window in it.
+Without nodes no level is held, and once the last node has fired the
+run keeps none.
 
 Arrays carry one or two x-axes (n = 1 or 2) followed by the matching
 v-axes.  Everything is written once for both dimensions, with loops over
@@ -23,6 +24,7 @@ the axes, except the Sommerfeld boundary and the capture half-width in
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -101,13 +103,17 @@ class SimConfig:
                 raise SolverError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(tau) for tau in self.taus):
             raise SolverError(f"taus must be finite, got {self.taus}")
+        if len(set(self.taus)) < len(self.taus):
+            # each slice would collect every one of its nodes twice
+            raise SolverError(f"taus must be distinct, got {self.taus}")
         if not (math.isfinite(self.t0) and math.isfinite(self.t_end)
                 and self.t_end > self.t0):
             raise SolverError(
                 f"need finite t0 < t_end, got t0={self.t0}, t_end={self.t_end}")
-        if not 0 <= self.energy_order <= SYMBOLIC_CAP:
+        # the pipeline's L2 estimate checks read the order-1 quantities
+        if not 1 <= self.energy_order <= SYMBOLIC_CAP:
             raise SolverError(
-                f"energy_order must be in [0, {SYMBOLIC_CAP}], "
+                f"energy_order must be in [1, {SYMBOLIC_CAP}], "
                 f"got {self.energy_order}")
         if self.rmax_mode == "lightcone" and self.t0 <= self.support_radius:
             raise SolverError("lightcone truncation needs t0 > support_radius")
@@ -615,10 +621,11 @@ class RunResult:
 
 
 def _pending_nodes(cfg: SimConfig):
-    """Slice nodes ordered by firing time, earliest first, each with its
-    window: the 2 * half + 1 cells per x axis centred on the cell nearest
-    the node.  A window that leaves the grid is rejected here, before the
-    run allocates any state."""
+    """Slice nodes ordered by firing time, earliest first, each with the
+    x coordinates of its window and the window itself: the 2 * half + 1
+    cells per x axis centred on the cell nearest the node.  A window that
+    leaves the grid is rejected here, before the run allocates any
+    state."""
     xc = x_centers(cfg)
     half = X_HALF if cfg.n == 1 else 4
     pending = []
@@ -638,15 +645,46 @@ def _pending_nodes(cfg: SimConfig):
             r = float(quad.radii[k])
             t_star = math.sqrt(tau ** 2 + r ** 2)
             pending.append((t_star, tau, y, r, float(quad.weights[k]),
-                            tuple(idx)))
+                            tuple(xc[s] for s in idx), tuple(idx)))
     pending.sort(key=lambda e: e[0])
     return deque(pending)
+
+
+def _kept_box(pending: deque):
+    """The kept box, the x cells that bound every window of pending (a
+    tuple of slices, () when nothing is pending), and pending with each
+    window made relative to it."""
+    if not pending:
+        return (), pending
+    lo = np.min([[s.start for s in e[-1]] for e in pending], axis=0)
+    hi = np.max([[s.stop for s in e[-1]] for e in pending], axis=0)
+    return (tuple(slice(int(a), int(b)) for a, b in zip(lo, hi)),
+            deque(e[:-1] + (tuple(slice(s.start - a, s.stop - a)
+                                  for s, a in zip(e[-1], lo)),)
+                  for e in pending))
+
+
+def _check_memory(cfg: SimConfig, box: tuple):
+    """Reject a run whose arrays cannot fit in physical memory, before
+    any is allocated.  A step holds about three states (f and phi) at
+    once, and the levels T_WINDOW copies of the kept box."""
+    per_x = 8 * (cfg.nv ** cfg.n + 1)
+    state = per_x * cfg.nx ** cfg.n
+    kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
+    need = 3 * state + T_WINDOW * kept
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SolverError(
+            f"run needs about {need / 2 ** 30:.3g} GiB (three states of "
+            f"{state / 2 ** 30:.3g} GiB and {T_WINDOW} kept boxes), more "
+            f"than the {have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _capture_nodes(levels: deque, cfg: SimConfig,
                    fired: list) -> list[NodeSample]:
     """Blocks around the nodes that fire at one step, from the last
-    T_WINDOW (t, f, phi) levels, in the order of fired.
+    T_WINDOW (t, f, phi) levels, in the order of fired.  The levels hold
+    the kept box and the windows of fired are relative to it.
 
     Overlapping windows are copied once.  The windows fall into groups
     (connected components of the overlap graph); each group gets one
@@ -658,10 +696,9 @@ def _capture_nodes(levels: deque, cfg: SimConfig,
     if len(levels) < T_WINDOW:
         raise SolverError("time levels do not cover the slice node")
     t_levels = np.array([e[0] for e in levels])
-    xc = x_centers(cfg)
     v_axes = (v_centers(cfg),) * cfg.n
-    lo = np.array([[s.start for s in e[5]] for e in fired])
-    hi = np.array([[s.stop for s in e[5]] for e in fired])
+    lo = np.array([[s.start for s in e[-1]] for e in fired])
+    hi = np.array([[s.stop for s in e[-1]] for e in fired])
     overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]),
                      axis=2)
     # label each node with the smallest index connected to it
@@ -683,24 +720,35 @@ def _capture_nodes(levels: deque, cfg: SimConfig,
     for members, box_lo, box_hi in groups:
         box = tuple(slice(a, b) for a, b in zip(box_lo, box_hi))
         # np.array copies the box into C-ordered blocks; the levels
-        # themselves may be transposed views
+        # themselves may be transposed copies
         fblock = np.array([e[1][box] for e in levels])
         phiblock = np.array([e[2][box] for e in levels])
         fblock.flags.writeable = phiblock.flags.writeable = False
         for k in members:
-            t_star, tau, y, r, weight, idx = fired[k]
+            t_star, tau, y, r, weight, x_axes, idx = fired[k]
             local = (slice(None),) + tuple(
                 slice(s.start - a, s.stop - a) for s, a in zip(idx, box_lo))
             nodes[k] = NodeSample(tau, y, r, t_star, weight, t_levels,
-                                  tuple(xc[s] for s in idx), v_axes,
-                                  fblock[local], phiblock[local])
+                                  x_axes, v_axes, fblock[local],
+                                  phiblock[local])
     return nodes
 
 
 def run(cfg: SimConfig) -> RunResult:
+    """Step cfg from t0 to t_end and capture every slice node in flight.
+
+    While nodes are pending, each step's level is a copy of f and phi
+    over the kept box (the x cells that bound every node's window), and
+    the last T_WINDOW of them are held; the whole state is never held
+    beyond the step that replaces it.  A run without nodes copies no
+    level, and once the last node has fired none is held.  A run whose
+    arrays would exceed physical memory is rejected before any is
+    allocated.
+    """
     cfg.validate()
     t_start = time.perf_counter()
-    pending = _pending_nodes(cfg)
+    box, pending = _kept_box(_pending_nodes(cfg))
+    _check_memory(cfg, box)
     kinetic_source = field_source = None
     if cfg.mode == "mms":
         phi_ex, pi_ex, f_ex, kinetic_source, field_source = mms_forcing(cfg)
@@ -708,7 +756,12 @@ def run(cfg: SimConfig) -> RunResult:
         fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
     else:
         phase, fld = initial_states(cfg)
-    levels = deque([(phase.t, phase.f, fld.phi)], maxlen=T_WINDOW)
+
+    def level():
+        # a copy, not a view: a view would keep the whole state alive
+        return phase.t, np.array(phase.f[box]), np.array(fld.phi[box])
+
+    levels = deque([level()] if pending else [], maxlen=T_WINDOW)
     slices: dict[float, SliceData] = {
         tau: SliceData(tau, cfg.n, [], cfg.dv) for tau in cfg.taus}
     warnings: list[str] = []
@@ -726,7 +779,8 @@ def run(cfg: SimConfig) -> RunResult:
     boundary_flagged = False
     for _ in range(nsteps):
         step(phase, fld, cfg, kinetic_source, field_source)
-        levels.append((phase.t, phase.f, fld.phi))
+        if pending:
+            levels.append(level())
         record()
         # fire every node whose block is now centered in the levels
         fired = []
@@ -736,7 +790,7 @@ def run(cfg: SimConfig) -> RunResult:
             for node in _capture_nodes(levels, cfg, fired):
                 slices[node.tau].nodes.append(node)
         if not pending:
-            # no node left to capture: hold no level beyond the state
+            # no node left to capture: hold no level
             levels.clear()
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)

@@ -121,17 +121,67 @@ def test_node_window_off_the_grid_exits_3_before_stepping(
     ("dt", "0"), ("dt", "nan"), ("nx", "0"), ("nv", "0"),
     ("x_extent", "-1"), ("vmax", "inf"), ("epsilon", "0"),
     ("f_width_x", "0"), ("f_width_v", "0"), ("phi_width", "-0.5"),
-    ("t_end", "2.0"), ("energy_order", "-1"), ("energy_order", "5"),
+    ("t_end", "2.0"), ("energy_order", "-1"), ("energy_order", "0"),
+    ("energy_order", "5"),
     ("cfl_safety", "nan"), ("cfl_safety", "0"), ("f_amplitude", "nan"),
     ("phi_amplitude", "inf"), ("f_center_v", "nan"), ("rmax", "nan"),
     ("rmax", "-1"), ("support_radius", "nan"), ("boundary_floor", "nan"),
-    ("taus", "nan")])
+    ("taus", "nan"), ("taus", "3.0, 3.0")])
 def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)
     monkeypatch.setenv("VKG_" + key.upper(), value)
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("energy_order", "0", "energy_order must be in [1, 4]"),
+    ("taus", "3.0, 4.0, 3.0", "taus must be distinct")])
+def test_ks_check_rejects_config_before_stepping(
+        key, value, message, tmp_path, monkeypatch, capsys):
+    # energy_order = 0 left the order-1 L2 checks without their
+    # quantities; a repeated tau collected each of its nodes twice
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    monkeypatch.setenv("VKG_" + key.upper(), value)
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    assert main(["ks-check", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert steps == []
+
+
+def test_run_larger_than_memory_exits_3_before_allocating(
+        tmp_path, monkeypatch, capsys):
+    # 2000^2 x 300^2 cells: one f alone would take 2.6 TiB
+    conf = tmp_path / "huge.conf"
+    conf.write_text("schema = 1\nn = 2\nnx = 2000\nnv = 300\n"
+                    "x_extent = 20.0\ndt = 0.01\nt0 = 2.0\nt_end = 2.1\n"
+                    "taus =\n")
+    allocated = []
+    monkeypatch.setattr(solver, "initial_states",
+                        lambda *a: allocated.append(a))
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "more than the" in err and "physical memory" in err
+    assert "Traceback" not in err
+    assert allocated == []
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+
+    def no_memory(cfg):
+        raise MemoryError("Unable to allocate 2.62 TiB")
+
+    monkeypatch.setattr(cli, "run", no_memory)
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory: Unable to allocate" in err
+    assert "Traceback" not in err
 
 
 def test_derive_json_and_text(capsys):

@@ -426,9 +426,9 @@ def test_free_kg_step_skips_transport(n, monkeypatch):
     ("free_transport", 2), ("free_kg", 1), ("free_kg", 2), ("mms", 1),
     ("mms", 2)])
 def test_step_leaves_its_input_arrays_alone(mode, n):
-    """run keeps the arrays of its last T_WINDOW levels without copying
-    them, so step must rebind the state to new arrays, never write into
-    the ones it was given."""
+    """step rebinds the state to new arrays and never writes into the
+    ones it was given, so a caller may keep a state it passed in (a
+    reference, a checkpoint) without copying it."""
     cfg = SimConfig(n=n, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
                     dt=0.1, t0=2.0, t_end=2.2, epsilon=1e-2, taus=())
     sources = ()
@@ -565,9 +565,11 @@ def test_capture_shares_a_block_only_where_it_saves_memory():
     levels = deque([(0.1 * k, rng.random((32, 32, 4, 4)),
                      rng.random((32, 32))) for k in range(solver.T_WINDOW)])
 
+    xc = x_centers(cfg)
+
     def fired(*starts):
-        return [(2.5, 2.4, (0.0, 0.0), 0.0, 1.0, (slice(j, j + 9),) * 2)
-                for j in starts]
+        return [(2.5, 2.4, (0.0, 0.0), 0.0, 1.0, (xc[j:j + 9],) * 2,
+                 (slice(j, j + 9),) * 2) for j in starts]
 
     chain = fired(0, 8, 16)
     nodes = solver._capture_nodes(levels, cfg, chain)
@@ -581,36 +583,86 @@ def test_capture_shares_a_block_only_where_it_saves_memory():
     assert p.fblock.base.shape[1:3] == (11, 11)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_levels_hold_copies_of_the_kept_box(n, monkeypatch):
+    """Every held level is a copy of f and phi over the kept box, the box
+    that bounds every node's window, and each node's blocks equal its
+    window copied from the full states of a run stepped alongside, at
+    the node's global x coordinates."""
+    cfg = SimConfig(n=n, mode="coupled", x_extent=4.0, nx=32, vmax=2.0,
+                    nv=8, dt=0.1, t0=2.0, t_end=3.2, epsilon=1e-2,
+                    taus=(2.4, 2.5), rmax=1.0, slice_resolution=2)
+    windows = {e[1:3]: e[-1] for e in solver._pending_nodes(cfg)}
+    box, _ = solver._kept_box(solver._pending_nodes(cfg))
+    lo = [min(w[d].start for w in windows.values()) for d in range(n)]
+    hi = [max(w[d].stop for w in windows.values()) for d in range(n)]
+    assert box == tuple(map(slice, lo, hi))
+    assert all(b - a < cfg.nx for a, b in zip(lo, hi))
+    box_shape = tuple(b - a for a, b in zip(lo, hi))
+    states = {}             # t -> (f, phi) of the full state
+    real_step, capture = solver.step, solver._capture_nodes
+
+    def step_spy(phase, fld, *args):
+        states.setdefault(phase.t, (phase.f.copy(), fld.phi.copy()))
+        real_step(phase, fld, *args)
+        states[phase.t] = (phase.f.copy(), fld.phi.copy())
+
+    def capture_spy(levels, *args):
+        for t, f, phi in levels:
+            assert f.shape == box_shape + (cfg.nv,) * n and f.base is None
+            assert phi.shape == box_shape and phi.base is None
+            assert np.array_equal(f, states[t][0][box])
+            assert np.array_equal(phi, states[t][1][box])
+        return capture(levels, *args)
+
+    monkeypatch.setattr(solver, "step", step_spy)
+    monkeypatch.setattr(solver, "_capture_nodes", capture_spy)
+    result = run(cfg)
+    xc = x_centers(cfg)
+    nodes = [nd for s in result.slices.values() for nd in s.nodes]
+    assert len(nodes) == len(windows)
+    for nd in nodes:
+        idx = windows[nd.tau, nd.y]
+        for x, w in zip(nd.x_axes, idx):
+            assert np.array_equal(x, xc[w])
+        assert np.array_equal(nd.fblock, np.array(
+            [states[t][0][idx] for t in nd.t_levels]))
+        assert np.array_equal(nd.phiblock, np.array(
+            [states[t][1][idx] for t in nd.t_levels]))
+
+
 @pytest.mark.parametrize("taus", [(), (2.4,)], ids=["no_slice", "slice"])
 def test_run_holds_no_level_after_the_last_node_fires(taus, monkeypatch):
-    """While nodes are pending, run keeps the last T_WINDOW levels of f;
-    from the step after the last node fires (from the start when there
-    is none), every f a step replaced has been freed."""
+    """run holds copies of the kept box, never a state itself: every f a
+    step replaced has been freed by the next step, and from the last
+    firing on (from the start when no node is pending) no level is
+    held."""
     cfg = SimConfig(n=1, mode="coupled", x_extent=4.0, nx=32, vmax=2.0,
                     nv=8, dt=0.1, t0=2.0, t_end=3.6, epsilon=1e-2,
                     taus=taus, rmax=1.0, slice_resolution=2)
-    replaced = []           # (t, weak reference) of each f a step was given
-    alive = []              # (t, how many of them are alive) at each step
+    replaced = []           # weak references to each f a step was given
+    held = []               # weak references to the f of each level read
+    alive = []              # (t, how many of each are alive) at each step
     captured = [cfg.t0]     # times at which nodes fired
     real_step, capture = solver.step, solver._capture_nodes
 
     def step_spy(phase, *args):
-        alive.append((phase.t, sum(ref() is not None
-                                   for _, ref in replaced)))
-        replaced.append((phase.t, weakref.ref(phase.f)))
+        alive.append((phase.t, sum(ref() is not None for ref in replaced),
+                      sum(ref() is not None for ref in held)))
+        replaced.append(weakref.ref(phase.f))
         real_step(phase, *args)
 
     def capture_spy(levels, *args):
         captured.append(levels[-1][0])
+        held.extend(weakref.ref(lv[1]) for lv in levels)
         return capture(levels, *args)
 
     monkeypatch.setattr(solver, "step", step_spy)
     monkeypatch.setattr(solver, "_capture_nodes", capture_spy)
     run(cfg)
-    after = [count for t, count in alive if t >= captured[-1]]
+    after = [f + lv for t, f, lv in alive if t >= captured[-1]]
     assert len(after) >= 5 and not any(after)
-    if taus:
-        assert max(count for t, count in alive) == solver.T_WINDOW - 1
+    assert max(f for t, f, lv in alive) == 0
 
 
 def test_determinism_bitwise():
