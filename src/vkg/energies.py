@@ -258,7 +258,8 @@ def _evaluate_stack(nodes: list[NodeSample], n: int, order: int):
         if len(A) < order:
             inner[A] = _apply(A[0], inner[A[1:]], st, True)
     basis = {B: _contract(h, st.weights) for B, h in inner.items()}
-    profiles = {(): basis[()][_row(n)]}
+    # a copy: a view would keep the whole basis alive with the profile
+    profiles = {(): basis[()][_row(n)].copy()}
     for A in indices[1:]:
         profiles[A] = _outer(A[0], basis[A[1:]], st)
     wd = [w[:, :_C] for w in st.weights]

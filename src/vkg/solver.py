@@ -5,11 +5,14 @@ The distribution f(t, x, v) obeys  d_t f + vhat . grad_x f
 (box - 1) phi = rho = int f dv.  Transport is advanced by a conservative
 semi-Lagrangian split (monotone cubic interpolation of the primitive, so
 mass is conserved to roundoff and positivity is preserved); the field by
-velocity Verlet.  Hyperboloidal slice extraction reads the last T_WINDOW
-time levels of the kept box, the x cells that bound every slice node's
-window: the run holds a copy of f and phi over that box per level, not
-the whole state, and copies a local space-time block out of those
-copies around the slice nodes as the simulation time sweeps past them.
+velocity Verlet.  A step rebinds the state's f after every sub-step,
+so it holds at most two phase-space states at once: the input and the
+result of the current advection.  Hyperboloidal slice extraction reads
+the last T_WINDOW time levels of the kept box, the x cells that bound
+every slice node's window: the run holds a copy of f and phi over that
+box per level, not the whole state, and copies a local space-time block
+out of those copies around the slice nodes as the simulation time sweeps
+past them.
 Nodes that fire at the same step and whose windows overlap share one
 read-only block, and each node's block is a view of its window in it.
 Without nodes no level is held, and once the last node has fired the
@@ -292,15 +295,12 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     floor = -1e-13 * max(np.max(g, initial=0.0), -np.min(g, initial=0.0))
     boxes = list(_line_blocks(lines.shape[1:], max(1, BLOCK_CELLS // m)))
     # the workspace of one block, at the size of the first (largest) one:
-    # the padded primitive and slopes (edge e at row P + e), the padded
-    # averages, the Hermite sum and its term, and the picked windows.  It
-    # is one allocation: freeing one large block raises glibc's mmap and
-    # trim thresholds above its size, so later calls reuse the same heap
-    # pages instead of faulting in fresh ones
-    kmin, kmax = int(np.min(k)), int(np.max(k))
-    P = max(-kmin, kmax) + 1
-    starts = np.cumsum([0] + [m + 1 + 2 * P] * 2 + [m + 4]
-                       + [kmax - kmin + m + 1] * 2 + [m + 1])
+    # the padded primitive and slopes (edge e at row P + e for some
+    # P > max|k|), the padded averages, the Hermite sum and its term, and
+    # the picked windows.  It is one allocation: freeing one large block
+    # raises glibc's mmap and trim thresholds above its size, so later
+    # calls reuse the same heap pages instead of faulting in fresh ones
+    starts = _workspace_rows(m, int(np.min(k)), int(np.max(k)))
     work = np.empty(starts[-1] * lines[(0,) + boxes[0]].size)
     dest = result.transpose(order)
     i = 0
@@ -315,6 +315,17 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
                       (Wp, dp, H, T, Wq), dest[(slice(None),) + box])
         i += nb
     return result
+
+
+def _workspace_rows(m: int, kmin: int, kmax: int) -> np.ndarray:
+    """Where each array of advect's workspace starts, in rows of one value
+    per line, for lines of m cells and integer shifts kmin to kmax; the
+    last entry is the row count.  The arrays are _advect_lines' padded
+    averages gp and its work (Wp, dp, H, T, Wq), in the order Wp, dp, gp,
+    H, T, Wq."""
+    P = max(-kmin, kmax) + 1
+    return np.cumsum([0] + [m + 1 + 2 * P] * 2 + [m + 4]
+                     + [kmax - kmin + m + 1] * 2 + [m + 1])
 
 
 def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
@@ -523,52 +534,62 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
 
     phase and field are updated by rebinding their arrays to new ones;
     the arrays they held before the step are never written into.
+    phase.f is rebound after every sub-step (each x axis, each kick axis,
+    each source add), so the step holds at most two phase-space states at
+    once: the input and the result of the current advect call.  If step
+    raises, phase may be left mid-step, with f advanced by some sub-steps
+    and t unchanged.  kinetic_source(t) must return a fresh array of f's
+    shape: the step scales it and adds f into it in place.
     """
     dt = cfg.dt
     n = cfg.n
     vc = v_centers(cfg)
     vhat = vc / np.sqrt(1.0 + vc ** 2)
-    f = phase.f
-
-    def advect_x(f, h):
-        for d in range(n):
-            shape = [1] * 2 * n
-            shape[n + d] = len(vhat)
-            f = advect(f, vhat.reshape(shape) * h / cfg.dx, axis=d, bc=cfg.bc)
-        return f
-
     # in free_kg mode f is identically zero and advecting it is a no-op
     transport = cfg.mode != "free_kg"
-    if transport:
-        f = advect_x(f, dt / 2)
-
     evolve_field = cfg.mode != "free_transport"
     kick = cfg.mode in ("coupled", "mms")
     t_mid = phase.t + dt / 2
+
+    def advect_x(h):
+        for d in range(n):
+            shape = [1] * 2 * n
+            shape[n + d] = len(vhat)
+            phase.f = advect(phase.f, vhat.reshape(shape) * h / cfg.dx,
+                             axis=d, bc=cfg.bc)
+
+    def add_source():
+        # (dt/2) s + f: the same products and sums as f + (dt/2) s, with
+        # no state-sized temporary beside the source
+        src = kinetic_source(t_mid)
+        src *= dt / 2
+        src += phase.f
+        phase.f = src
+
+    if transport:
+        advect_x(dt / 2)
     if kinetic_source is not None:
-        f = f + (dt / 2) * kinetic_source(t_mid)
-    rho = source_density(f, cfg) if cfg.mode in ("coupled", "mms") \
-        else np.zeros_like(field.phi)
+        add_source()
+    rho = source_density(phase.f, cfg) if kick else np.zeros_like(field.phi)
 
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
     if kick:
         for d, gp in enumerate(grad_phi(field.phi, cfg)):
-            f = advect(f, -gp[(...,) + (None,) * n] * dt / cfg.dv, axis=n + d,
-                       bc=cfg.bc)
+            phase.f = advect(phase.f, -gp[(...,) + (None,) * n] * dt / cfg.dv,
+                             axis=n + d, bc=cfg.bc)
     if kinetic_source is not None:
-        f = f + (dt / 2) * kinetic_source(t_mid)
+        add_source()
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
 
     if transport:
-        f = advect_x(f, dt / 2)
+        advect_x(dt / 2)
 
-    phase.f = f
     phase.t += dt
     if not evolve_field:
         field.t = phase.t
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(field.phi))):
+    if not (np.all(np.isfinite(phase.f)) and np.all(np.isfinite(field.phi))):
         raise SolverError(f"non-finite state at t={phase.t}")
 
 
@@ -666,18 +687,25 @@ def _kept_box(pending: deque):
 
 def _check_memory(cfg: SimConfig, box: tuple):
     """Reject a run whose arrays cannot fit in physical memory, before
-    any is allocated.  A step holds about three states (f and phi) at
-    once, and the levels T_WINDOW copies of the kept box."""
+    any is allocated.  A step holds two states (f and phi) at once, the
+    input and the result of an advect call, beside that call's workspace
+    (taken for shifts of less than one cell, as the CFL bound makes the x
+    shifts), and the levels hold T_WINDOW copies of the kept box."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
+    cells = (cfg.nx * cfg.nv) ** cfg.n
+    work = max(8 * _workspace_rows(m, -1, 0)[-1]
+               * min(cells // m, max(1, BLOCK_CELLS // m))
+               for m in (cfg.nx, cfg.nv))
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
-    need = 3 * state + T_WINDOW * kept
+    need = 2 * state + work + T_WINDOW * kept
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SolverError(
-            f"run needs about {need / 2 ** 30:.3g} GiB (three states of "
-            f"{state / 2 ** 30:.3g} GiB and {T_WINDOW} kept boxes), more "
-            f"than the {have / 2 ** 30:.3g} GiB of physical memory")
+            f"run needs about {need / 2 ** 30:.3g} GiB (two states of "
+            f"{state / 2 ** 30:.3g} GiB, the advect workspace and "
+            f"{T_WINDOW} kept boxes), more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
 def _capture_nodes(levels: deque, cfg: SimConfig,
@@ -804,8 +832,12 @@ def run(cfg: SimConfig) -> RunResult:
             f"{len(pending)} slice nodes never fired; extend t_end")
     mms_error = None
     if cfg.mode == "mms":
+        # |f* - f| is |f - f*| exactly; computed in the array f_ex returns,
+        # it takes one state beside f, not three
+        err = f_ex(phase.t)
+        err -= phase.f
         mms_error = (float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
-                     float(np.max(np.abs(phase.f - f_ex(phase.t)))))
+                     float(np.max(np.abs(err, out=err))))
     return RunResult(cfg, slices, np.array(series["t"]),
                      np.array(series["sup_phi"]), np.array(series["sup_f"]),
                      np.array(series["min_f"]), np.array(series["mass"]),
@@ -873,7 +905,14 @@ def mms_forcing(cfg: SimConfig):
         return gp * (T(t, 2) + T(t)) - lap_gp * T(t) + rho_g * s(t)
 
     def kinetic_source(t):
-        return g * (math.cos(t) / 2 - s(t) * (drift + T(t) * coupling))
+        # g (cos t / 2 - s (drift + T coupling)) in one fresh array: each
+        # in-place step takes the same products and sums, bit for bit
+        h = np.multiply(coupling, T(t))
+        h += drift
+        h *= s(t)
+        np.subtract(math.cos(t) / 2, h, out=h)
+        h *= g
+        return h
 
     def phi_exact(t):
         return gp * T(t)

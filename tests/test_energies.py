@@ -261,6 +261,22 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (field, A)
 
 
+@pytest.mark.parametrize("n,count,order", [(1, 1, 2), (1, 3, 2),
+                                           (2, 1, 2), (2, 2, 1)])
+def test_stack_profiles_keep_no_basis_alive(n, count, order):
+    """Every velocity profile of a stack owns its memory: none is a view
+    of the larger contracted basis, which would stay alive with it until
+    evaluate_slice concatenates the stacks."""
+    profiles = energies._evaluate_stack(random_slice(n, count).nodes, n,
+                                        order)[0]
+    assert set(profiles) == set(multi_indices_up_to(n, order))
+    for A, p in profiles.items():
+        base = p
+        while base.base is not None:
+            base = base.base
+        assert base.nbytes == p.nbytes, A
+
+
 @pytest.mark.parametrize("n,count", [(1, 7), (2, 5)])
 def test_slice_energies_independent_of_block_layout(n, count):
     # captured blocks are strided views of a shared block, and a caller

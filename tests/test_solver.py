@@ -665,6 +665,38 @@ def test_run_holds_no_level_after_the_last_node_fires(taus, monkeypatch):
     assert max(f for t, f, lv in alive) == 0
 
 
+@pytest.mark.parametrize("mode,n", [("coupled", 1), ("coupled", 2),
+                                    ("mms", 1), ("mms", 2)])
+def test_step_holds_at_most_two_states(mode, n, monkeypatch):
+    """Through a run, every advect call finds no earlier state alive but
+    its input: the step holds the input and the result of the current
+    call, and drops each state once the next sub-step has replaced it."""
+    cfg = SimConfig(n=n, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.3, epsilon=1e-2, taus=())
+    seen = []               # weak references to the memory of each state
+    calls = []
+    real_advect = solver.advect
+
+    def memory(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    def spy(g, *args, **kwargs):
+        alive = [ref() for ref in seen]
+        calls.append(sum(a is not None and a is not memory(g)
+                         for a in alive))
+        del alive
+        seen.append(weakref.ref(memory(g)))
+        out = real_advect(g, *args, **kwargs)
+        seen.append(weakref.ref(memory(out)))
+        return out
+
+    monkeypatch.setattr(solver, "advect", spy)
+    run(cfg)
+    assert calls == [0] * (3 * 3 * n)
+
+
 def test_determinism_bitwise():
     a = run(SMALL)
     b = run(SMALL)
