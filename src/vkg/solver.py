@@ -417,9 +417,12 @@ class PhaseState:
 
 @dataclass
 class FieldState:
-    phi: np.ndarray
+    phi: np.ndarray                    # rebound, never written into
     pi: np.ndarray
     t: float
+    # (phi, L phi - phi), keyed on phi's identity so that it is never
+    # reused for a different phi
+    lap: tuple | None = None
 
 
 def initial_states(cfg: SimConfig) -> tuple[PhaseState, FieldState]:
@@ -455,25 +458,16 @@ def total_mass(f: np.ndarray, cfg: SimConfig) -> float:
 
 
 def _laplacian(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
-    """Fourth-order five-point stencil per axis (zero-extended outside
-    the box for the outgoing case; the radiation condition keeps the
-    boundary cells small)."""
+    """Fourth-order five-point stencil per axis on phi padded once by two
+    cells: wrapped for the periodic case, zeros for the outgoing one (the
+    radiation condition keeps the boundary cells small)."""
+    padded = np.pad(phi, 2, mode="wrap" if bc == "periodic" else "constant")
+    core = (slice(2, -2),) * phi.ndim
     out = np.zeros_like(phi)
-    for ax in range(phi.ndim):
-        if bc != "periodic":
-            pad = [(0, 0)] * phi.ndim
-            pad[ax] = (2, 2)
-            padded = np.pad(phi, pad)
-
-        def shift(k):
-            if bc == "periodic":
-                return np.roll(phi, -k, axis=ax)
-            s = [slice(None)] * phi.ndim
-            s[ax] = slice(2 + k, padded.shape[ax] - 2 + k)
-            return padded[tuple(s)]
-
-        out += (-shift(-2) + 16 * shift(-1) - 30 * phi
-                + 16 * shift(1) - shift(2)) / 12.0
+    for ax, m in enumerate(phi.shape):
+        sh = {k: padded[core[:ax] + (slice(2 + k, m + 2 + k),) + core[ax + 1:]]
+              for k in (-2, -1, 1, 2)}
+        out += (-sh[-2] + 16 * sh[-1] - 30 * phi + 16 * sh[1] - sh[2]) / 12.0
     return out / dx ** 2
 
 
@@ -501,22 +495,23 @@ def _sommerfeld(field: FieldState, cfg: SimConfig):
             - (n - 1) * phi[sl] / (2 * r[sl])
 
 
-def field_substep(field: FieldState, rho: np.ndarray, k: float,
+def field_substep(field: FieldState, rho: np.ndarray | float, k: float,
                   cfg: SimConfig, source: Callable | None = None):
-    """Velocity-Verlet advance of (phi, pi) by k with frozen source rho."""
+    """Velocity-Verlet advance of (phi, pi) by k with frozen source rho.
+    A substep's closing L phi - phi, kept with phi, is the next one's
+    opening one, so a call evaluates one Laplacian."""
 
-    def accel(phi, t):
-        a = _laplacian(phi, cfg.dx, cfg.bc) - phi - rho
-        if source is not None:
-            a = a + source(t)
-        return a
+    def accel(t):
+        if field.lap is None or field.lap[0] is not field.phi:
+            field.lap = (field.phi, _laplacian(field.phi, cfg.dx, cfg.bc)
+                         - field.phi)
+        a = field.lap[1] - rho
+        return a if source is None else a + source(t)
 
-    a0 = accel(field.phi, field.t)
-    phi1 = field.phi + k * field.pi + 0.5 * k * k * a0
-    a1 = accel(phi1, field.t + k)
-    pi1 = field.pi + 0.5 * k * (a0 + a1)
-    field.phi = phi1
-    field.pi = pi1
+    a0 = accel(field.t)
+    field.phi = field.phi + k * field.pi + 0.5 * k * k * a0
+    a1 = accel(field.t + k)
+    field.pi = field.pi + 0.5 * k * (a0 + a1)
     field.t += k
     if cfg.bc == "outgoing":
         _sommerfeld(field, cfg)
@@ -570,7 +565,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
         advect_x(dt / 2)
     if kinetic_source is not None:
         add_source()
-    rho = source_density(phase.f, cfg) if kick else np.zeros_like(field.phi)
+    rho = source_density(phase.f, cfg) if kick else 0.0
 
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
@@ -589,8 +584,6 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     phase.t += dt
     if not evolve_field:
         field.t = phase.t
-    if not (np.all(np.isfinite(phase.f)) and np.all(np.isfinite(field.phi))):
-        raise SolverError(f"non-finite state at t={phase.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +794,9 @@ def run(cfg: SimConfig) -> RunResult:
         series["sup_f"].append(float(np.max(phase.f)))
         series["min_f"].append(float(np.min(phase.f)))
         series["mass"].append(total_mass(phase.f, cfg))
+        # NaN and +-inf anywhere in f or phi reach one of these reductions
+        if not all(math.isfinite(series[k][-1]) for k in series):
+            raise SolverError(f"non-finite state at t={phase.t}")
 
     record()
     nsteps = int(round((cfg.t_end - cfg.t0) / cfg.dt))

@@ -469,6 +469,106 @@ def test_step_matches_reference_kernel(n, monkeypatch):
     assert total_mass(f, cfg) == total_mass(f_ref, cfg)
 
 
+# The field update that field_substep replaced: a Laplacian at both ends
+# of every substep, each axis padded (outgoing) or rolled (periodic) on
+# its own.  field_substep must match it bit for bit.
+
+def _reference_laplacian(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
+    """Fourth-order five-point stencil per axis (zero-extended outside
+    the box for the outgoing case; the radiation condition keeps the
+    boundary cells small)."""
+    out = np.zeros_like(phi)
+    for ax in range(phi.ndim):
+        if bc != "periodic":
+            pad = [(0, 0)] * phi.ndim
+            pad[ax] = (2, 2)
+            padded = np.pad(phi, pad)
+
+        def shift(k):
+            if bc == "periodic":
+                return np.roll(phi, -k, axis=ax)
+            s = [slice(None)] * phi.ndim
+            s[ax] = slice(2 + k, padded.shape[ax] - 2 + k)
+            return padded[tuple(s)]
+
+        out += (-shift(-2) + 16 * shift(-1) - 30 * phi
+                + 16 * shift(1) - shift(2)) / 12.0
+    return out / dx ** 2
+
+
+def _reference_field_substep(field: FieldState, rho: np.ndarray, k: float,
+                             cfg: SimConfig, source=None):
+    """Velocity-Verlet advance of (phi, pi) by k with frozen source rho."""
+
+    def accel(phi, t):
+        a = _reference_laplacian(phi, cfg.dx, cfg.bc) - phi - rho
+        if source is not None:
+            a = a + source(t)
+        return a
+
+    a0 = accel(field.phi, field.t)
+    phi1 = field.phi + k * field.pi + 0.5 * k * k * a0
+    a1 = accel(phi1, field.t + k)
+    pi1 = field.pi + 0.5 * k * (a0 + a1)
+    field.phi = phi1
+    field.pi = pi1
+    field.t += k
+    if cfg.bc == "outgoing":
+        solver._sommerfeld(field, cfg)
+
+
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["unforced", "field_source"])
+@pytest.mark.parametrize("bc", ["outgoing", "periodic"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_substep_matches_reference(n, bc, forced):
+    """Substeps taken as step takes them, two per frozen rho, with rho
+    renewed between pairs (the scalar 0.0 that step passes without a kick
+    against the reference's zeros, then a density), agree with the
+    reference bit for bit: the L phi - phi carried over from one substep
+    to the next is the one the reference evaluates again."""
+    cfg = SimConfig(n=n, mode="mms", x_extent=4.0, nx=24 if n == 1 else 12,
+                    vmax=2.0, nv=8, dt=0.1, t0=1.0, t_end=2.0, epsilon=1e-3,
+                    bc=bc, taus=())
+    phi_ex, pi_ex, _, _, field_source = mms_forcing(cfg)
+    source = field_source if forced else None
+    rng = np.random.default_rng(n)
+    fld = FieldState(phi_ex(cfg.t0), pi_ex(cfg.t0), cfg.t0)
+    ref = FieldState(fld.phi, fld.pi, fld.t)
+    for pair in range(4):
+        rho = rng.random(fld.phi.shape) * 1e-3 if pair % 2 else 0.0
+        for _ in range(2):
+            solver.field_substep(fld, rho, cfg.dt / 2, cfg, source)
+            _reference_field_substep(ref, rho + np.zeros_like(ref.phi),
+                                     cfg.dt / 2, cfg, source)
+            for got, want in ((fld.phi, ref.phi), (fld.pi, ref.pi)):
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+            assert fld.t == ref.t
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["coupled", "mms", "free_kg",
+                                  "free_transport"])
+def test_run_evaluates_two_laplacians_per_step(mode, n, monkeypatch):
+    """An N-step run evaluates 2N + 1 Laplacians when the field evolves
+    (one per substep, and one for the initial phi) and none when it does
+    not."""
+    cfg = SimConfig(n=n, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.5, epsilon=1e-2, taus=())
+    calls = []
+    laplacian = solver._laplacian
+
+    def spy(*args):
+        calls.append(args)
+        return laplacian(*args)
+
+    monkeypatch.setattr(solver, "_laplacian", spy)
+    steps = len(run(cfg).times) - 1
+    assert steps == 5
+    assert len(calls) == (0 if mode == "free_transport" else 2 * steps + 1)
+
+
 def test_sommerfeld_frame_at_odd_nx_divides_by_no_zero():
     """At odd nx the n = 2 grid has a cell at r = 0.  The radiation value
     is set on the boundary frame only, so a step warns of nothing, and the
