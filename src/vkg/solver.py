@@ -99,6 +99,16 @@ class SimConfig:
             if not (math.isfinite(value) and value > 0):
                 raise SolverError(
                     f"{name} must be positive and finite, got {value}")
+        for name in ("nx", "nv"):
+            # np.gradient with edge_order=2 needs three points per axis
+            value = getattr(self, name)
+            if value < 3:
+                raise SolverError(f"{name} must be at least 3, got {value}")
+        for name in ("x_extent", "vmax"):
+            # the Laplacian, the energies and |v|^2 square these scales
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise SolverError(f"{name} squared overflows, got {value}")
         for name in ("f_amplitude", "phi_amplitude", "f_center_v", "rmax",
                      "support_radius", "boundary_floor"):
             value = getattr(self, name)
@@ -678,12 +688,15 @@ def _kept_box(pending: deque):
                   for e in pending))
 
 
-def _check_memory(cfg: SimConfig, box: tuple):
+def _check_memory(cfg: SimConfig, box: tuple) -> int:
     """Reject a run whose arrays cannot fit in physical memory, before
-    any is allocated.  A step holds two states (f and phi) at once, the
-    input and the result of an advect call, beside that call's workspace
-    (taken for shifts of less than one cell, as the CFL bound makes the x
-    shifts), and the levels hold T_WINDOW copies of the kept box."""
+    any is allocated, and return the bytes it needs.  A step holds two
+    states (f and phi) at once, the input and the result of an advect
+    call, beside that call's workspace (taken for shifts of less than one
+    cell, as the CFL bound makes the x shifts), and the levels hold
+    T_WINDOW copies of the kept box.  In mms mode mms_forcing holds three
+    f-sized factors for the whole run.  It builds them with a fourth, but
+    before any state exists, so that peak stays below the run's."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
     cells = (cfg.nx * cfg.nv) ** cfg.n
@@ -691,14 +704,17 @@ def _check_memory(cfg: SimConfig, box: tuple):
                * min(cells // m, max(1, BLOCK_CELLS // m))
                for m in (cfg.nx, cfg.nv))
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
-    need = 2 * state + work + T_WINDOW * kept
+    factors = 3 * 8 * cells if cfg.mode == "mms" else 0
+    need = 2 * state + work + T_WINDOW * kept + factors
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SolverError(
             f"run needs about {need / 2 ** 30:.3g} GiB (two states of "
-            f"{state / 2 ** 30:.3g} GiB, the advect workspace and "
-            f"{T_WINDOW} kept boxes), more than the "
+            f"{state / 2 ** 30:.3g} GiB, the advect workspace"
+            + (", three forcing factors" if factors else "") +
+            f" and {T_WINDOW} kept boxes), more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory")
+    return need
 
 
 def _capture_nodes(levels: deque, cfg: SimConfig,

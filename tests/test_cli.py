@@ -126,13 +126,58 @@ def test_node_window_off_the_grid_exits_3_before_stepping(
     ("cfl_safety", "nan"), ("cfl_safety", "0"), ("f_amplitude", "nan"),
     ("phi_amplitude", "inf"), ("f_center_v", "nan"), ("rmax", "nan"),
     ("rmax", "-1"), ("support_radius", "nan"), ("boundary_floor", "nan"),
-    ("taus", "nan"), ("taus", "3.0, 3.0")])
+    ("taus", "nan"), ("taus", "3.0, 3.0"),
+    # np.gradient(edge_order=2) needs three points per axis: nv = 1 and
+    # nx = 1 ended in an IndexError traceback, nv = 2 exited 3 only after
+    # the whole run
+    ("nx", "1"), ("nx", "2"), ("nv", "1"), ("nv", "2"),
+    # squares that overflow: an OverflowError traceback from the
+    # Laplacian's dx ** 2, and a late NaN conversion
+    ("x_extent", "1e300"), ("vmax", "1e300")])
 def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)
     monkeypatch.setenv("VKG_" + key.upper(), value)
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert steps == []
+
+
+@pytest.mark.parametrize("case", ["nan_in_step_2", "f_amplitude_1e307"])
+def test_non_finite_state_exits_3(case, tmp_path, monkeypatch, capsys):
+    # a NaN that an advect call of the second step puts into f stops the
+    # run at the end of that step; an amplitude whose mass overflows to
+    # inf (it used to run every step, then fail in the SVG writer) stops
+    # it at the initial state
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    steps = []
+    real_step, real_advect = solver.step, solver.advect
+
+    def step_spy(*args):
+        steps.append(args)
+        real_step(*args)
+
+    def advect_nan(*args, **kwargs):
+        out = real_advect(*args, **kwargs)
+        if len(steps) == 2:
+            out[(7,) * out.ndim] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "step", step_spy)
+    if case == "nan_in_step_2":
+        monkeypatch.setattr(solver, "advect", advect_nan)
+    else:
+        monkeypatch.setenv("VKG_F_AMPLITUDE", "1e307")
+    out = tmp_path / "o"
+    assert main(["simulate", str(conf), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite state at t=" in err and "Traceback" not in err
+    assert len(steps) == (2 if case == "nan_in_step_2" else 0)
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -797,6 +797,64 @@ def test_step_holds_at_most_two_states(mode, n, monkeypatch):
     assert calls == [0] * (3 * 3 * n)
 
 
+def test_memory_check_counts_the_mms_factors(monkeypatch):
+    """mms_forcing holds three f-sized factors for the whole run (54 MiB
+    beside an 18 MiB state at n = 2, 48^2 x 32^2).  The memory check counts
+    them, so on a machine that fits the coupled run but not the forced one
+    the forced run is rejected before they are built."""
+    cfg = SimConfig(n=2, mode="mms", x_extent=4.0, nx=48, vmax=2.0, nv=32,
+                    dt=0.1, t0=1.0, t_end=1.2, taus=())
+    coupled = dataclasses.replace(cfg, mode="coupled")
+    need_mms = solver._check_memory(cfg, ())
+    need_coupled = solver._check_memory(coupled, ())
+    assert need_mms - need_coupled == 3 * 8 * (48 * 32) ** 2
+    memory = (need_coupled + need_mms) // 2
+    monkeypatch.setattr(os, "sysconf", lambda name: (
+        1 if name == "SC_PAGE_SIZE" else memory))
+    built = []
+    monkeypatch.setattr(solver, "mms_forcing", built.append)
+    with pytest.raises(SolverError, match="three forcing factors"):
+        run(cfg)
+    assert built == []
+    assert solver._check_memory(coupled, ()) == need_coupled
+
+
+@pytest.mark.parametrize("where", ["f", "phi"])
+def test_non_finite_value_stops_the_run_within_its_step(where, monkeypatch):
+    """A NaN that enters f (from an advect call) or phi (from a field
+    substep) in the third step makes run raise at the end of that step,
+    with the time the step reached."""
+    cfg = SimConfig(n=1, mode="coupled", x_extent=4.0, nx=16, vmax=2.0,
+                    nv=8, dt=0.1, t0=2.0, t_end=3.0, epsilon=1e-2, taus=())
+    steps = []
+    real_step = solver.step
+    name = "advect" if where == "f" else "field_substep"
+    real = getattr(solver, name)
+
+    def step_spy(phase, *args):
+        steps.append(phase.t)
+        real_step(phase, *args)
+        steps[-1] = phase.t
+
+    def inject(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if len(steps) == 3:
+            if where == "f":
+                out[(5,) * out.ndim] = np.nan
+            else:
+                fld = args[0]
+                fld.phi = fld.phi.copy()
+                fld.phi[5] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "step", step_spy)
+    monkeypatch.setattr(solver, name, inject)
+    with pytest.raises(SolverError) as err:
+        run(cfg)
+    assert len(steps) == 3
+    assert str(err.value) == f"non-finite state at t={steps[-1]}"
+
+
 def test_determinism_bitwise():
     a = run(SMALL)
     b = run(SMALL)
