@@ -69,10 +69,13 @@ def relative_deviation(E: np.ndarray) -> float:
     return float(np.max(np.abs(E - E[0])) / E[0])
 
 
-def mms_errors(nx: int, dt: float, nv: int = 160,
-               span: float = 1.0) -> tuple[float, float]:
-    """Sup-norm errors (phi, f) of the n = 1 manufactured-solution run
-    from t = 1 to 1 + span."""
-    return run(SimConfig(n=1, mode="mms", x_extent=8.0, nx=nx, vmax=3.0,
-                         nv=nv, dt=dt, t0=1.0, t_end=1.0 + span,
+def mms_errors(nx: int, dt: float, nv: int = 160, span: float = 1.0,
+               n: int = 1) -> tuple[float, float]:
+    """Sup-norm errors (phi, f) of the manufactured-solution run in n
+    dimensions from t = 1 to 1 + span, on x in [-8, 8] and v in [-3, 3]
+    for n = 1 and on the smaller box x in [-4, 4], v in [-2, 2] for
+    n = 2."""
+    x_extent, vmax = (8.0, 3.0) if n == 1 else (4.0, 2.0)
+    return run(SimConfig(n=n, mode="mms", x_extent=x_extent, nx=nx,
+                         vmax=vmax, nv=nv, dt=dt, t0=1.0, t_end=1.0 + span,
                          epsilon=1e-3, taus=())).mms_error

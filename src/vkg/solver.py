@@ -548,8 +548,11 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     """
     dt = cfg.dt
     n = cfg.n
-    vc = v_centers(cfg)
-    vhat = vc / np.sqrt(1.0 + vc ** 2)
+    # x axis d moves at vhat_d = v_d / v^0, v^0 = sqrt(1 + |v|^2): one
+    # shift per velocity cell, on (1,)*n + (nv,)*n
+    vg = np.meshgrid(*[v_centers(cfg)] * n, indexing="ij")
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    vhat = [(v / v0)[(None,) * n] for v in vg]
     # in free_kg mode f is identically zero and advecting it is a no-op
     transport = cfg.mode != "free_kg"
     evolve_field = cfg.mode != "free_transport"
@@ -558,10 +561,8 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
 
     def advect_x(h):
         for d in range(n):
-            shape = [1] * 2 * n
-            shape[n + d] = len(vhat)
-            phase.f = advect(phase.f, vhat.reshape(shape) * h / cfg.dx,
-                             axis=d, bc=cfg.bc)
+            phase.f = advect(phase.f, vhat[d] * h / cfg.dx, axis=d,
+                             bc=cfg.bc)
 
     def add_source():
         # (dt/2) s + f: the same products and sums as f + (dt/2) s, with

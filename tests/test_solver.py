@@ -2,6 +2,7 @@
 conservation, and manufactured-solution convergence."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vkg.solver as solver
+from vkg import criteria
 from vkg.solver import (FieldState, PhaseState, SimConfig, SolverError,
                         _limited_slopes, advect, initial_states,
                         mms_forcing, run,
@@ -980,6 +982,52 @@ def test_run_mms_error_matches_stepping_by_hand():
         float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
         float(np.max(np.abs(phase.f - f_ex(phase.t)))))
     assert run(dataclasses.replace(cfg, mode="coupled")).mms_error is None
+
+
+# the n = 2 ladder (nx, nv, dt) = (16, 12, 0.1) -> (32, 24, 0.05) measured
+# errors phi 6.86e-7 -> 7.78e-8 and f 1.46e-5 -> 1.29e-6, orders 3.14 and
+# 3.50; with x advected at v_d / sqrt(1 + v_d^2) instead of v_d / v^0 the
+# orders were 1.04 and 0.29 and the fine errors 4.02e-7 and 9.90e-6
+N2_MMS_MIN_ORDER = 2.8
+N2_MMS_MAX_ORDER = 4.0
+N2_MMS_FINE_ERRORS = (1e-7, 1.5e-6)
+
+
+def test_n2_mms_converges_at_high_order():
+    """The n = 2 manufactured solution, refined once in x, v and t, shows
+    its errors falling at the measured orders: the run that `vkg.criteria`
+    and scripts/mms_convergence.py share."""
+    coarse = criteria.mms_errors(16, 0.1, 12, n=2)
+    fine = criteria.mms_errors(32, 0.05, 24, n=2)
+    for c, f, bound in zip(coarse, fine, N2_MMS_FINE_ERRORS):
+        assert N2_MMS_MIN_ORDER <= math.log2(c / f) <= N2_MMS_MAX_ORDER
+        assert f < bound
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_x_sweeps_shift_by_v_over_v0(n, monkeypatch):
+    """Each x sweep of a step shifts x axis d by v_d / v^0 * h / dx cells,
+    v^0 = sqrt(1 + |v|^2), one shift per velocity cell."""
+    cfg = SimConfig(n=n, mode="coupled", x_extent=4.0, nx=16, vmax=2.0,
+                    nv=6, dt=0.1, t0=2.0, t_end=2.1, epsilon=1e-2, taus=())
+    sweeps = []
+    real_advect = solver.advect
+
+    def spy(g, sigma, axis, bc="outgoing"):
+        if axis < n:
+            sweeps.append((axis, sigma))
+        return real_advect(g, sigma, axis, bc)
+
+    monkeypatch.setattr(solver, "advect", spy)
+    step(*initial_states(cfg), cfg)
+    vg = np.meshgrid(*[v_centers(cfg)] * n, indexing="ij")
+    v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
+    assert [axis for axis, _ in sweeps] == list(range(n)) * 2
+    for axis, sigma in sweeps:
+        assert sigma.shape == (1,) * n + (cfg.nv,) * n
+        np.testing.assert_allclose(
+            sigma[(0,) * n], vg[axis] / v0 * (cfg.dt / 2) / cfg.dx,
+            rtol=1e-15, atol=0.0)
 
 
 def test_mms_forcing_consistency():
