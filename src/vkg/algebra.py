@@ -285,10 +285,6 @@ class QPoly:
         self.pt = pt if pt is not None else PPoly(n)
         self.px = list(px) if px is not None else [PPoly(n) for _ in range(n)]
 
-    @classmethod
-    def from_ppoly(cls, p: PPoly) -> "QPoly":
-        return cls(p.n, p0=p)
-
     def __bool__(self):
         return bool(self.p0) or bool(self.pt) or any(self.px)
 

@@ -1,14 +1,18 @@
 """Flat key=value run configuration with a versioned schema.
 
-Unknown keys are hard errors so typos in long parameter sweeps fail
-fast.  Every key can be overridden from the environment through
-VKG_<KEY> (uppercased), which takes precedence over the file.
+The keys are the fields of SimConfig and RunSettings: their names, types
+and defaults are declared there and nowhere else.  Unknown keys are hard
+errors so typos in long parameter sweeps fail fast.  Every key can be
+overridden from the environment through VKG_<KEY> (uppercased), which
+takes precedence over the file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
 from .solver import SimConfig
 
@@ -24,36 +28,29 @@ class ConfigError(ValueError):
 class RunSettings:
     sim: SimConfig
     delta_mode: str = "free"           # free | n4
-    decay_window: tuple[float, float] = (10.0, 100.0)
+    decay_window_lo: float = 10.0      # t window of the decay fits
+    decay_window_hi: float = 100.0
     ratio_variation_max: float = 5.0
 
-
-_SIM_FIELDS = {f.name: f.type for f in fields(SimConfig)}
-
-_EXTRA_FIELDS = {
-    "schema": int,
-    "delta_mode": str,
-    "decay_window_lo": float,
-    "decay_window_hi": float,
-    "ratio_variation_max": float,
-}
-
-_FLOAT_TUPLE_KEYS = {"taus"}
+    @property
+    def decay_window(self) -> tuple[float, float]:
+        return self.decay_window_lo, self.decay_window_hi
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _FLOAT_TUPLE_KEYS:
-        if not raw:
-            return ()
-        return tuple(float(tok) for tok in raw.split(","))
-    decl = _SIM_FIELDS.get(key) or _EXTRA_FIELDS.get(key)
-    decl = str(decl)
-    if "int" in decl:
-        return int(raw)
-    if "float" in decl:
-        return float(raw)
-    return raw
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",")) if raw else ()
+
+
+# each key's parser, by its declared type
+_PARSERS = {int: int, float: float, str: str, tuple[float, ...]: _floats}
+
+_SIM_KEYS = typing.get_type_hints(SimConfig)
+
+# every key a config file may set, with its parser
+KEYS = {"schema": int} | {
+    name: _PARSERS[hint] for name, hint in (
+        _SIM_KEYS | typing.get_type_hints(RunSettings)).items()
+    if name != "sim"}
 
 
 def parse_config(text: str) -> dict:
@@ -67,12 +64,12 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, _, raw = body.partition("=")
         key = key.strip()
-        if key not in _SIM_FIELDS and key not in _EXTRA_FIELDS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            out[key] = _parse_value(key, raw)
+            out[key] = KEYS[key](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}")
     return out
@@ -81,11 +78,11 @@ def parse_config(text: str) -> dict:
 def apply_env_overrides(values: dict, environ=None) -> dict:
     environ = os.environ if environ is None else environ
     out = dict(values)
-    for key in list(_SIM_FIELDS) + list(_EXTRA_FIELDS):
+    for key, parse in KEYS.items():
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
             try:
-                out[key] = _parse_value(key, environ[env_key])
+                out[key] = parse(environ[env_key].strip())
             except ValueError as exc:
                 raise ConfigError(f"env {env_key}: bad value: {exc}")
     return out
@@ -93,32 +90,21 @@ def apply_env_overrides(values: dict, environ=None) -> dict:
 
 def load_settings(text: str, environ=None) -> RunSettings:
     values = apply_env_overrides(parse_config(text), environ)
-    if values.get("schema") != SCHEMA_VERSION:
+    if values.pop("schema", None) != SCHEMA_VERSION:
         raise ConfigError(
             f"config must declare schema = {SCHEMA_VERSION}")
-    sim_kwargs = {k: v for k, v in values.items() if k in _SIM_FIELDS}
-    sim = SimConfig(**sim_kwargs)
-    delta_mode = values.get("delta_mode", "free")
-    if delta_mode not in ("free", "n4"):
-        raise ConfigError(f"delta_mode must be free or n4, got {delta_mode!r}")
-    return RunSettings(
-        sim=sim,
-        delta_mode=delta_mode,
-        decay_window=(values.get("decay_window_lo", 10.0),
-                      values.get("decay_window_hi", 100.0)),
-        ratio_variation_max=values.get("ratio_variation_max", 5.0),
-    )
+    sim = SimConfig(**{k: v for k, v in values.items() if k in _SIM_KEYS})
+    settings = RunSettings(
+        sim, **{k: v for k, v in values.items() if k not in _SIM_KEYS})
+    if settings.delta_mode not in ("free", "n4"):
+        raise ConfigError(
+            f"delta_mode must be free or n4, got {settings.delta_mode!r}")
+    return settings
 
 
 def settings_echo(settings: RunSettings) -> dict:
     """Flat dictionary of the effective configuration, for the manifest."""
-    echo = {f.name: getattr(settings.sim, f.name) for f in fields(SimConfig)}
+    echo = dataclasses.asdict(settings)
+    echo = {"schema": SCHEMA_VERSION} | echo.pop("sim") | echo
     echo["taus"] = list(echo["taus"])
-    echo.update({
-        "schema": SCHEMA_VERSION,
-        "delta_mode": settings.delta_mode,
-        "decay_window_lo": settings.decay_window[0],
-        "decay_window_hi": settings.decay_window[1],
-        "ratio_variation_max": settings.ratio_variation_max,
-    })
     return echo

@@ -239,15 +239,10 @@ def _evaluate_stack(nodes: list[NodeSample], n: int, order: int):
     """Node values of every index up to order on nodes that share a block
     shape: the dicts (f, phi, phi_dt, phi_grad) of SliceQuantities."""
     st = _stack(nodes, n)
-    if len(nodes) == 1:
-        f, phi = nodes[0].fblock[None], nodes[0].phiblock[None]
-    else:
-        f = np.stack([nd.fblock for nd in nodes])
-        phi = np.stack([nd.phiblock for nd in nodes])
     # the summation order of the contractions follows the memory layout,
-    # so fix it: C order (a one-node stack of captured blocks is a view
-    # into a shared block, so this copies it)
-    f, phi = np.ascontiguousarray(f), np.ascontiguousarray(phi)
+    # so fix it: C order (np.stack keeps an F-ordered block in F order)
+    f = np.ascontiguousarray(np.stack([nd.fblock for nd in nodes]))
+    phi = np.ascontiguousarray(np.stack([nd.phiblock for nd in nodes]))
     indices = multi_indices_up_to(n, order)
     # whole blocks of Z_B f are needed only as the inner blocks of longer
     # indices; phi blocks have no v axes and are kept for every index

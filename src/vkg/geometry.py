@@ -4,8 +4,8 @@ The region t >= sqrt(1 + |x|^2) is sliced by hyperboloids
 H_tau = {t^2 - |x|^2 = tau^2}.  This module provides the coordinate
 maps between Cartesian (t, x) and pseudo-Cartesian (tau, y) systems,
 slice quadratures carrying the induced volume form
-(tau/t) r^{n-1} dr dsigma, unit normals, and the derivative operator
-of the pseudo-Cartesian spatial coordinates.
+(tau/t) r^{n-1} dr dsigma, and the closed-form volume of a truncated
+slice.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -54,31 +54,6 @@ def lift_to_cartesian(h: HyperboloidCoords) -> SpacetimePoint:
         raise FoliationDomainError(f"tau={h.tau} < 1 is below the base slice")
     r2 = sum(c * c for c in h.y)
     return SpacetimePoint(t=math.sqrt(h.tau * h.tau + r2), x=tuple(h.y))
-
-
-def unit_normal(p: SpacetimePoint) -> tuple[float, float]:
-    """Future unit normal to the slice through p, as (d_t, d_r) components.
-
-    The normal is (t d_t + r d_r)/tau; its Minkowski norm is -1 in
-    signature (-, +, ..., +).  Degenerate on the light cone t = |x|.
-    """
-    r = p.r
-    if p.t <= r:
-        raise FoliationDomainError(
-            f"normal degenerate at (t={p.t}, r={r}): tau -> 0"
-        )
-    tau = math.sqrt((p.t - r) * (p.t + r))
-    return (p.t / tau, r / tau)
-
-
-def slice_volume_weight(tau: float, r: float, n: int) -> float:
-    """Radial density (tau/t) r^{n-1} of the induced volume form on H_tau."""
-    if tau < 1.0:
-        raise FoliationDomainError(f"tau={tau} < 1")
-    if r < 0:
-        raise ValueError(f"negative radius {r}")
-    t = math.sqrt(tau * tau + r * r)
-    return (tau / t) * r ** (n - 1)
 
 
 def truncated_slice_volume(tau: float, rmax: float, n: int) -> float:

@@ -47,6 +47,11 @@ class SolverError(RuntimeError):
 # of each order
 SYMBOLIC_CAP = 4
 
+# largest dt / dx a run accepts; the x shifts then stay below one cell
+CFL_SAFETY = 0.9
+# f above this on an outgoing x edge makes the run warn once
+BOUNDARY_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -64,16 +69,13 @@ class SimConfig:
     phi_amplitude: float = -1.0    # initial phi peak; epsilon when negative
     f_width_x: float = 0.7
     f_width_v: float = 0.35
-    f_center_v: float = 0.0
     phi_width: float = 0.7
     taus: tuple[float, ...] = ()
     rmax: float = 10.0             # slice truncation radius (or cap)
     rmax_mode: str = "fixed"       # fixed | lightcone
     support_radius: float = 3.0    # data support estimate for lightcone mode
     slice_resolution: int = 40
-    cfl_safety: float = 0.9
     bc: str = "outgoing"           # outgoing | periodic
-    boundary_floor: float = 1e-10
     energy_order: int = 2          # max |A| in grid diagnostics
 
     @property
@@ -83,6 +85,10 @@ class SimConfig:
     @property
     def dv(self) -> float:
         return 2.0 * self.vmax / self.nv
+
+    @property
+    def nsteps(self) -> int:
+        return int(round((self.t_end - self.t0) / self.dt))
 
     def validate(self):
         if self.n not in (1, 2):
@@ -94,7 +100,7 @@ class SimConfig:
         if self.rmax_mode not in ("fixed", "lightcone"):
             raise SolverError(f"unknown rmax mode {self.rmax_mode!r}")
         for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
-                     "f_width_x", "f_width_v", "phi_width", "cfl_safety"):
+                     "f_width_x", "f_width_v", "phi_width"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise SolverError(
@@ -109,8 +115,8 @@ class SimConfig:
             value = getattr(self, name)
             if not math.isfinite(value * value):
                 raise SolverError(f"{name} squared overflows, got {value}")
-        for name in ("f_amplitude", "phi_amplitude", "f_center_v", "rmax",
-                     "support_radius", "boundary_floor"):
+        for name in ("f_amplitude", "phi_amplitude", "rmax",
+                     "support_radius"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise SolverError(f"{name} must be finite, got {value}")
@@ -123,6 +129,9 @@ class SimConfig:
                 and self.t_end > self.t0):
             raise SolverError(
                 f"need finite t0 < t_end, got t0={self.t0}, t_end={self.t_end}")
+        if not math.isfinite((self.t_end - self.t0) / self.dt):
+            raise SolverError(
+                f"the step count (t_end - t0) / dt overflows, got dt={self.dt}")
         # the pipeline's L2 estimate checks read the order-1 quantities
         if not 1 <= self.energy_order <= SYMBOLIC_CAP:
             raise SolverError(
@@ -130,9 +139,9 @@ class SimConfig:
                 f"got {self.energy_order}")
         if self.rmax_mode == "lightcone" and self.t0 <= self.support_radius:
             raise SolverError("lightcone truncation needs t0 > support_radius")
-        if self.dt > self.cfl_safety * self.dx:
+        if self.dt > CFL_SAFETY * self.dx:
             raise SolverError(
-                f"CFL violation: dt={self.dt} > {self.cfl_safety}*dx={self.cfl_safety * self.dx}")
+                f"CFL violation: dt={self.dt} > {CFL_SAFETY}*dx={CFL_SAFETY * self.dx}")
         for tau in self.taus:
             if tau < self.t0 + 3 * self.dt:
                 raise SolverError(
@@ -435,23 +444,29 @@ class FieldState:
     lap: tuple | None = None
 
 
+def _amplitudes(cfg: SimConfig) -> tuple[float, float]:
+    """Peaks of the initial f and phi: epsilon where the setting is
+    negative and for both in mms mode, which ignores the settings, and
+    zero for the one that a free mode never sets."""
+    if cfg.mode == "mms":
+        return cfg.epsilon, cfg.epsilon
+    amp_f, amp_phi = (a if a >= 0 else cfg.epsilon
+                      for a in (cfg.f_amplitude, cfg.phi_amplitude))
+    return (0.0 if cfg.mode == "free_kg" else amp_f,
+            0.0 if cfg.mode == "free_transport" else amp_phi)
+
+
 def initial_states(cfg: SimConfig) -> tuple[PhaseState, FieldState]:
     n = cfg.n
     xg, vg = _grids(cfg)
-    vg = (vg[0] - cfg.f_center_v,) + vg[1:]
     phi_x2 = sum(x ** 2 for x in xg)
     x2 = phi_x2[(...,) + (None,) * n]
     v2 = sum(v ** 2 for v in vg)[(None,) * n]
-    amp_f = cfg.f_amplitude if cfg.f_amplitude >= 0 else cfg.epsilon
-    amp_phi = cfg.phi_amplitude if cfg.phi_amplitude >= 0 else cfg.epsilon
+    amp_f, amp_phi = _amplitudes(cfg)
     f0 = amp_f * np.exp(-x2 / (2 * cfg.f_width_x ** 2)
                         - v2 / (2 * cfg.f_width_v ** 2))
     phi0 = amp_phi * np.exp(-phi_x2 / (2 * cfg.phi_width ** 2))
     pi0 = np.zeros_like(phi0)
-    if cfg.mode == "free_kg":
-        f0 = np.zeros_like(f0)
-    if cfg.mode == "free_transport":
-        phi0 = np.zeros_like(phi0)
     return PhaseState(f0, cfg.t0), FieldState(phi0, pi0, cfg.t0)
 
 
@@ -689,15 +704,23 @@ def _kept_box(pending: deque):
                   for e in pending))
 
 
+# bytes that run's five series take per recorded step: a float object
+# and a list slot each while stepping, then an array entry each.  Traced
+# with tracemalloc, the peak of run on a 4 x 4 grid grew by 196-203 bytes
+# per step between 1000 and 120 000 steps.
+SERIES_BYTES_PER_STEP = 208
+
+
 def _check_memory(cfg: SimConfig, box: tuple) -> int:
     """Reject a run whose arrays cannot fit in physical memory, before
     any is allocated, and return the bytes it needs.  A step holds two
     states (f and phi) at once, the input and the result of an advect
     call, beside that call's workspace (taken for shifts of less than one
     cell, as the CFL bound makes the x shifts), and the levels hold
-    T_WINDOW copies of the kept box.  In mms mode mms_forcing holds three
-    f-sized factors for the whole run.  It builds them with a fourth, but
-    before any state exists, so that peak stays below the run's."""
+    T_WINDOW copies of the kept box.  The series grow by one entry per
+    step.  In mms mode mms_forcing holds three f-sized factors for the
+    whole run.  It builds them with a fourth, but before any state
+    exists, so that peak stays below the run's."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
     cells = (cfg.nx * cfg.nv) ** cfg.n
@@ -706,15 +729,17 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
                for m in (cfg.nx, cfg.nv))
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
     factors = 3 * 8 * cells if cfg.mode == "mms" else 0
-    need = 2 * state + work + T_WINDOW * kept + factors
+    series = SERIES_BYTES_PER_STEP * (cfg.nsteps + 1)
+    need = 2 * state + work + T_WINDOW * kept + factors + series
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SolverError(
             f"run needs about {need / 2 ** 30:.3g} GiB (two states of "
             f"{state / 2 ** 30:.3g} GiB, the advect workspace"
             + (", three forcing factors" if factors else "") +
-            f" and {T_WINDOW} kept boxes), more than the "
-            f"{have / 2 ** 30:.3g} GiB of physical memory")
+            f", {T_WINDOW} kept boxes and the series of {cfg.nsteps} "
+            f"steps), more than the {have / 2 ** 30:.3g} GiB of physical "
+            "memory")
     return need
 
 
@@ -807,18 +832,27 @@ def run(cfg: SimConfig) -> RunResult:
 
     def record():
         series["t"].append(phase.t)
-        series["sup_phi"].append(float(np.max(np.abs(fld.phi))))
-        series["sup_f"].append(float(np.max(phase.f)))
-        series["min_f"].append(float(np.min(phase.f)))
-        series["mass"].append(total_mass(phase.f, cfg))
+        # an overflow is reported as the non-finite state below
+        with np.errstate(over="ignore"):
+            series["sup_phi"].append(float(np.max(np.abs(fld.phi))))
+            series["sup_f"].append(float(np.max(phase.f)))
+            series["min_f"].append(float(np.min(phase.f)))
+            series["mass"].append(total_mass(phase.f, cfg))
         # NaN and +-inf anywhere in f or phi reach one of these reductions
         if not all(math.isfinite(series[k][-1]) for k in series):
             raise SolverError(f"non-finite state at t={phase.t}")
 
     record()
-    nsteps = int(round((cfg.t_end - cfg.t0) / cfg.dt))
+    # data that underflows to zero on every cell of the grid
+    for name, amp, peak in zip(("f", "phi"), _amplitudes(cfg),
+                               (series["sup_f"][0], series["sup_phi"][0])):
+        if amp > 0 and peak == 0:
+            raise SolverError(
+                f"the initial {name} of amplitude {amp:g} is zero on every "
+                f"cell: the grid (dx={cfg.dx:g}, dv={cfg.dv:g}) cannot hold "
+                "the data")
     boundary_flagged = False
-    for _ in range(nsteps):
+    for _ in range(cfg.nsteps):
         step(phase, fld, cfg, kinetic_source, field_source)
         if pending:
             levels.append(level())
@@ -835,7 +869,7 @@ def run(cfg: SimConfig) -> RunResult:
             levels.clear()
         if not boundary_flagged and cfg.bc == "outgoing":
             edge = _boundary_max(phase.f, cfg.n)
-            if edge > cfg.boundary_floor:
+            if edge > BOUNDARY_FLOOR:
                 warnings.append(
                     f"distribution support reached the boundary at t={phase.t:.3f}"
                     f" (edge max {edge:.3e})")

@@ -224,9 +224,9 @@ def test_qpoly_lifted_translations_pick_affine_parts():
                       PPoly.u(n, 2), PPoly.constant(n, Fraction(1, 2)))
     q = QPoly(n, p0=p0, pt=pt, px=[p1, p2])
     gens = {str(g): g for g in generators(n)}
-    assert q.apply_lifted(gens["d_t"]) == QPoly.from_ppoly(pt)
-    assert q.apply_lifted(gens["d_x1"]) == QPoly.from_ppoly(p1)
-    assert q.apply_lifted(gens["d_x2"]) == QPoly.from_ppoly(p2)
+    assert q.apply_lifted(gens["d_t"]) == QPoly(n, p0=pt)
+    assert q.apply_lifted(gens["d_x1"]) == QPoly(n, p0=p1)
+    assert q.apply_lifted(gens["d_x2"]) == QPoly(n, p0=p2)
 
 
 def test_qpoly_evaluate_affine():

@@ -6,6 +6,7 @@ import json
 import runpy
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,8 @@ def test_node_window_off_the_grid_exits_3_before_stepping(
     ("f_width_x", "0"), ("f_width_v", "0"), ("phi_width", "-0.5"),
     ("t_end", "2.0"), ("energy_order", "-1"), ("energy_order", "0"),
     ("energy_order", "5"),
-    ("cfl_safety", "nan"), ("cfl_safety", "0"), ("f_amplitude", "nan"),
-    ("phi_amplitude", "inf"), ("f_center_v", "nan"), ("rmax", "nan"),
-    ("rmax", "-1"), ("support_radius", "nan"), ("boundary_floor", "nan"),
+    ("f_amplitude", "nan"), ("phi_amplitude", "inf"), ("rmax", "nan"),
+    ("rmax", "-1"), ("support_radius", "nan"),
     ("taus", "nan"), ("taus", "3.0, 3.0"),
     # np.gradient(edge_order=2) needs three points per axis: nv = 1 and
     # nx = 1 ended in an IndexError traceback, nv = 2 exited 3 only after
@@ -133,7 +133,10 @@ def test_node_window_off_the_grid_exits_3_before_stepping(
     ("nx", "1"), ("nx", "2"), ("nv", "1"), ("nv", "2"),
     # squares that overflow: an OverflowError traceback from the
     # Laplacian's dx ** 2, and a late NaN conversion
-    ("x_extent", "1e300"), ("vmax", "1e300")])
+    ("x_extent", "1e300"), ("vmax", "1e300"),
+    # (t_end - t0) / dt overflows: an OverflowError traceback from the
+    # step count
+    ("dt", "5e-324")])
 def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)
@@ -143,6 +146,45 @@ def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert steps == []
+
+
+@pytest.mark.parametrize("key", ["cfl_safety", "boundary_floor",
+                                 "f_center_v"])
+def test_removed_key_in_config_exits_2(key, tmp_path, capsys):
+    # these were settings once; a file that still sets one is refused
+    conf = tmp_path / "old.conf"
+    conf.write_text(SMALL_CONF + f"{key} = 0.5\n")
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env,message", [
+    # 1.75e10 steps: the series alone would outgrow physical memory
+    ({"VKG_DT": "1e-9"}, "the series of 17500000000 steps"),
+    # dv is about 3e148 against f_width_v = 0.35: f underflows to zero
+    ({"VKG_VMAX": "1e150"}, "the initial f of amplitude 2e-06 is zero on"
+     " every cell"),
+    # the mass overflows; numpy's overflow warning must not reach stderr,
+    # nor stop the run as an error under warnings-as-errors
+    ({"VKG_F_AMPLITUDE": "1e306"}, "non-finite state at t=4.0")],
+    ids=["dt", "vmax", "f_amplitude"])
+def test_run_the_grid_cannot_take_exits_3_before_stepping(
+        env, message, tmp_path, monkeypatch, capsys):
+    conf = Path(__file__).resolve().parent.parent / "configs" \
+        / "n1-coupled-small.conf"
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("runtime error: ")
+    assert message in err
     assert steps == []
 
 

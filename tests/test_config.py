@@ -1,10 +1,15 @@
 """Configuration parsing: schema gate, typo detection, environment
 overrides, and the manifest echo."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from vkg.config import (ConfigError, apply_env_overrides, load_settings,
-                        parse_config, settings_echo)
+from vkg.config import (KEYS, ConfigError, RunSettings, apply_env_overrides,
+                        load_settings, parse_config, settings_echo)
+from vkg.solver import SimConfig
 
 GOOD = """\
 # small coupled run
@@ -103,3 +108,41 @@ def test_settings_echo_is_flat_and_complete():
     # every value must be JSON-serializable
     import json
     json.dumps(echo)
+
+
+REMOVED = ("cfl_safety", "boundary_floor", "f_center_v")
+
+
+def test_key_table_is_the_declared_fields():
+    """Each key's name, type and default live in SimConfig and
+    RunSettings; the table has one parser per field, by declared type."""
+    names = [f.name for f in dataclasses.fields(SimConfig)] + [
+        f.name for f in dataclasses.fields(RunSettings) if f.name != "sim"]
+    assert list(KEYS) == ["schema"] + names
+    assert len(names) == 26
+    assert KEYS["nx"] is int and KEYS["dt"] is float
+    assert KEYS["mode"] is str and KEYS["decay_window_lo"] is float
+    assert not set(REMOVED) & set(KEYS)
+    defaults = settings_echo(load_settings("schema = 1", environ={}))
+    assert defaults == {"schema": 1, "taus": []} | {
+        f.name: f.default for f in dataclasses.fields(SimConfig)
+        if f.name != "taus"} | {
+        f.name: f.default for f in dataclasses.fields(RunSettings)
+        if f.name != "sim"}
+
+
+def test_removed_keys_env_overrides_are_ignored():
+    env = {"VKG_" + key.upper(): "nan" for key in REMOVED}
+    assert apply_env_overrides({"nx": 5}, environ=env) == {"nx": 5}
+    echo = settings_echo(load_settings(GOOD, environ=env))
+    assert echo == settings_echo(load_settings(GOOD, environ={}))
+
+
+def test_readme_lists_exactly_the_keys():
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert sorted(table) == sorted(KEYS)
+    for key in REMOVED:
+        assert key not in readme

@@ -1,7 +1,5 @@
 """Hyperboloidal slice geometry tests."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,8 @@ from hypothesis import strategies as st
 
 from vkg.geometry import (FoliationDomainError, HyperboloidCoords,
                           SpacetimePoint, build_slice_quadrature,
-                          integrate_slice, lift_to_cartesian,
-                          slice_volume_weight, tau_of, truncated_slice_volume,
-                          unit_normal)
+                          integrate_slice, lift_to_cartesian, tau_of,
+                          truncated_slice_volume)
 
 
 @settings(max_examples=100, deadline=None)
@@ -23,28 +20,9 @@ def test_lift_roundtrip(tau, y):
     assert p.t > 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(tau=st.floats(1.0, 20.0), r=st.floats(0.0, 30.0))
-def test_unit_normal_is_unit_timelike(tau, r):
-    p = lift_to_cartesian(HyperboloidCoords(tau, (r,)))
-    nt, nr = unit_normal(p)
-    assert abs(nt * nt - nr * nr - 1.0) < 1e-9
-    assert nt > 0
-
-
 def test_interior_points_only():
     with pytest.raises(FoliationDomainError):
         tau_of(SpacetimePoint(1.0, (2.0,)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(tau=st.floats(1.0, 20.0), r=st.floats(0.0, 30.0),
-       n=st.sampled_from([1, 2]))
-def test_volume_weight_nonnegative(tau, r, n):
-    w = slice_volume_weight(tau, r, n)
-    assert w >= 0
-    if n == 1 or r > 0:
-        assert w > 0
 
 
 @pytest.mark.parametrize("n,res,tol", [(1, 2000, 1e-6), (2, 400, 1e-5)])

@@ -857,6 +857,73 @@ def test_non_finite_value_stops_the_run_within_its_step(where, monkeypatch):
     assert str(err.value) == f"non-finite state at t={steps[-1]}"
 
 
+def test_memory_check_counts_the_series():
+    """run's series grow by one entry each per step, and the memory check
+    counts them with run's own step count."""
+    cfg = SimConfig(n=1, mode="free_transport", x_extent=4.0, nx=16,
+                    vmax=2.0, nv=8, dt=0.1, t0=2.0, t_end=3.0, taus=())
+    longer = dataclasses.replace(cfg, dt=1e-4)
+    assert (cfg.nsteps, longer.nsteps) == (10, 10_000)
+    assert (solver._check_memory(longer, ()) - solver._check_memory(cfg, ())
+            == solver.SERIES_BYTES_PER_STEP * 9_990)
+
+
+@pytest.mark.parametrize("mode,change,name", [
+    ("free_transport", {"vmax": 1e150}, "f"),
+    ("mms", {"vmax": 1e150}, "f"),
+    ("coupled", {"vmax": 1e150, "phi_amplitude": 0.0}, "f"),
+    ("free_kg", {"x_extent": 1e150}, "phi"),
+    ("coupled", {"phi_width": 1e-3, "f_amplitude": 0.0}, "phi")])
+def test_data_the_grid_cannot_hold_is_rejected_before_stepping(
+        mode, change, name, monkeypatch):
+    """A positive amplitude whose initial f or phi underflows to zero on
+    every cell (the cells are far wider than the data) stops the run
+    before its first step; zero amplitudes and the field a mode never
+    sets still run."""
+    cfg = SimConfig(n=1, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.3, taus=())
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with pytest.raises(SolverError,
+                       match=f"the initial {name} of amplitude 0.001 is zero"):
+        run(dataclasses.replace(cfg, **change))
+    assert steps == []
+    zero = {"f": "f_amplitude", "phi": "phi_amplitude"}[name]
+    if mode != "mms":
+        run(dataclasses.replace(cfg, **change, **{zero: 0.0}))
+        assert len(steps) == 3
+
+
+# free transport from the centre of a narrow box: the x edges pass the
+# boundary floor at t = 4.65
+EDGE = SimConfig(n=1, mode="free_transport", x_extent=4.0, nx=40, vmax=2.0,
+                 nv=16, dt=0.05, t0=2.0, t_end=6.0, f_width_x=0.5, taus=())
+
+
+@pytest.mark.parametrize("t_end", [6.0, 4.5], ids=["reaches", "clear"])
+def test_boundary_warning_once_at_the_first_step_past_the_floor(
+        t_end, monkeypatch):
+    edges = []
+    real_step = solver.step
+
+    def step_spy(phase, *args):
+        real_step(phase, *args)
+        edges.append((phase.t, max(np.max(np.abs(phase.f[0])),
+                                   np.max(np.abs(phase.f[-1])))))
+
+    monkeypatch.setattr(solver, "step", step_spy)
+    res = run(dataclasses.replace(EDGE, t_end=t_end))
+    past = [(t, e) for t, e in edges if e > solver.BOUNDARY_FLOOR]
+    if t_end == 4.5:
+        assert past == [] and res.warnings == []
+        return
+    # the edge stays past the floor, but the run warns once
+    assert len(past) > 10
+    assert res.warnings == [
+        f"distribution support reached the boundary at t={past[0][0]:.3f}"
+        f" (edge max {past[0][1]:.3e})"]
+
+
 def test_determinism_bitwise():
     a = run(SMALL)
     b = run(SMALL)
