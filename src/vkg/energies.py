@@ -57,23 +57,44 @@ _W, _D, _C = 0, 1, 2               # rows: value, derivative, coordinate
 STACK_CELLS = 1 << 15
 
 
-def _lagrange_weights(xs: np.ndarray, x: float) -> np.ndarray:
-    w = np.ones(len(xs))
-    for k in range(len(xs)):
-        for m in range(len(xs)):
-            if m != k:
-                w[k] *= (x - xs[m]) / (xs[k] - xs[m])
+def _interp_weights(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange weights, per ascending row of coords (nodes, m), on
+    the four points around its target, zero elsewhere: w . h is h there."""
+    first = np.sum(coords < target[:, None], axis=1)    # np.searchsorted
+    cols = np.clip(first - 2, 0, coords.shape[1] - 4)[:, None] + np.arange(4)
+    xs = np.take_along_axis(coords, cols, axis=1)
+    w4 = np.ones(xs.shape)
+    # weight k takes the factor of each point j != k, j ascending
+    for j in ([1, 0, 0, 0], [2, 2, 1, 1], [3, 3, 3, 2]):
+        w4 *= (target[:, None] - xs[:, j]) / (xs - xs[:, j])
+    w = np.zeros(coords.shape)
+    np.put_along_axis(w, cols, w4, axis=1)
     return w
 
 
-def _interp_weights(coords: np.ndarray, target: float) -> np.ndarray:
-    """Cubic Lagrange weights on the four points around target, zero
-    elsewhere: w . h interpolates h at target."""
-    b = int(np.searchsorted(coords, target)) - 1
-    lo = min(max(b - 1, 0), len(coords) - 4)
-    w = np.zeros(len(coords))
-    w[lo:lo + 4] = _lagrange_weights(coords[lo:lo + 4], target)
-    return w
+def _gradient_matrices(coords: np.ndarray) -> np.ndarray:
+    """np.gradient(np.eye(m), c, axis=0, edge_order=2) for each row c of
+    coords (nodes, m), bit for bit, from np.gradient's formulas (its
+    scalar-spacing ones where a row's spacings are exactly equal): row i
+    weighs points i - 1, i and i + 1, moved inside the grid at the ends."""
+    N, m = coords.shape
+    d = np.diff(coords, axis=1)
+    h, lo = d[:, :1], np.clip(np.arange(m) - 1, 0, m - 3)
+    # spacings around each row's middle point; numerators inside, then ends
+    X, Y = d[:, lo], d[:, lo + 1]
+    S = X + Y
+    num = np.stack([-Y, Y - X, X])
+    num[:, :, 0] = -(2. * X[:, 0] + Y[:, 0]), S[:, 0], -X[:, 0]
+    num[:, :, -1] = Y[:, -1], -S[:, -1], 2. * Y[:, -1] + X[:, -1]
+    inner = np.arange(m) % (m - 1) > 0
+    scalar = np.where(inner, [[-1.0], [0.0], [1.0]], np.where(
+        np.arange(m) == 0, [[-1.5], [2.], [-0.5]], [[0.5], [-2.], [1.5]]))
+    weights = np.where(np.all(d == h, axis=1)[:, None],
+                       scalar[:, None] / np.where(inner, 2. * h, h),
+                       num / np.stack([X * S, X * Y, Y * S]))
+    G = np.zeros((N, m, m))
+    G[:, np.arange(m), lo + np.arange(3)[:, None]] = weights.transpose(1, 0, 2)
+    return G
 
 
 @dataclass
@@ -97,10 +118,8 @@ def _stack(nodes: list[NodeSample], n: int) -> _Stack:
     for a in range(n + 1):
         cs = np.array([nd.t_levels if a == 0 else nd.x_axes[a - 1]
                        for nd in nodes])
-        at = [nd.t_star if a == 0 else nd.y[a - 1] for nd in nodes]
-        G = np.array([np.gradient(np.eye(len(c)), c, axis=0, edge_order=2)
-                      for c in cs])
-        w = np.array([_interp_weights(c, x) for c, x in zip(cs, at)])
+        at = np.array([nd.t_star if a == 0 else nd.y[a - 1] for nd in nodes])
+        G, w = _gradient_matrices(cs), _interp_weights(cs, at)
         coords.append(cs)
         grads.append(G)
         weights.append(np.stack([w, np.einsum("kij,ki->kj", G, w), cs * w],

@@ -285,33 +285,34 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     their sums, and every artifact built from them, in the last bits.
     """
     g = np.asarray(g, dtype=float)
-    m = g.shape[axis]
-    result = np.moveaxis(np.empty(np.moveaxis(g, axis, -1).shape), -1, axis)
+    m, ndim = g.shape[axis], g.ndim
+    result = np.empty(g.shape[:axis] + g.shape[axis + 1:] + (m,)).transpose(
+        [*range(axis), ndim - 1, *range(axis, ndim - 1)])
     # the advection axis first, then the line axes in g's memory order
     # (largest stride first): blocks are then boxes of whole cache lines
-    order = [axis] + sorted((a for a in range(g.ndim) if a != axis),
+    order = [axis] + sorted((a for a in range(ndim) if a != axis),
                             key=lambda a: -abs(g.strides[a]))
     lines = g.transpose(order)
     sig = np.broadcast_to(np.asarray(sigma, dtype=float),
-                          g.shape).transpose(order)[0].reshape(-1)
+                          g.shape).transpose(order)[0].flatten()
     if not sig.size:
         return result
     # shifting by whole periods, or past the whole line, changes nothing
     # and would only widen the padding
     if bc == "periodic":
-        sig = sig - m * np.round(sig / m)
+        sig -= m * np.round(sig / m)
     else:
-        sig = np.clip(sig, -m - 1.0, m + 1.0)
+        np.minimum(np.maximum(sig, -m - 1.0, out=sig), m + 1.0, out=sig)
     k = np.floor(-sig)
     xi = -sig - k
-    k = np.nan_to_num(k).astype(np.int64)
+    k = np.where(np.isnan(k), 0.0, k).astype(np.int64)
     xi2 = xi * xi
     xi3 = xi2 * xi
     h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
          xi3 - xi2)
     # cumulative-sum cancellation can leave negatives at the roundoff
     # scale; zero those without touching genuinely signed data
-    floor = -1e-13 * max(np.max(g, initial=0.0), -np.min(g, initial=0.0))
+    floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
     boxes = list(_line_blocks(lines.shape[1:], max(1, BLOCK_CELLS // m)))
     # the workspace of one block, at the size of the first (largest) one:
     # the padded primitive and slopes (edge e at row P + e for some
@@ -319,7 +320,7 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     # the picked windows.  It is one allocation: freeing one large block
     # raises glibc's mmap and trim thresholds above its size, so later
     # calls reuse the same heap pages instead of faulting in fresh ones
-    starts = _workspace_rows(m, int(np.min(k)), int(np.max(k)))
+    starts = _workspace_rows(m, int(k.min()), int(k.max()))
     work = np.empty(starts[-1] * lines[(0,) + boxes[0]].size)
     dest = result.transpose(order)
     i = 0
@@ -336,15 +337,15 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     return result
 
 
-def _workspace_rows(m: int, kmin: int, kmax: int) -> np.ndarray:
+def _workspace_rows(m: int, kmin: int, kmax: int) -> list[int]:
     """Where each array of advect's workspace starts, in rows of one value
     per line, for lines of m cells and integer shifts kmin to kmax; the
     last entry is the row count.  The arrays are _advect_lines' padded
     averages gp and its work (Wp, dp, H, T, Wq), in the order Wp, dp, gp,
     H, T, Wq."""
     P = max(-kmin, kmax) + 1
-    return np.cumsum([0] + [m + 1 + 2 * P] * 2 + [m + 4]
-                     + [kmax - kmin + m + 1] * 2 + [m + 1])
+    rows = [m + 1 + 2 * P] * 2 + [m + 4] + [kmax - kmin + m + 1] * 2 + [m + 1]
+    return [sum(rows[:i]) for i in range(len(rows) + 1)]
 
 
 def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
@@ -361,7 +362,7 @@ def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
     """
     Wp, dp, H, T, Wq = work
     m, L = out.shape[0], k.size
-    kmin, kmax = int(np.min(k)), int(np.max(k))
+    kmin, kmax = int(k.min()), int(k.max())
     # edge e of a line sits at row P + e of the padded arrays
     P = (Wp.shape[0] - m - 1) // 2
     lines = gp[2:m + 2]
@@ -463,9 +464,11 @@ def initial_states(cfg: SimConfig) -> tuple[PhaseState, FieldState]:
     x2 = phi_x2[(...,) + (None,) * n]
     v2 = sum(v ** 2 for v in vg)[(None,) * n]
     amp_f, amp_phi = _amplitudes(cfg)
-    f0 = amp_f * np.exp(-x2 / (2 * cfg.f_width_x ** 2)
-                        - v2 / (2 * cfg.f_width_v ** 2))
-    phi0 = amp_phi * np.exp(-phi_x2 / (2 * cfg.phi_width ** 2))
+    # widths too small for floats give -inf (or 0/0) exponents: run reports it
+    with np.errstate(all="ignore"):
+        f0 = amp_f * np.exp(-x2 / (2 * cfg.f_width_x ** 2)
+                            - v2 / (2 * cfg.f_width_v ** 2))
+        phi0 = amp_phi * np.exp(-phi_x2 / (2 * cfg.phi_width ** 2))
     pi0 = np.zeros_like(phi0)
     return PhaseState(f0, cfg.t0), FieldState(phi0, pi0, cfg.t0)
 
@@ -479,21 +482,28 @@ def source_density(f: np.ndarray, cfg: SimConfig) -> np.ndarray:
 
 
 def total_mass(f: np.ndarray, cfg: SimConfig) -> float:
-    return float(np.sum(f)) * cfg.dx ** cfg.n * cfg.dv ** cfg.n
+    return float(f.sum()) * cfg.dx ** cfg.n * cfg.dv ** cfg.n
 
 
 def _laplacian(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
     """Fourth-order five-point stencil per axis on phi padded once by two
     cells: wrapped for the periodic case, zeros for the outgoing one (the
     radiation condition keeps the boundary cells small)."""
-    padded = np.pad(phi, 2, mode="wrap" if bc == "periodic" else "constant")
     core = (slice(2, -2),) * phi.ndim
-    out = np.zeros_like(phi)
+    if bc == "periodic":
+        padded = phi[np.ix_(*[np.arange(-2, m + 2) % m for m in phi.shape])]
+    else:
+        padded = np.zeros([m + 4 for m in phi.shape])
+        padded[core] = phi
+    out, term, tmp = np.zeros_like(phi), np.empty_like(phi), np.empty_like(phi)
     for ax, m in enumerate(phi.shape):
         sh = {k: padded[core[:ax] + (slice(2 + k, m + 2 + k),) + core[ax + 1:]]
-              for k in (-2, -1, 1, 2)}
-        out += (-sh[-2] + 16 * sh[-1] - 30 * phi + 16 * sh[1] - sh[2]) / 12.0
-    return out / dx ** 2
+              for k in range(-2, 3)}
+        np.negative(sh[-2], out=term)
+        for c, k in ((16, -1), (-30, 0), (16, 1), (-1, 2)):  # x + -y == x - y
+            term += np.multiply(c, sh[k], out=tmp)
+        out += np.divide(term, 12.0, out=term)
+    return np.divide(out, dx ** 2, out=out)
 
 
 def _sommerfeld(field: FieldState, cfg: SimConfig):
@@ -564,8 +574,8 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     dt = cfg.dt
     n = cfg.n
     # x axis d moves at vhat_d = v_d / v^0, v^0 = sqrt(1 + |v|^2): one
-    # shift per velocity cell, on (1,)*n + (nv,)*n
-    vg = np.meshgrid(*[v_centers(cfg)] * n, indexing="ij")
+    # shift per velocity cell, on (1,)*n + (nv,)*n (vg is an open grid)
+    vg = [v_centers(cfg).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
     v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
     vhat = [(v / v0)[(None,) * n] for v in vg]
     # in free_kg mode f is identically zero and advecting it is a no-op
@@ -775,7 +785,7 @@ def _capture_nodes(levels: deque, cfg: SimConfig,
     for c in np.unique(label):
         members = np.flatnonzero(label == c)
         box_lo, box_hi = lo[members].min(0), hi[members].max(0)
-        if np.prod(box_hi - box_lo) <= np.sum(np.prod(hi - lo, 1)[members]):
+        if (box_hi - box_lo).prod() <= (hi - lo).prod(1)[members].sum():
             groups.append((members, box_lo, box_hi))
         else:
             groups += [([k], lo[k], hi[k]) for k in members]
@@ -831,15 +841,14 @@ def run(cfg: SimConfig) -> RunResult:
     series = {k: [] for k in ("t", "sup_phi", "sup_f", "min_f", "mass")}
 
     def record():
-        series["t"].append(phase.t)
         # an overflow is reported as the non-finite state below
         with np.errstate(over="ignore"):
-            series["sup_phi"].append(float(np.max(np.abs(fld.phi))))
-            series["sup_f"].append(float(np.max(phase.f)))
-            series["min_f"].append(float(np.min(phase.f)))
-            series["mass"].append(total_mass(phase.f, cfg))
+            row = (phase.t, float(np.abs(fld.phi).max()), float(phase.f.max()),
+                   float(phase.f.min()), total_mass(phase.f, cfg))
+        for values, value in zip(series.values(), row):
+            values.append(value)
         # NaN and +-inf anywhere in f or phi reach one of these reductions
-        if not all(math.isfinite(series[k][-1]) for k in series):
+        if not all(map(math.isfinite, row)):
             raise SolverError(f"non-finite state at t={phase.t}")
 
     record()
@@ -893,7 +902,7 @@ def run(cfg: SimConfig) -> RunResult:
 
 def _boundary_max(f: np.ndarray, n: int) -> float:
     """max |f| over the cells at either end of each x axis."""
-    return float(max(np.max(np.abs(np.moveaxis(f, d, 0)[e]))
+    return float(max(np.abs(f[(slice(None),) * d + (e,)]).max()
                      for d in range(n) for e in (0, -1)))
 
 
