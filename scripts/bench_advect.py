@@ -18,8 +18,13 @@ axis, as the x-sweep follows the velocity kick).  The first call of each
 case is reported on its own: the earlier cases have warmed the allocator
 for some shapes and not for others, so its time and its minor page
 faults show each shape's allocation pattern.  Then the median time per
-call over the repeats, the throughput in Mcell/s and the minor page
-faults per warm call (resource.getrusage's ru_minflt).
+call over the repeats, the throughput in Mcell/s, the minor page faults
+per warm call (resource.getrusage's ru_minflt) and the median time per
+call spent outside the line kernel _advect_lines, in microseconds: the
+set-up that does not scale with the lines of a block (shifts, Hermite
+weights, workspace views) plus the copies into and out of the kernel's
+buffers.  The kernel is timed by wrapping solver._advect_lines, which
+adds two clock reads per block to each call.
 
     PYTHONPATH=src python3 scripts/bench_advect.py [--repeat 7]
 """
@@ -30,6 +35,7 @@ import time
 
 import numpy as np
 
+from vkg import solver
 from vkg.solver import advect
 
 SHAPES = ((320, 64), (9600, 8), (40, 40, 24, 24))
@@ -39,22 +45,34 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def time_call(g, sigma, axis, bc, repeat):
+def timed_kernel(kernel, spent):
+    """kernel, adding the seconds each call takes to spent[0]"""
+    def timed(*args):
+        t0 = time.perf_counter()
+        kernel(*args)
+        spent[0] += time.perf_counter() - t0
+    return timed
+
+
+def time_call(g, sigma, axis, bc, repeat, in_kernel):
     """(first call s, its minor faults, median warm call s, minor faults
-    per warm call)"""
+    per warm call, median warm call s outside the kernel); in_kernel[0]
+    is the kernel time that timed_kernel adds up"""
     faults = minor_faults()
     t0 = time.perf_counter()
     advect(g, sigma, axis, bc)
     first = time.perf_counter() - t0
     first_faults = minor_faults() - faults
-    times = []
+    times, outside = [], []
     faults = minor_faults()
     for _ in range(repeat):
+        in_kernel[0] = 0.0
         t0 = time.perf_counter()
         advect(g, sigma, axis, bc)
         times.append(time.perf_counter() - t0)
+        outside.append(times[-1] - in_kernel[0])
     return (first, first_faults, float(np.median(times)),
-            (minor_faults() - faults) / repeat)
+            (minor_faults() - faults) / repeat, float(np.median(outside)))
 
 
 def main():
@@ -65,10 +83,12 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
+    in_kernel = [0.0]
+    solver._advect_lines = timed_kernel(solver._advect_lines, in_kernel)
 
     print(f"{'shape':>18} {'axis':>4} {'bc':>9} {'input':>6} "
           f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
-          f"{'flt/call':>8}")
+          f"{'flt/call':>8} {'setup us':>8}")
     for shape in SHAPES:
         g = rng.random(shape)
         sigmas = []
@@ -83,12 +103,12 @@ def main():
                       ("solver", advect(g, sigmas[before], before)))
             for bc in ("outgoing", "periodic"):
                 for name, data in inputs:
-                    first, first_flt, sec, flt = time_call(
-                        data, sigma, axis, bc, args.repeat)
+                    first, first_flt, sec, flt, outside = time_call(
+                        data, sigma, axis, bc, args.repeat, in_kernel)
                     print(f"{str(shape):>18} {axis:>4} {bc:>9} {name:>6} "
                           f"{first * 1e3:8.2f} {first_flt:8d} "
                           f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
-                          f"{flt:8.1f}")
+                          f"{flt:8.1f} {outside * 1e6:8.1f}")
 
 
 if __name__ == "__main__":

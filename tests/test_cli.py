@@ -3,8 +3,10 @@ determinism, the binary/SVG report helpers, and the scripts' --help."""
 
 import hashlib
 import json
+import os
 import runpy
 import struct
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -168,8 +170,14 @@ def test_removed_key_in_config_exits_2(key, tmp_path, capsys):
      " every cell"),
     # the mass overflows; numpy's overflow warning must not reach stderr,
     # nor stop the run as an error under warnings-as-errors
-    ({"VKG_F_AMPLITUDE": "1e306"}, "non-finite state at t=4.0")],
-    ids=["dt", "vmax", "f_amplitude"])
+    ({"VKG_F_AMPLITUDE": "1e306"}, "non-finite state at t=4.0"),
+    # x^2 / (2 w^2) overflows to inf, so the Gaussian is zero on every
+    # cell; the overflow used to warn, or raise under warnings-as-errors
+    ({"VKG_PHI_WIDTH": "1e-160"}, "the initial phi of amplitude 0.0004 is"
+     " zero on every cell"),
+    ({"VKG_F_WIDTH_V": "1e-160"}, "the initial f of amplitude 2e-06 is zero"
+     " on every cell")],
+    ids=["dt", "vmax", "f_amplitude", "phi_width", "f_width_v"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -186,6 +194,23 @@ def test_run_the_grid_cannot_take_exits_3_before_stepping(
     assert err.count("\n") == 1 and err.startswith("runtime error: ")
     assert message in err
     assert steps == []
+
+
+@pytest.mark.parametrize("key", ["VKG_PHI_WIDTH", "VKG_F_WIDTH_V"])
+def test_width_floats_cannot_hold_prints_one_line(key, tmp_path):
+    # at the default warning filters, the command itself: numpy's overflow
+    # warning used to print its message and source line before the exit-3
+    # message
+    conf = Path(__file__).resolve().parent.parent / "configs" \
+        / "n1-coupled-small.conf"
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]))
+    env[key] = "1e-160"
+    proc = subprocess.run([sys.executable, "-m", "vkg.cli", "simulate",
+                           str(conf), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("runtime error: the initial ")
 
 
 @pytest.mark.parametrize("case", ["nan_in_step_2", "f_amplitude_1e307"])

@@ -234,6 +234,60 @@ def random_slice(n: int, count: int, seed: int = 3,
     return SliceData(tau, n, nodes, 0.25)
 
 
+# The per-node construction that _stack replaced: np.gradient on an
+# identity matrix and a Lagrange loop per node and axis.  _stack must match
+# it bit for bit.
+
+def _reference_interp_weights(coords: np.ndarray, target: float) -> np.ndarray:
+    b = int(np.searchsorted(coords, target)) - 1
+    lo = min(max(b - 1, 0), len(coords) - 4)
+    w = np.zeros(len(coords))
+    for k in range(lo, lo + 4):
+        w[k] = 1.0
+        for j in range(lo, lo + 4):
+            if j != k:
+                w[k] *= (target - coords[j]) / (coords[k] - coords[j])
+    return w
+
+
+def test_stack_matches_per_node_reference():
+    """The difference matrices and interpolation weights of a stack, on
+    slices of nodes as captured and on coordinates with uneven, almost
+    even and exactly even spacings (np.gradient's scalar-spacing branch),
+    mixed in one stack, with targets on and between the points."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, count in ((1, 7), (2, 5)):
+        nodes = random_slice(n, count).nodes
+        cases.append((np.array([nd.t_levels for nd in nodes]),
+                      np.array([nd.t_star for nd in nodes])))
+        cases += [(np.array([nd.x_axes[d] for nd in nodes]),
+                   np.array([nd.y[d] for nd in nodes])) for d in range(n)]
+    for m in (3, 4, 6, 13):
+        steps = np.arange(m) * rng.uniform(0.05, 2.0, size=(200, 1))
+        d = np.diff(steps, axis=1)
+        even = steps[np.all(d == d[:, :1], axis=1)][:8]
+        assert len(even) == 8
+        coords = np.concatenate([
+            np.sort(rng.normal(size=(3, m)), axis=1),
+            rng.normal(size=(3, 1)) + (np.arange(m) + 0.5) * 0.1, even])
+        targets = coords[:, 0] + rng.random(len(coords)) * (
+            coords[:, -1] - coords[:, 0])
+        targets[::4] = coords[::4, m // 2]
+        cases.append((coords, targets))
+    for coords, targets in cases:
+        m = coords.shape[1]
+        G = energies._gradient_matrices(coords)
+        want = np.array([np.gradient(np.eye(m), c, axis=0, edge_order=2)
+                         for c in coords])
+        assert np.array_equal(G.view(np.int64), want.view(np.int64))
+        if m >= 4:
+            w = energies._interp_weights(coords, targets)
+            want = np.array([_reference_interp_weights(c, t)
+                             for c, t in zip(coords, targets)])
+            assert np.array_equal(w.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("n,count,order,per", [(1, 7, 2, 3), (2, 5, 2, 2)])
 def test_stacked_slice_matches_single_nodes(n, count, order, per,
                                             monkeypatch):

@@ -342,6 +342,32 @@ def test_advect_result_is_not_a_workspace_view(shape, block_cells,
     assert not np.shares_memory(*results)
 
 
+@pytest.mark.parametrize("shape", [
+    (9,), (1,), (7, 5), (1, 5), (7, 1), (0, 5), (5, 0), (4, 1, 6),
+    (3, 4, 5), (0, 3, 4), (3, 4, 5, 6), (2, 1, 3, 1)])
+def test_advect_result_layout(shape):
+    """For ndim 1 to 4 and every axis (none of length 0, which holds no
+    line to advect), on every input layout: the result has g's other axes
+    in C order and the advection axis last in memory, the strides of
+    np.moveaxis(np.empty(moved_shape), -1, axis), and the values of the
+    row-per-line kernel, also for length-1 axes and calls with no lines."""
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    data = rng.normal(size=shape)
+    for axis in range(len(shape)):
+        if shape[axis] == 0:
+            continue
+        moved = np.moveaxis(data, axis, -1).shape
+        want = np.moveaxis(np.empty(moved), -1, axis).strides
+        sig_shape = list(shape)
+        sig_shape[axis] = 1
+        sig = rng.uniform(-2.5, 2.5, size=sig_shape)
+        for layout, g in _layouts(data):
+            got = advect(g, sig, axis)
+            assert got.shape == shape and got.strides == want, (axis, layout)
+            ref = _reference_advect(g, sig, axis)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # configuration guard rails
 # ---------------------------------------------------------------------------
@@ -922,6 +948,30 @@ def test_boundary_warning_once_at_the_first_step_past_the_floor(
     assert res.warnings == [
         f"distribution support reached the boundary at t={past[0][0]:.3f}"
         f" (edge max {past[0][1]:.3e})"]
+
+
+def _reference_boundary_max(f, n):
+    return max(np.max(np.abs(np.moveaxis(f, d, 0)[e]))
+               for d in range(n) for e in (0, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_boundary_max_reads_the_outermost_x_cells(n):
+    """max |f| over the first and last cells of each x axis, on signed
+    data and the layouts advect returns: a maximum in a corner cell is
+    read, one in the interior or at a velocity edge is not."""
+    rng = np.random.default_rng(n)
+    shape = (7, 6) if n == 1 else (7, 6, 4, 5)
+    base = rng.normal(size=shape)
+    corner = base.copy()
+    corner[(-1,) * n + (0,) * n] = -50.0
+    inner = base.copy()
+    inner[(3,) * n + (-1,) * n] = 60.0
+    for data in (base, corner, inner):
+        for layout, f in _layouts(data):
+            got = solver._boundary_max(f, n)
+            assert got == _reference_boundary_max(f, n), layout
+            assert got == 50.0 if data is corner else got < 10.0, layout
 
 
 def test_determinism_bitwise():
