@@ -770,28 +770,28 @@ def _capture_nodes(levels: deque, cfg: SimConfig,
         raise SolverError("time levels do not cover the slice node")
     t_levels = np.array([e[0] for e in levels])
     v_axes = (v_centers(cfg),) * cfg.n
-    lo = np.array([[s.start for s in e[-1]] for e in fired])
-    hi = np.array([[s.stop for s in e[-1]] for e in fired])
-    overlap = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]),
-                     axis=2)
-    # label each node with the smallest index connected to it
-    label = np.arange(len(fired))
-    while True:
-        nxt = np.min(np.where(overlap, label, len(fired)), axis=1)
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-    groups = []
-    for c in np.unique(label):
-        members = np.flatnonzero(label == c)
-        box_lo, box_hi = lo[members].min(0), hi[members].max(0)
-        if (box_hi - box_lo).prod() <= (hi - lo).prod(1)[members].sum():
-            groups.append((members, box_lo, box_hi))
+    windows = [e[-1] for e in fired]
+
+    def cells(box):
+        return math.prod(s.stop - s.start for s in box)
+
+    groups, left = [], list(range(len(fired)))
+    while left:
+        # a group grows from the first node left by each overlapping window
+        members = [left.pop(0)]
+        for a in members:
+            members += [b for b in left if all(
+                p.start < q.stop and q.start < p.stop
+                for p, q in zip(windows[a], windows[b]))]
+            left = [b for b in left if b not in members]
+        box = tuple(slice(min(s.start for s in ax), max(s.stop for s in ax))
+                    for ax in zip(*(windows[k] for k in members)))
+        if cells(box) <= sum(cells(windows[k]) for k in members):
+            groups.append((members, box))
         else:
-            groups += [([k], lo[k], hi[k]) for k in members]
+            groups += [([k], windows[k]) for k in members]
     nodes = [None] * len(fired)
-    for members, box_lo, box_hi in groups:
-        box = tuple(slice(a, b) for a, b in zip(box_lo, box_hi))
+    for members, box in groups:
         # np.array copies the box into C-ordered blocks; the levels
         # themselves may be transposed copies
         fblock = np.array([e[1][box] for e in levels])
@@ -800,7 +800,8 @@ def _capture_nodes(levels: deque, cfg: SimConfig,
         for k in members:
             t_star, tau, y, r, weight, x_axes, idx = fired[k]
             local = (slice(None),) + tuple(
-                slice(s.start - a, s.stop - a) for s, a in zip(idx, box_lo))
+                slice(s.start - b.start, s.stop - b.start)
+                for s, b in zip(idx, box))
             nodes[k] = NodeSample(tau, y, r, t_star, weight, t_levels,
                                   x_axes, v_axes, fblock[local],
                                   phiblock[local])
