@@ -73,12 +73,10 @@ def _interp_weights(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _gradient_matrices(coords: np.ndarray) -> np.ndarray:
-    """np.gradient(np.eye(m), c, axis=0, edge_order=2) for each row c of
-    coords (nodes, m), bit for bit, from np.gradient's formulas (its
-    scalar-spacing ones where a row's spacings are exactly equal): row i
-    weighs points i - 1, i and i + 1, moved inside the grid at the ends."""
-    N, m = coords.shape
-    d = np.diff(coords, axis=1)
+    """np.gradient(np.eye(m), c, axis=0, edge_order=2) per row c of coords
+    (nodes, m), bit for bit, by its formulas (scalar-spacing ones for even
+    rows): row i weighs points i - 1, i and i + 1, moved inside at ends."""
+    (N, m), d = coords.shape, np.diff(coords, axis=1)
     h, lo = d[:, :1], np.clip(np.arange(m) - 1, 0, m - 3)
     # spacings around each row's middle point; numerators inside, then ends
     X, Y = d[:, lo], d[:, lo + 1]
@@ -111,6 +109,10 @@ class _Stack:
     grads: list[np.ndarray]
     weights: list[np.ndarray]
     v_axes: tuple[np.ndarray, ...]
+
+    def rows(self, s: slice) -> _Stack:
+        return _Stack(*([a[s] for a in f] for f in (
+            self.coords, self.grads, self.weights)), self.v_axes)
 
 
 def _stack(nodes: list[NodeSample], n: int) -> _Stack:
@@ -254,10 +256,10 @@ class SliceQuantities:
         return float(np.sum(self.weight * values))
 
 
-def _evaluate_stack(nodes: list[NodeSample], n: int, order: int):
-    """Node values of every index up to order on nodes that share a block
-    shape: the dicts (f, phi, phi_dt, phi_grad) of SliceQuantities."""
-    st = _stack(nodes, n)
+def _evaluate_stack(nodes: list[NodeSample], st: _Stack, order: int):
+    """The dicts (f, phi, phi_dt, phi_grad) of SliceQuantities for nodes
+    of one block shape and their _Stack st, every index up to order."""
+    n = len(st.coords) - 1
     # the summation order of the contractions follows the memory layout,
     # so fix it: C order (np.stack keeps an F-ordered block in F order)
     f = np.ascontiguousarray(np.stack([nd.fblock for nd in nodes]))
@@ -291,8 +293,9 @@ def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
     (at least one node per stack)."""
     nodes = data.nodes
     per = max(1, STACK_CELLS // nodes[0].fblock.size)
-    stacks = [_evaluate_stack(nodes[i:i + per], data.n, order)
-              for i in range(0, len(nodes), per)]
+    st = _stack(nodes, data.n)      # built once, then taken row by row
+    stacks = [_evaluate_stack(nodes[i:i + per], st.rows(slice(i, i + per)),
+                              order) for i in range(0, len(nodes), per)]
     f, phi, phi_dt, phi_grad = (
         {A: np.concatenate([s[k][A] for s in stacks]) for A in stacks[0][k]}
         for k in range(4))

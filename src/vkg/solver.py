@@ -464,7 +464,7 @@ def initial_states(cfg: SimConfig) -> tuple[PhaseState, FieldState]:
     x2 = phi_x2[(...,) + (None,) * n]
     v2 = sum(v ** 2 for v in vg)[(None,) * n]
     amp_f, amp_phi = _amplitudes(cfg)
-    # widths too small for floats give -inf (or 0/0) exponents: run reports it
+    # a width too small for floats gives -inf or NaN exponents; run reports it
     with np.errstate(all="ignore"):
         f0 = amp_f * np.exp(-x2 / (2 * cfg.f_width_x ** 2)
                             - v2 / (2 * cfg.f_width_v ** 2))
@@ -490,17 +490,15 @@ def _laplacian(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
     cells: wrapped for the periodic case, zeros for the outgoing one (the
     radiation condition keeps the boundary cells small)."""
     core = (slice(2, -2),) * phi.ndim
-    if bc == "periodic":
-        padded = phi[np.ix_(*[np.arange(-2, m + 2) % m for m in phi.shape])]
-    else:
-        padded = np.zeros([m + 4 for m in phi.shape])
-        padded[core] = phi
+    padded = (phi[np.ix_(*[np.arange(-2, m + 2) % m for m in phi.shape])]
+              if bc == "periodic" else np.zeros([m + 4 for m in phi.shape]))
+    padded[core] = phi
     out, term, tmp = np.zeros_like(phi), np.empty_like(phi), np.empty_like(phi)
     for ax, m in enumerate(phi.shape):
         sh = {k: padded[core[:ax] + (slice(2 + k, m + 2 + k),) + core[ax + 1:]]
               for k in range(-2, 3)}
         np.negative(sh[-2], out=term)
-        for c, k in ((16, -1), (-30, 0), (16, 1), (-1, 2)):  # x + -y == x - y
+        for c, k in ((16, -1), (-30, 0), (16, 1), (-1, 2)):  # + -y is - y
             term += np.multiply(c, sh[k], out=tmp)
         out += np.divide(term, 12.0, out=term)
     return np.divide(out, dx ** 2, out=out)

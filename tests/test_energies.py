@@ -321,7 +321,8 @@ def test_stack_profiles_keep_no_basis_alive(n, count, order):
     """Every velocity profile of a stack owns its memory: none is a view
     of the larger contracted basis, which would stay alive with it until
     evaluate_slice concatenates the stacks."""
-    profiles = energies._evaluate_stack(random_slice(n, count).nodes, n,
+    nodes = random_slice(n, count).nodes
+    profiles = energies._evaluate_stack(nodes, energies._stack(nodes, n),
                                         order)[0]
     assert set(profiles) == set(multi_indices_up_to(n, order))
     for A, p in profiles.items():
