@@ -9,8 +9,6 @@ not any particular constant.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -188,34 +186,3 @@ def first_crossing(statuses: list[BootstrapStatus]) -> float | None:
         if st.crossed:
             return st.tau
     return None
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def records_to_csv(records: list[InequalityRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "tau", "lhs", "envelope", "ratio", "location",
-                "vacuous"])
-    for r in records:
-        w.writerow([r.name, f"{r.tau:.9g}", f"{r.lhs:.17g}",
-                    f"{r.envelope:.17g}", f"{r.ratio:.17g}",
-                    ";".join(f"{c:.9g}" for c in r.location),
-                    int(r.vacuous)])
-    return buf.getvalue()
-
-
-def fits_to_csv(fits: dict[str, DecayFit]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["series", "exponent", "stderr", "residual", "window_lo",
-                "window_hi", "npoints"])
-    for name in sorted(fits):
-        f = fits[name]
-        w.writerow([name, f"{f.exponent:.17g}", f"{f.stderr:.17g}",
-                    f"{f.residual:.17g}", f"{f.window[0]:.9g}",
-                    f"{f.window[1]:.9g}", f.npoints])
-    return buf.getvalue()

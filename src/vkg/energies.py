@@ -30,16 +30,13 @@ than roundoff.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import Generator
 from .commuted import (MultiIndex, derive_commuted_vlasov,
-                       multi_indices_up_to, _mi_str)
+                       multi_indices_up_to)
 from .solver import NodeSample, SliceData
 
 
@@ -420,23 +417,6 @@ class EnergyReport:
     breakdown_f: dict[MultiIndex, float]
     breakdown_fw: dict[MultiIndex, float]
 
-    def truncated(self, order: int) -> EnergyReport:
-        """The report of the same slice at a lower order, from these
-        breakdowns and equal to energy_report at that order: its indices
-        are a prefix of these, summed in the same order, and the ones it
-        weights by v0 in Ehat_N1_f (|A| <= order // 2) are weighted here
-        too."""
-        if order > self.order:
-            raise ValueError(f"order {order} exceeds the report's {self.order}")
-        keep = [A for A in self.breakdown_f if len(A) <= order]
-        half = order // 2
-        phi = {A: self.breakdown_phi[A] for A in keep}
-        f = {A: self.breakdown_f[A] for A in keep}
-        fw = {A: self.breakdown_fw[A] if len(A) <= half else f[A]
-              for A in keep}
-        return EnergyReport(self.tau, order, sum(phi.values()),
-                            sum(f.values()), sum(fw.values()), phi, f, fw)
-
 
 def energy_report(sq: SliceQuantities, order: int) -> EnergyReport:
     """Slice energies of every multi-index up to order: each breakdown
@@ -460,26 +440,6 @@ def energy_report(sq: SliceQuantities, order: int) -> EnergyReport:
         breakdown_phi=breakdown_phi,
         breakdown_f=breakdown_f,
         breakdown_fw=breakdown_fw)
-
-
-def reports_to_csv(reports: list[EnergyReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["tau", "order", "multi_index", "E_phi", "Ehat_f", "Ehat_f_weighted"])
-    for rep in reports:
-        for A in sorted(rep.breakdown_f, key=lambda a: (len(a), _mi_str(a))):
-            w.writerow([f"{rep.tau:.9g}", len(A), _mi_str(A),
-                        f"{rep.breakdown_phi[A]:.17g}",
-                        f"{rep.breakdown_f[A]:.17g}",
-                        f"{rep.breakdown_fw[A]:.17g}"])
-    return buf.getvalue()
-
-
-def reports_to_json(reports: list[EnergyReport]) -> str:
-    doc = [{"tau": rep.tau, "order": rep.order, "E_N_phi": rep.E_N_phi,
-            "Ehat_N_f": rep.Ehat_N_f, "Ehat_N1_f": rep.Ehat_N1_f}
-           for rep in reports]
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

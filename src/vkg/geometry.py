@@ -1,10 +1,10 @@
 """Hyperboloidal foliation of Minkowski space.
 
 The region t >= sqrt(1 + |x|^2) is sliced by hyperboloids
-H_tau = {t^2 - |x|^2 = tau^2}.  This module provides the coordinate
-maps between Cartesian (t, x) and pseudo-Cartesian (tau, y) systems,
-slice quadratures carrying the induced volume form
-(tau/t) r^{n-1} dr dsigma, and the closed-form volume of a truncated
+H_tau = {t^2 - |x|^2 = tau^2}, parametrised by the spatial coordinates
+y = x, so a node at radius r = |y| lies at t = sqrt(tau^2 + r^2).  This
+module provides slice quadratures carrying the induced volume form
+(tau/t) r^{n-1} dr dsigma and the closed-form volume of a truncated
 slice.
 
 Everything here is a pure function of immutable inputs.
@@ -16,44 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class FoliationDomainError(ValueError):
-    """Point lies outside the region covered by the hyperboloids."""
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    t: float
-    x: tuple[float, ...]
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(sum(c * c for c in self.x))
-
-
-@dataclass(frozen=True)
-class HyperboloidCoords:
-    tau: float
-    y: tuple[float, ...]
-
-
-def tau_of(p: SpacetimePoint) -> float:
-    """Hyperboloidal time sqrt(t^2 - |x|^2) of a point with t >= |x|."""
-    r = p.r
-    if p.t < r:
-        raise FoliationDomainError(
-            f"point (t={p.t}, r={r}) is outside the light cone"
-        )
-    return math.sqrt((p.t - r) * (p.t + r))
-
-
-def lift_to_cartesian(h: HyperboloidCoords) -> SpacetimePoint:
-    """Cartesian point on the slice: t = sqrt(tau^2 + |y|^2), x = y."""
-    if h.tau < 1.0:
-        raise FoliationDomainError(f"tau={h.tau} < 1 is below the base slice")
-    r2 = sum(c * c for c in h.y)
-    return SpacetimePoint(t=math.sqrt(h.tau * h.tau + r2), x=tuple(h.y))
 
 
 def truncated_slice_volume(tau: float, rmax: float, n: int) -> float:
@@ -92,10 +54,6 @@ class SliceQuadrature:
         self.points.setflags(write=False)
         self.radii.setflags(write=False)
         self.weights.setflags(write=False)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.sqrt(self.tau**2 + self.radii**2)
 
 
 def build_slice_quadrature(
@@ -139,31 +97,4 @@ def build_slice_quadrature(
             W.ravel()[keep].copy(),
         )
     raise ValueError(f"unsupported dimension n={n}")
-
-
-def integrate_slice(g, q: SliceQuadrature) -> float:
-    """Weighted sum of g over the quadrature nodes.
-
-    ``g`` may be a callable y -> scalar or an array of node values.
-    Non-finite values propagate with a diagnostic.
-    """
-    if callable(g):
-        vals = np.array([g(y) for y in q.points], dtype=float)
-    else:
-        vals = np.asarray(g, dtype=float)
-        if vals.shape != q.weights.shape:
-            raise ValueError(
-                f"value array shape {vals.shape} != node count {q.weights.shape}"
-            )
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        res = float(np.sum(vals * q.weights))
-        import warnings
-
-        warnings.warn(
-            f"non-finite integrand at node {bad} (y={q.points[bad]}) "
-            f"on slice tau={q.tau}"
-        )
-        return res
-    return float(np.dot(vals, q.weights))
 

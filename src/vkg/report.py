@@ -1,8 +1,11 @@
-"""Run manifests, raw binary dumps, and dependency-free SVG plots."""
+"""Run artifacts: CSV and JSON tables, manifests, raw binary dumps, and
+dependency-free SVG plots."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import struct
@@ -10,7 +13,83 @@ from pathlib import Path
 
 import numpy as np
 
+from .commuted import _mi_str
+from .diagnostics import BootstrapStatus, DecayFit, InequalityRecord
+from .energies import EnergyReport
+from .solver import RunResult
+
 BINARY_MAGIC = b"VKG1"
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON tables
+# ---------------------------------------------------------------------------
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text of the header row and then the rows, each row ending in a
+    newline."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def series_csv(result: RunResult) -> str:
+    return csv_text(["t", "sup_phi", "sup_f", "min_f", "mass"], (
+        [f"{t:.9g}", f"{p:.17g}", f"{hi:.17g}", f"{lo:.17g}", f"{m:.17g}"]
+        for t, p, hi, lo, m in zip(result.times, result.sup_phi,
+                                   result.sup_f, result.min_f, result.mass)))
+
+
+def bootstrap_csv(statuses: list[BootstrapStatus]) -> str:
+    return csv_text(["tau", "margin_phi", "margin_f", "crossed"], (
+        [f"{st.tau:.9g}", f"{st.margin_phi:.17g}", f"{st.margin_f:.17g}",
+         int(st.crossed)] for st in statuses))
+
+
+def inequalities_csv(records: list[InequalityRecord]) -> str:
+    return csv_text(
+        ["name", "tau", "lhs", "envelope", "ratio", "location", "vacuous"], (
+            [r.name, f"{r.tau:.9g}", f"{r.lhs:.17g}", f"{r.envelope:.17g}",
+             f"{r.ratio:.17g}", ";".join(f"{c:.9g}" for c in r.location),
+             int(r.vacuous)] for r in records))
+
+
+def decay_csv(fits: dict[str, DecayFit]) -> str:
+    return csv_text(["series", "exponent", "stderr", "residual", "window_lo",
+                     "window_hi", "npoints"], (
+        [name, f"{f.exponent:.17g}", f"{f.stderr:.17g}", f"{f.residual:.17g}",
+         f"{f.window[0]:.9g}", f"{f.window[1]:.9g}", f.npoints]
+        for name, f in sorted(fits.items())))
+
+
+def energies_csv(reports: list[EnergyReport]) -> str:
+    return csv_text(["tau", "order", "multi_index", "E_phi", "Ehat_f",
+                     "Ehat_f_weighted"], (
+        [f"{rep.tau:.9g}", len(A), _mi_str(A), f"{rep.breakdown_phi[A]:.17g}",
+         f"{rep.breakdown_f[A]:.17g}", f"{rep.breakdown_fw[A]:.17g}"]
+        for rep in reports
+        for A in sorted(rep.breakdown_f, key=lambda a: (len(a), _mi_str(a)))))
+
+
+def energies_json(reports: list[EnergyReport]) -> str:
+    doc = [{"tau": rep.tau, "order": rep.order, "E_N_phi": rep.E_N_phi,
+            "Ehat_N_f": rep.Ehat_N_f, "Ehat_N1_f": rep.Ehat_N1_f}
+           for rep in reports]
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header row, as column -> text."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# ---------------------------------------------------------------------------
+# Manifests and binary dumps
+# ---------------------------------------------------------------------------
 
 
 def content_hash(path: Path) -> str:

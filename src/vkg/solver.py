@@ -572,20 +572,20 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     dt = cfg.dt
     n = cfg.n
     # x axis d moves at vhat_d = v_d / v^0, v^0 = sqrt(1 + |v|^2): one
-    # shift per velocity cell, on (1,)*n + (nv,)*n (vg is an open grid)
+    # shift vhat_d (dt/2) / dx per velocity cell, on (1,)*n + (nv,)*n (vg
+    # is an open grid), the same for both x half-steps
     vg = [v_centers(cfg).reshape((-1,) + (1,) * (n - 1 - d)) for d in range(n)]
     v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    vhat = [(v / v0)[(None,) * n] for v in vg]
+    x_shift = [(v / v0)[(None,) * n] * (dt / 2) / cfg.dx for v in vg]
     # in free_kg mode f is identically zero and advecting it is a no-op
     transport = cfg.mode != "free_kg"
     evolve_field = cfg.mode != "free_transport"
     kick = cfg.mode in ("coupled", "mms")
     t_mid = phase.t + dt / 2
 
-    def advect_x(h):
+    def advect_x():
         for d in range(n):
-            phase.f = advect(phase.f, vhat[d] * h / cfg.dx, axis=d,
-                             bc=cfg.bc)
+            phase.f = advect(phase.f, x_shift[d], axis=d, bc=cfg.bc)
 
     def add_source():
         # (dt/2) s + f: the same products and sums as f + (dt/2) s, with
@@ -596,7 +596,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
         phase.f = src
 
     if transport:
-        advect_x(dt / 2)
+        advect_x()
     if kinetic_source is not None:
         add_source()
     rho = source_density(phase.f, cfg) if kick else 0.0
@@ -613,7 +613,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
         field_substep(field, rho, dt / 2, cfg, field_source)
 
     if transport:
-        advect_x(dt / 2)
+        advect_x()
 
     phase.t += dt
     if not evolve_field:
@@ -839,11 +839,17 @@ def run(cfg: SimConfig) -> RunResult:
     warnings: list[str] = []
     series = {k: [] for k in ("t", "sup_phi", "sup_f", "min_f", "mass")}
 
+    f_row = ()
+
     def record():
+        nonlocal f_row
         # an overflow is reported as the non-finite state below
         with np.errstate(over="ignore"):
-            row = (phase.t, float(np.abs(fld.phi).max()), float(phase.f.max()),
-                   float(phase.f.min()), total_mass(phase.f, cfg))
+            # free_kg never changes f: its row is taken at t0 only
+            if not f_row or cfg.mode != "free_kg":
+                f_row = (float(phase.f.max()), float(phase.f.min()),
+                         total_mass(phase.f, cfg))
+            row = (phase.t, float(np.abs(fld.phi).max())) + f_row
         for values, value in zip(series.values(), row):
             values.append(value)
         # NaN and +-inf anywhere in f or phi reach one of these reductions

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_energies import node_phi, node_rows, one_node_slices, random_slice
-from vkg import energies
+from vkg import energies, report
 from vkg.commuted import _mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
                              bootstrap_monitor, decay_fit, delta_rule,
-                             first_crossing, fits_to_csv, ks_check_f,
-                             ks_check_phi, l2_estimate_check, ratio_variation,
-                             records_to_csv)
+                             first_crossing, ks_check_f, ks_check_phi,
+                             l2_estimate_check, ratio_variation)
 from vkg.energies import EnergyReport, energy_report, evaluate_slice
 from vkg.solver import SimConfig, run
 
@@ -271,7 +270,7 @@ def test_monitors_equal_node_loop(n, count, coupled_pair):
 def test_records_csv_round_shape():
     recs = [InequalityRecord("ks_phi", 2.0, 1.5, 3.0, 0.5, (1.25,)),
             InequalityRecord("l2_", 3.0, 0.0, 1.0, 0.0, (), vacuous=True)]
-    text = records_to_csv(recs)
+    text = report.inequalities_csv(recs)
     lines = text.strip().split("\n")
     assert lines[0] == "name,tau,lhs,envelope,ratio,location,vacuous"
     assert len(lines) == 3
@@ -282,6 +281,6 @@ def test_records_csv_round_shape():
 def test_fits_csv_sorted_by_name():
     fits = {"sup_phi": DecayFit(-0.5, 1e-3, 1e-2, (2.0, 10.0), 40),
             "sup_f": DecayFit(-1.0, 1e-3, 1e-2, (2.0, 10.0), 40)}
-    lines = fits_to_csv(fits).strip().split("\n")
+    lines = report.decay_csv(fits).strip().split("\n")
     assert lines[0].startswith("series,exponent")
     assert [ln.split(",")[0] for ln in lines[1:]] == ["sup_f", "sup_phi"]

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vkg import energies
+from vkg import energies, report
 from vkg.algebra import BOOST, DT, DX, ROT, Generator
 from vkg.commuted import derive_commuted_vlasov, multi_indices_up_to
 from vkg.energies import (DensitySample, SliceQuantities, density_samples,
                           energy_report, evaluate_slice, kg_energy_density,
-                          kg_lower_bound_slack, reports_to_csv,
-                          reports_to_json, velocity_moments,
+                          kg_lower_bound_slack, velocity_moments,
                           vlasov_energy_density, vlasov_energy_inequality_slack,
                           vlasov_lower_bound_slacks)
 from vkg.solver import NodeSample, SimConfig, SliceData, run
@@ -481,14 +480,6 @@ def test_evaluate_node_matches_whole_block_route(n):
         assert np.allclose(got, want, rtol=0, atol=1e-13 * max(map(abs, want)))
 
 
-def test_truncated_report_equals_lower_order_report(transport_slices):
-    n2 = evaluate_slice(random_slice(2, 3), 2)
-    for sq in (transport_slices[0], n2):
-        top = energy_report(sq, 2)
-        for k in (0, 1, 2):
-            assert top.truncated(k) == energy_report(sq, k)
-
-
 def test_report_breakdown_sums(transport_slices):
     rep = energy_report(transport_slices[0], 2)
     assert abs(rep.E_N_phi - sum(rep.breakdown_phi.values())) < 1e-14
@@ -748,9 +739,9 @@ def test_zero_data_zero_report():
 
 def test_report_serialization(transport_slices):
     reps = [energy_report(sq, 1) for sq in transport_slices]
-    text = reports_to_csv(reps)
+    text = report.energies_csv(reps)
     lines = text.strip().split("\n")
     assert lines[0].startswith("tau,order,multi_index")
     assert len(lines) == 1 + 2 * len(multi_indices_up_to(1, 1))
-    doc = reports_to_json(reps)
-    assert '"tau"' in doc and reports_to_json(reps) == doc
+    doc = report.energies_json(reps)
+    assert '"tau"' in doc and report.energies_json(reps) == doc

@@ -597,6 +597,31 @@ def test_run_evaluates_two_laplacians_per_step(mode, n, monkeypatch):
     assert len(calls) == (0 if mode == "free_transport" else 2 * steps + 1)
 
 
+@pytest.mark.parametrize("mode", ["coupled", "free_kg"])
+def test_run_reduces_f_once_in_free_kg_mode(mode, monkeypatch):
+    """free_kg never changes f, so run takes its max, min and mass at t0
+    only and repeats them on every row; other modes take them per step."""
+    cfg = SimConfig(n=1, mode=mode, x_extent=4.0, nx=16, vmax=2.0, nv=8,
+                    dt=0.1, t0=2.0, t_end=2.5, epsilon=1e-2, taus=())
+    calls = []
+    mass = solver.total_mass
+
+    def spy(*args):
+        calls.append(args)
+        return mass(*args)
+
+    monkeypatch.setattr(solver, "total_mass", spy)
+    res = run(cfg)
+    steps = len(res.times) - 1
+    assert steps == 5
+    assert len(calls) == (1 if mode == "free_kg" else steps + 1)
+    if mode == "free_kg":
+        f0 = initial_states(cfg)[0].f
+        assert np.array_equal(res.mass, np.full(steps + 1, mass(f0, cfg)))
+        assert np.array_equal(res.sup_f, np.full(steps + 1, f0.max()))
+        assert np.array_equal(res.min_f, np.full(steps + 1, f0.min()))
+
+
 def test_sommerfeld_frame_at_odd_nx_divides_by_no_zero():
     """At odd nx the n = 2 grid has a cell at r = 0.  The radiation value
     is set on the boundary frame only, so a step warns of nothing, and the
