@@ -10,6 +10,7 @@ takes precedence over the file.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -99,6 +100,14 @@ def load_settings(text: str, environ=None) -> RunSettings:
     if settings.delta_mode not in ("free", "n4"):
         raise ConfigError(
             f"delta_mode must be free or n4, got {settings.delta_mode!r}")
+    lo, hi = settings.decay_window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError("the decay window needs finite decay_window_lo < "
+                          f"decay_window_hi, got {lo} and {hi}")
+    if not (math.isfinite(settings.ratio_variation_max)
+            and settings.ratio_variation_max > 0):
+        raise ConfigError("ratio_variation_max must be positive and finite, "
+                          f"got {settings.ratio_variation_max}")
     return settings
 
 

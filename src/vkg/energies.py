@@ -4,16 +4,21 @@ All quantities live on truncated hyperboloids tau^2 = t^2 - |x|^2.  The
 kinetic energy density is ehat(g) = int (v^0 t - v.x)/tau g dv and the
 field density e(phi) = (t/2tau)((d_t phi)^2 + |grad phi|^2 + phi^2)
 + (r/tau)(d_t phi)(d_r phi).  Node data come from the solver's captured
-space-time blocks.  Interpolating to a node is a contraction with
-per-node, per-axis weight vectors: the cubic Lagrange weights w, the
-derivative weights G^T w (G is np.gradient on that axis's coordinates,
-so a centered difference followed by interpolation is one dot product)
-and the coordinate weights c*w.  The node value of Z_A f is therefore
-the outermost generator of A contracted against the whole block Z_B f
-of the inner composition B, and the lifted velocity part of that
-generator acts on the contracted velocity profile.  Nodes of a slice
-share one block shape, so they are evaluated in stacks of at most
-STACK_CELLS cells.
+space-time blocks, and one route evaluates every multi-index on them.
+A generator is a space-time part X = sum +-c d_a plus the lifted
+velocity part V.  The two act on disjoint axes, so they commute, also
+discretely: G (np.gradient on an axis's coordinates) acts on the t and
+x axes and np.gradient on the v axes.  So Zhat_A = prod (X + V) is
+multiplied out into terms, each an integer coefficient, one word per
+space-time axis in the letters D = G and X = diag(c), and the ordered
+velocity parts it takes; Z_A is its terms without velocity parts.  The
+node value of a word applied to a block is the block contracted with
+the word's weight row (word)^T w, where w holds the cubic Lagrange
+weights of the node on that axis.  A stack of blocks is contracted once
+with the distinct rows of each axis, and the velocity parts act on the
+contracted (nodes, v..) profiles.  phi blocks have no v axes, so the
+blocks of all nodes of a slice are contracted at once; f blocks are
+taken in stacks of at most STACK_CELLS cells.
 
 A slice's values are kept stacked along a leading node axis, one array
 per multi-index A: Zhat_A f as (nodes, v..) profiles, Z_A phi and its
@@ -31,6 +36,7 @@ than roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -41,16 +47,11 @@ from .solver import NodeSample, SliceData
 
 
 # ---------------------------------------------------------------------------
-# Block calculus: generators applied to stacked space-time blocks
+# Block calculus: multi-indices as per-axis weight rows
 # ---------------------------------------------------------------------------
 
-# A stack of node blocks has axes (node, t, x_1..x_n, v_1..v_n); the
-# contracted basis of a stack has axes (node, row_t, row_x1.., v..), one
-# row per weight vector of each space-time axis.
-_W, _D, _C = 0, 1, 2               # rows: value, derivative, coordinate
-
-# evaluate_slice takes the nodes of a slice in stacks of at most this
-# many cells of f (at least one node per stack)
+# evaluate_slice takes the f blocks of a slice in stacks of at most this
+# many cells (at least one node per stack)
 STACK_CELLS = 1 << 15
 
 
@@ -92,77 +93,53 @@ def _gradient_matrices(coords: np.ndarray) -> np.ndarray:
     return G
 
 
-@dataclass
-class _Stack:
-    """Per-node coordinates and weights of nodes sharing a block shape.
+@cache
+def _expansion(A: MultiIndex, n: int) -> tuple:
+    """Zhat_A = prod over g in A of (X_g + V_g), multiplied out: one
+    (coefficient, words, velocity generators) per term.  words[a] is the
+    word of space-time axis a (t, then x_1..x_n) in the letters D (G) and
+    X (diag of the coordinates), outermost first, and the generators whose
+    velocity parts the term takes are ordered the same way.  The terms
+    without velocity generators are those of Z_A."""
+    terms = [(1, ("",) * (n + 1), ())]
+    for g in A:
+        out = []
+        for k, words, vel in terms:
+            out += [(sign * k, tuple(w + "D" * (b == a) + "X" * (b == c)
+                                     for b, w in enumerate(words)), vel)
+                    for sign, c, a in g.terms]
+            if g.lift:
+                out.append((k, words, vel + (g,)))
+        terms = out
+    return tuple(terms)
 
-    For space-time axis a (t, then x_1..x_n): coords[a] is (nodes, m),
-    grads[a] holds each node's (m, m) matrix of np.gradient on its
-    coordinates, and weights[a] its rows (w, G^T w, c*w), so that
-    w . (G h) and (c*w) . h are the node values of d_a h and c h.
-    """
 
-    coords: list[np.ndarray]
-    grads: list[np.ndarray]
-    weights: list[np.ndarray]
-    v_axes: tuple[np.ndarray, ...]
+def _weight_rows(nodes: list[NodeSample], wanted: dict):
+    """Weight rows of the words of wanted's terms (lists of _expansion
+    terms), and wanted with each term's words replaced by row positions.
 
-    def rows(self, s: slice) -> _Stack:
-        return _Stack(*([a[s] for a in f] for f in (
-            self.coords, self.grads, self.weights)), self.v_axes)
-
-
-def _stack(nodes: list[NodeSample], n: int) -> _Stack:
-    coords, grads, weights = [], [], []
-    for a in range(n + 1):
+    For space-time axis a the rows are (nodes, words, m), one per distinct
+    word on that axis, short words first.  The row of the word L_1..L_k
+    is L_k^T..L_1^T w, so that its dot product with h is the node value of
+    L_1..L_k h; the rows w, G^T w and c*w of the empty word, D and X come
+    first."""
+    rows, pos = [], []
+    for a in range(len(nodes[0].y) + 1):
         cs = np.array([nd.t_levels if a == 0 else nd.x_axes[a - 1]
                        for nd in nodes])
         at = np.array([nd.t_star if a == 0 else nd.y[a - 1] for nd in nodes])
-        G, w = _gradient_matrices(cs), _interp_weights(cs, at)
-        coords.append(cs)
-        grads.append(G)
-        weights.append(np.stack([w, np.einsum("kij,ki->kj", G, w), cs * w],
-                                axis=1))
-    return _Stack(coords, grads, weights, nodes[0].v_axes)
-
-
-def _velocity_part(g: Generator, p: np.ndarray, v_axes):
-    """Lifted velocity part of g (Generator.lift) on p, whose last axes
-    are the v axes; None for translations."""
-    if not g.lift:
-        return None
-    n = len(v_axes)
-    # v axis d shaped to broadcast against the trailing v axes
-    v = [a.reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(v_axes)]
-    out = None
-    for sign, k, d in g.lift:
-        factor = np.sqrt(1.0 + sum(vd ** 2 for vd in v)) if k == 0 \
-            else v[k - 1]
-        term = factor * np.gradient(p, v_axes[d - 1], axis=d - 1 - n,
-                                    edge_order=2)
-        out = term if out is None else out + sign * term
-    return out
-
-
-def _apply(g: Generator, h: np.ndarray, st: _Stack, lifted: bool
-           ) -> np.ndarray:
-    """g (or its complete lift) applied to a stack of whole blocks."""
-    letters = "abcdefg"[:h.ndim - 1]
-    out = None
-    for sign, c, a in g.terms:
-        ax = letters[a]
-        term = np.einsum(f"nz{ax},n{letters}->n{letters.replace(ax, 'z')}",
-                         st.grads[a], h)
-        if c is not None:
-            shape = [len(h)] + [1] * (h.ndim - 1)
-            shape[1 + c] = st.coords[c].shape[1]
-            term = st.coords[c].reshape(shape) * term
-        out = term if out is None else out + sign * term
-    if lifted:
-        vpart = _velocity_part(g, h, st.v_axes)
-        if vpart is not None:
-            out = out + vpart
-    return out
+        G, row = _gradient_matrices(cs), {"": _interp_weights(cs, at)}
+        axis = sorted({w[a] for tms in wanted.values() for _, w, _ in tms},
+                      key=lambda w: (len(w), w))
+        for w in sorted({w[:k] for w in axis for k in range(1, len(w) + 1)},
+                        key=len):
+            row[w] = np.einsum("kij,ki->kj", G, row[w[:-1]]) \
+                if w[-1] == "D" else cs * row[w[:-1]]
+        rows.append(np.stack([row[w] for w in axis], axis=1))
+        pos.append({w: i for i, w in enumerate(axis)})
+    return rows, {key: [(k, tuple(p[w] for p, w in zip(pos, words)), vel)
+                        for k, words, vel in tms]
+                  for key, tms in wanted.items()}
 
 
 def _contract(h: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
@@ -179,25 +156,39 @@ def _contract(h: np.ndarray, weights: list[np.ndarray]) -> np.ndarray:
                        + h.shape[1 + len(weights):])
 
 
-def _row(n: int, c: int | None = None, d: int | None = None) -> tuple:
-    """Basis index: row _C on axis c, row _D on axis d, _W elsewhere."""
-    idx = [_W] * (n + 1)
-    if c is not None:
-        idx[c] = _C
-    if d is not None:
-        idx[d] = _D
-    return (slice(None), *idx)
-
-
-def _outer(g: Generator, basis: np.ndarray, st: _Stack) -> np.ndarray:
-    """Node profiles of g h from the contracted basis of h (a new array,
-    so that the profiles do not keep the basis alive)."""
-    n = len(st.coords) - 1
+def _velocity_part(g: Generator, p: np.ndarray, v_axes):
+    """Lifted velocity part of g (Generator.lift) on p, whose last axes
+    are the v axes."""
+    n = len(v_axes)
+    # v axis d shaped to broadcast against the trailing v axes
+    v = [a.reshape((-1,) + (1,) * (n - 1 - d)) for d, a in enumerate(v_axes)]
     out = 0.0
-    for sign, c, a in g.terms:
-        out = out + sign * basis[_row(n, c=c, d=a)]
-    vpart = _velocity_part(g, basis[_row(n)], st.v_axes)
-    return out if vpart is None else out + vpart
+    for sign, k, d in g.lift:
+        factor = np.sqrt(1.0 + sum(vd ** 2 for vd in v)) if k == 0 \
+            else v[k - 1]
+        out = out + sign * factor * np.gradient(
+            p, v_axes[d - 1], axis=d - 1 - n, edge_order=2)
+    return out
+
+
+def _node_values(h: np.ndarray, rows: list[np.ndarray], terms: dict,
+                 v_axes=()) -> dict:
+    """Per key of terms (_weight_rows positions), the sum of its terms on a
+    stack h (nodes, t, x.., v..) contracted with rows: a new array, so
+    that it does not keep the contracted basis alive."""
+    basis = _contract(h, rows)
+    done = {}                   # velocity parts applied, by (idx, vel)
+    out = {}
+    for key, tms in terms.items():
+        out[key] = 0.0
+        for k, idx, vel in tms:
+            p = basis[(slice(None),) + idx]
+            for i in reversed(range(len(vel))):     # innermost first
+                if (idx, vel[i:]) not in done:
+                    done[idx, vel[i:]] = _velocity_part(vel[i], p, v_axes)
+                p = done[idx, vel[i:]]
+            out[key] = out[key] + k * p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,57 +244,47 @@ class SliceQuantities:
         return float(np.sum(self.weight * values))
 
 
-def _evaluate_stack(nodes: list[NodeSample], st: _Stack, order: int):
-    """The dicts (f, phi, phi_dt, phi_grad) of SliceQuantities for nodes
-    of one block shape and their _Stack st, every index up to order."""
-    n = len(st.coords) - 1
+def _f_stack(nodes: list[NodeSample], rows: list[np.ndarray], terms: dict
+             ) -> dict:
+    """The (nodes, v..) profiles of Zhat_A f on a stack of nodes, for
+    every A of terms, from the stack's rows of _weight_rows."""
     # the summation order of the contractions follows the memory layout,
     # so fix it: C order (np.stack keeps an F-ordered block in F order)
     f = np.ascontiguousarray(np.stack([nd.fblock for nd in nodes]))
-    phi = np.ascontiguousarray(np.stack([nd.phiblock for nd in nodes]))
-    indices = multi_indices_up_to(n, order)
-    # whole blocks of Z_B f are needed only as the inner blocks of longer
-    # indices; phi blocks have no v axes and are kept for every index
-    inner = {(): f}
-    pblocks = {(): phi}
-    for A in indices[1:]:
-        pblocks[A] = _apply(A[0], pblocks[A[1:]], st, False)
-        if len(A) < order:
-            inner[A] = _apply(A[0], inner[A[1:]], st, True)
-    basis = {B: _contract(h, st.weights) for B, h in inner.items()}
-    # a copy: a view would keep the whole basis alive with the profile
-    profiles = {(): basis[()][_row(n)].copy()}
-    for A in indices[1:]:
-        profiles[A] = _outer(A[0], basis[A[1:]], st)
-    wd = [w[:, :_C] for w in st.weights]
-    values, dts, grads = {}, {}, {}
-    for A in indices:
-        pb = _contract(pblocks[A], wd)
-        values[A] = pb[_row(n)]
-        dts[A] = pb[_row(n, d=0)]
-        grads[A] = np.stack([pb[_row(n, d=1 + d)] for d in range(n)], axis=1)
-    return profiles, values, dts, grads
+    return _node_values(f, rows, terms, nodes[0].v_axes)
 
 
 def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
-    """Every node of the slice, in stacks of at most STACK_CELLS cells
-    (at least one node per stack)."""
-    nodes = data.nodes
+    """Every node of the slice, every index up to order: phi in one
+    contraction, f in stacks of at most STACK_CELLS cells (at least one
+    node per stack)."""
+    nodes, n = data.nodes, data.n
+    terms = {A: _expansion(A, n) for A in multi_indices_up_to(n, order)}
+    # Z_A phi (a = -1) and d_a Z_A phi: its terms with one more outermost
+    # D on axis a
+    pterms = {(A, a): [(k, tuple("D" * (b == a) + w
+                                 for b, w in enumerate(words)), ())
+                       for k, words, vel in tms if not vel]
+              for A, tms in terms.items() for a in range(-1, n + 1)}
+    phi = _node_values(
+        np.ascontiguousarray(np.stack([nd.phiblock for nd in nodes])),
+        *_weight_rows(nodes, pterms))
+    rows, terms = _weight_rows(nodes, terms)
     per = max(1, STACK_CELLS // nodes[0].fblock.size)
-    st = _stack(nodes, data.n)      # built once, then taken row by row
-    stacks = [_evaluate_stack(nodes[i:i + per], st.rows(slice(i, i + per)),
-                              order) for i in range(0, len(nodes), per)]
-    f, phi, phi_dt, phi_grad = (
-        {A: np.concatenate([s[k][A] for s in stacks]) for A in stacks[0][k]}
-        for k in range(4))
+    stacks = [_f_stack(nodes[i:i + per], [r[i:i + per] for r in rows], terms)
+              for i in range(0, len(nodes), per)]
     return SliceQuantities(
-        data.tau, data.n, data.dv,
+        data.tau, n, data.dv,
         t=np.array([nd.t_star for nd in nodes]),
         y=np.array([nd.y for nd in nodes]),
         r=np.array([nd.r for nd in nodes]),
         weight=np.array([nd.weight for nd in nodes]),
         v_axes=nodes[0].v_axes,
-        f=f, phi=phi, phi_dt=phi_dt, phi_grad=phi_grad)
+        f={A: np.concatenate([s[A] for s in stacks]) for A in terms},
+        phi={A: phi[A, -1] for A in terms},
+        phi_dt={A: phi[A, 0] for A in terms},
+        phi_grad={A: np.stack([phi[A, a] for a in range(1, n + 1)], axis=1)
+                  for A in terms})
 
 
 # ---------------------------------------------------------------------------

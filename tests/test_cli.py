@@ -162,6 +162,17 @@ def test_removed_key_in_config_exits_2(key, tmp_path, capsys):
     assert f"unknown key {key!r}" in err and "Traceback" not in err
 
 
+def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
+    # a NaN decay window once ran to exit 0 and silently dropped decay.csv
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    monkeypatch.setenv("VKG_DECAY_WINDOW_LO", "nan")
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "decay window" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("env,message", [
     # 1.75e10 steps: the series alone would outgrow physical memory
     ({"VKG_DT": "1e-9"}, "the series of 17500000000 steps"),

@@ -74,9 +74,23 @@ def test_load_settings_roundtrip():
     assert s.ratio_variation_max == 5.0  # default
 
 
-def test_bad_delta_mode():
-    with pytest.raises(ConfigError, match="delta_mode"):
-        load_settings("schema = 1\ndelta_mode = quartic", environ={})
+@pytest.mark.parametrize("lines,match", [
+    ("delta_mode = quartic", "delta_mode"),
+    ("decay_window_lo = nan", "decay window"),
+    ("decay_window_hi = inf", "decay window"),
+    ("decay_window_hi = -1", "decay window"),
+    ("decay_window_lo = 5\ndecay_window_hi = 5", "decay window"),
+    ("ratio_variation_max = nan", "ratio_variation_max"),
+    ("ratio_variation_max = inf", "ratio_variation_max"),
+    ("ratio_variation_max = 0", "ratio_variation_max"),
+    ("ratio_variation_max = -2", "ratio_variation_max"),
+], ids=["delta_mode", "window_lo_nan", "window_hi_inf", "window_inverted",
+        "window_empty", "ratio_nan", "ratio_inf", "ratio_zero",
+        "ratio_negative"])
+def test_bad_delta_mode(lines, match):
+    # run settings that make no sense are refused with the config errors
+    with pytest.raises(ConfigError, match=match):
+        load_settings(f"schema = 1\n{lines}", environ={})
 
 
 def test_env_overrides_take_precedence():

@@ -42,31 +42,50 @@ def make_node(tau=3.0, y=1.2, nt=6, nx=13, nv=24,
 
 
 # ---------------------------------------------------------------------------
-# whole-block reference route: differentiate a node's block, then
-# interpolate it to the node
+# whole-block reference route: differentiate a node's block with
+# np.gradient along each axis, then interpolate it to the node with
+# _reference_interp_weights; it shares no code with evaluate_slice
 # ---------------------------------------------------------------------------
 
 def block_apply(g: Generator, block: np.ndarray, node: NodeSample,
                 n: int, lifted: bool) -> np.ndarray:
-    """One generator (or its complete lift) applied to a block."""
-    return energies._apply(g, block[None], energies._stack([node], n),
-                           lifted)[0]
+    """One generator (or its complete lift) applied to a block with axes
+    (t, x_1..x_n) and, if lifted, (v_1..v_n) after them."""
+    axes = (node.t_levels,) + tuple(node.x_axes)
+    out = 0.0
+    for sign, c, a in g.terms:
+        term = np.gradient(block, axes[a], axis=a, edge_order=2)
+        if c is not None:       # coordinate c, broadcast along axis c
+            term = axes[c].reshape((-1,) + (1,) * (block.ndim - 1 - c)) \
+                * term
+        out = out + sign * term
+    if lifted:
+        v = np.meshgrid(*node.v_axes, indexing="ij")
+        for sign, k, d in g.lift:
+            factor = np.sqrt(1.0 + sum(w ** 2 for w in v)) if k == 0 \
+                else v[k - 1]
+            out = out + sign * factor * np.gradient(
+                block, node.v_axes[d - 1], axis=n + d, edge_order=2)
+    return out
 
 
 def block_apply_multi(A, block: np.ndarray, node: NodeSample,
                       n: int, lifted: bool) -> np.ndarray:
     """Z_A = Z_{A[0]} ... Z_{A[-1]} applied to a block, innermost first."""
-    stack = energies._stack([node], n)
-    out = block[None]
+    out = block
     for g in reversed(A):
-        out = energies._apply(g, out, stack, lifted)
-    return out[0]
+        out = block_apply(g, out, node, n, lifted)
+    return out
 
 
 def node_value(block: np.ndarray, node: NodeSample, n: int) -> np.ndarray:
     """Block interpolated to the node's (t*, y); v axes (if any) remain."""
-    w = [ws[:, :1] for ws in energies._stack([node], n).weights]
-    return energies._contract(block[None], w).reshape(block.shape[1 + n:])
+    out = block
+    for coords, at in zip((node.t_levels,) + tuple(node.x_axes),
+                          (node.t_star,) + tuple(node.y)):
+        out = np.tensordot(_reference_interp_weights(coords, at), out,
+                           axes=(0, 0))
+    return out
 
 
 def evaluate_single(node: NodeSample, order: int) -> SliceQuantities:
@@ -183,36 +202,53 @@ def _sym_apply(g, expr, t, xs, vs, lifted):
         if lifted else out
 
 
-def test_evaluate_node_n2_matches_analytic_derivatives():
-    # f is quadratic in every axis, so each first-order profile is exact:
-    # differences are exact on quadratics, and multiplying by a coordinate
-    # leaves a cubic that the cubic interpolation reproduces.  phi has
-    # total degree 2 (plus t x1 x2), so Z phi is still quadratic in every
-    # axis and its first derivatives at the node are exact too.
+@pytest.mark.parametrize("order", [1, 2])
+def test_evaluate_node_n2_matches_analytic_derivatives(order):
+    # Order 1: f is quadratic in every axis, so each first-order profile is
+    # exact: differences are exact on quadratics, and multiplying by a
+    # coordinate leaves a cubic that the cubic interpolation reproduces.
+    # phi has total degree 2 (plus t x1 x2), so Z phi is still quadratic in
+    # every axis and its first derivatives at the node are exact too.
+    # Order 2: f and phi are affine in each of t, x1 and x2 and f is affine
+    # in v, so every per-axis word of at most two letters is exact (cubic
+    # at worst before the interpolation), and so are the rotation's
+    # velocity parts, which keep f affine in v; the boost's v0 does not.
     import sympy as sp
     t, x1, x2, v1, v2 = sp.symbols("t x1 x2 v1 v2")
     xs, vs = (x1, x2), (v1, v2)
-    f = (t ** 2 * x1 * v2 ** 2 + x1 ** 2 * x2 * v1 + t * x2 ** 2 * v1 * v2
-         + v1 ** 2 + 1)
-    phi = (t ** 2 + x1 * x2 - t * x1 + 2 * x2 ** 2 + t * x2 / 2
-           + t * x1 * x2 + x1)
+    if order == 1:
+        f = (t ** 2 * x1 * v2 ** 2 + x1 ** 2 * x2 * v1
+             + t * x2 ** 2 * v1 * v2 + v1 ** 2 + 1)
+        phi = (t ** 2 + x1 * x2 - t * x1 + 2 * x2 ** 2 + t * x2 / 2
+               + t * x1 * x2 + x1)
+    else:
+        f = (t * x1 * x2 * v1 + (t + 2 * x1) * v2 + x1 * x2 - t * x2
+             + 3)
+        phi = (t * x1 * x2 + 2 * t * x1 - x1 * x2 + t * x2 / 2 + x1
+               - 3 * x2 + t + 1)
     node = make_node2(f_fn=sp.lambdify((t, x1, x2, v1, v2), f, "numpy"),
                       phi_fn=sp.lambdify((t, x1, x2), phi, "numpy"))
-    q = evaluate_single(node, 1)
+    q = evaluate_single(node, order)
     at = {t: node.t_star, x1: node.y[0], x2: node.y[1]}
     V1, V2 = np.meshgrid(*node.v_axes, indexing="ij")
-    for A in multi_indices_up_to(2, 1):
+    checked = 0
+    for A in multi_indices_up_to(2, order):
         zf, zphi = f, phi
         for g in reversed(A):
             zf = _sym_apply(g, zf, t, xs, vs, True)
             zphi = _sym_apply(g, zphi, t, xs, vs, False)
-        prof = sp.lambdify((v1, v2), zf.subs(at), "numpy")
-        assert np.allclose(q.f[A][0], prof(V1, V2), rtol=0, atol=1e-9)
         assert abs(q.phi[A][0] - float(zphi.subs(at))) < 1e-9
-        assert abs(q.phi_dt[A][0] - float(sp.diff(zphi, t).subs(at))) < 1e-9
-        for d in range(2):
-            exact = float(sp.diff(zphi, xs[d]).subs(at))
-            assert abs(q.phi_grad[A][0, d] - exact) < 1e-9
+        if order == 1 or all(g.kind != BOOST for g in A):
+            prof = sp.lambdify((v1, v2), zf.subs(at), "numpy")
+            assert np.allclose(q.f[A][0], prof(V1, V2), rtol=0, atol=1e-9)
+            checked += 1
+        if order == 1:
+            assert abs(q.phi_dt[A][0]
+                       - float(sp.diff(zphi, t).subs(at))) < 1e-9
+            for d in range(2):
+                exact = float(sp.diff(zphi, xs[d]).subs(at))
+                assert abs(q.phi_grad[A][0, d] - exact) < 1e-9
+    assert checked == {1: 7, 2: 21}[order]
     assert {(Generator(BOOST, 1),), (Generator(BOOST, 2),),
             (Generator(ROT, 1, 2),)} <= set(q.f)
 
@@ -233,9 +269,9 @@ def random_slice(n: int, count: int, seed: int = 3,
     return SliceData(tau, n, nodes, 0.25)
 
 
-# The per-node construction that _stack replaced: np.gradient on an
-# identity matrix and a Lagrange loop per node and axis.  _stack must match
-# it bit for bit.
+# The per-node construction that _gradient_matrices and _interp_weights
+# replaced: np.gradient on an identity matrix and a Lagrange loop per node
+# and axis.  They must match it bit for bit.
 
 def _reference_interp_weights(coords: np.ndarray, target: float) -> np.ndarray:
     b = int(np.searchsorted(coords, target)) - 1
@@ -294,15 +330,15 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
     monkeypatch.setattr(energies, "STACK_CELLS",
                         per * data.nodes[0].fblock.size + 1)
     stacks = []
-    evaluate_stack = energies._evaluate_stack
+    f_stack = energies._f_stack
 
     def spy(nodes, *args):
         stacks.append(len(nodes))
-        return evaluate_stack(nodes, *args)
+        return f_stack(nodes, *args)
 
-    monkeypatch.setattr(energies, "_evaluate_stack", spy)
+    monkeypatch.setattr(energies, "_f_stack", spy)
     sq = evaluate_slice(data, order)
-    # full stacks and a one-node remainder, which takes the view path
+    # full stacks and a one-node remainder
     assert stacks == [per] * (count // per) + [count % per]
     alone = [evaluate_single(nd, order) for nd in data.nodes]
     for field in ("f", "phi", "phi_dt", "phi_grad"):
@@ -321,8 +357,9 @@ def test_stack_profiles_keep_no_basis_alive(n, count, order):
     of the larger contracted basis, which would stay alive with it until
     evaluate_slice concatenates the stacks."""
     nodes = random_slice(n, count).nodes
-    profiles = energies._evaluate_stack(nodes, energies._stack(nodes, n),
-                                        order)[0]
+    rows, terms = energies._weight_rows(nodes, {
+        A: energies._expansion(A, n) for A in multi_indices_up_to(n, order)})
+    profiles = energies._f_stack(nodes, rows, terms)
     assert set(profiles) == set(multi_indices_up_to(n, order))
     for A, p in profiles.items():
         base = p
@@ -463,7 +500,8 @@ def test_energy_hierarchy_monotone_in_order(transport_slices):
 def test_evaluate_node_matches_whole_block_route(n):
     # reference: build Z_A on the whole block, then interpolate it, for
     # every index up to order 2 on random data; evaluate_slice contracts
-    # the outermost generator instead, which reorders the roundoff only
+    # per-axis weight rows of the multiplied-out index instead, which
+    # reorders the roundoff only
     node = random_slice(n, 1).nodes[0]
     q = evaluate_single(node, 2)
     for A in multi_indices_up_to(n, 2):
