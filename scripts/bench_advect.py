@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Microbenchmark of the conservative advection kernel, vkg.solver.advect.
 
+The kernel differences the interpolated primitive in closed form: per
+block it pads the averages with ghost cells, limits the edge slopes,
+differences them, and sums four Hermite terms of averages and slope
+differences, so no primitive is built and each cell (the tails of f
+included) is resolved from its neighbours alone.
 Times one advect call per shape, axis and boundary condition on random
 cell averages, with one shift per line on a linear ramp over [-0.9, 0.9]
 across the lines (the CFL-bounded x-advection range; the velocity kick

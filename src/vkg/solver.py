@@ -3,16 +3,17 @@
 The distribution f(t, x, v) obeys  d_t f + vhat . grad_x f
 - grad_x(phi) . grad_v f = 0  with vhat = v/v^0, and the field obeys
 (box - 1) phi = rho = int f dv.  Transport is advanced by a conservative
-semi-Lagrangian split (monotone cubic interpolation of the primitive, so
-mass is conserved to roundoff and positivity is preserved); the field by
-velocity Verlet.  A step rebinds the state's f after every sub-step,
-so it holds at most two phase-space states at once: the input and the
-result of the current advection.  Hyperboloidal slice extraction reads
-the last T_WINDOW time levels of the kept box, the x cells that bound
-every slice node's window: the run holds a copy of f and phi over that
-box per level, not the whole state, and copies a local space-time block
-out of those copies around the slice nodes as the simulation time sweeps
-past them.
+semi-Lagrangian split: monotone cubic interpolation of the primitive,
+differenced in closed form so that the primitive is never built, which
+conserves mass to roundoff, preserves positivity and resolves the tails
+of f locally; the field by velocity Verlet.  A step rebinds the state's
+f after every sub-step, so it holds at most two phase-space states at
+once: the input and the result of the current advection.
+Hyperboloidal slice extraction reads the last T_WINDOW time levels of
+the kept box, the x cells that bound every slice node's window: the run
+holds a copy of f and phi over that box per level, not the whole state,
+and copies a local space-time block out of those copies around the slice
+nodes as the simulation time sweeps past them.
 Nodes that fire at the same step and whose windows overlap share one
 read-only block, and each node's block is a view of its window in it.
 Without nodes no level is held, and once the last node has fired the
@@ -196,7 +197,7 @@ def _limited_slopes(fpad2: np.ndarray, out: np.ndarray | None = None,
 
     Fourth-order edge-value estimate, limited into the monotone region
     [0, 3 min] of the adjacent one-signed averages; zero across sign
-    changes.  Keeping the interpolant of the cumulative sum monotone is
+    changes.  Keeping the interpolant of the primitive monotone is
     what preserves positivity; the high-order interior estimate keeps
     the advection second-order globally.  The stencil runs along the last
     axis.  The slopes are written to out and tmp holds the bounds; both
@@ -258,26 +259,34 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     axis, so each 1-D line of m cells moves by one uniform shift.  Cell
     edge j departs from j - sigma = (j + k) + xi, with one integer shift
     k = floor(-sigma) and one fraction xi in [0, 1) per line, hence four
-    cubic Hermite weights per line.  The lines are the columns of an
-    (m, L) array, so every stencil step (cumulative sum, limiter, Hermite
-    sum, difference) is an operation on contiguous rows of L lines.  The
-    primitive W (cumulative sum) and its monotone edge slopes are padded
-    by max|k| + 1 edges at both ends; the Hermite sum is evaluated for
-    every line over the rows that any shift in the block reads, and each
-    line's window is then picked with one masked copy per further shift.
-    W at the departure points is differenced back into cell averages, so
-    the total along each line is exact up to boundary outflow.  Outgoing
-    lines take in nothing: an edge departing from left of the line gets
-    W = 0 and one departing from right of it gets the line total, both
-    exactly.  Periodic lines wrap with W(b +- m) = W(b) +- total.
+    cubic Hermite weights per line.  The scheme interpolates the
+    primitive W (W_e, the sum of the first e averages) between its edges
+    with a monotone cubic Hermite and differences it at the departure
+    points.  Since W_{e+1} - W_e = g_e, that difference is taken in
+    closed form and W is never built:
 
-    The lines are taken in blocks of at most BLOCK_CELLS cells, each a
-    box of lines with the line axes in g's memory order, copied straight
-    from g into a ghost-padded (m + 4, lines) buffer, so g is never
-    transposed as a whole.  The buffers of every step are allocated once
-    per call and every block writes into them.  Blocks of 512 lines or
-    more sum the primitive row by row, one np.add per row: the same sums
-    as np.cumsum, which is faster on narrower blocks.
+        out_j = ((h00 g_{j+k} + h10 Dd_{j+k}) + h01 g_{j+k+1}) + h11 Dd_{j+k+1}
+
+    where Dd_e = d_{e+1} - d_e is the difference of the limited edge
+    slopes d.  Each cell reads only its neighbourhood, so small values
+    far from large ones (the tails of f) keep their own relative
+    precision instead of roundoff of the line total.  The averages are
+    padded with max|k| + 3 ghost cells at each end: zeros for outgoing
+    lines, which take in nothing and lose exactly what leaves, and
+    wrapped cells for periodic ones.  The cells of a line sum to the
+    interpolant's difference between its end edges, so the total along
+    each line is kept to roundoff, up to boundary outflow.
+
+    The lines are the columns of an (m, L) array, so every stencil step
+    (limiter, slope difference, Hermite sum) is an operation on
+    contiguous rows of L lines.  The Hermite sum is evaluated for every
+    line over the rows that any shift in the block reads, and each line's
+    window is then picked with one masked copy per further shift.  The
+    lines are taken in blocks of at most BLOCK_CELLS cells, each a box of
+    lines with the line axes in g's memory order, copied straight from g
+    into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g is
+    never transposed as a whole.  The buffers of every step are allocated
+    once per call and every block writes into them.
 
     The result is a fresh array laid out with the advection axis last in
     memory.  The callers' reductions (source_density, total_mass) sum in
@@ -310,16 +319,16 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     xi3 = xi2 * xi
     h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
          xi3 - xi2)
-    # cumulative-sum cancellation can leave negatives at the roundoff
-    # scale; zero those without touching genuinely signed data
+    # where the Hermite sum's terms cancel they can leave negatives at the
+    # roundoff scale; zero those without touching genuinely signed data
     floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
     boxes = list(_line_blocks(lines.shape[1:], max(1, BLOCK_CELLS // m)))
     # the workspace of one block, at the size of the first (largest) one:
-    # the padded primitive and slopes (edge e at row P + e for some
-    # P > max|k|), the padded averages, the Hermite sum and its term, and
-    # the picked windows.  It is one allocation: freeing one large block
-    # raises glibc's mmap and trim thresholds above its size, so later
-    # calls reuse the same heap pages instead of faulting in fresh ones
+    # the padded averages, then the slopes, the limiter's bounds and the
+    # slope differences, which the Hermite sum, its term and the picked
+    # windows reuse.  It is one allocation: freeing one large block raises
+    # glibc's mmap and trim thresholds above its size, so later calls
+    # reuse the same heap pages instead of faulting in fresh ones
     starts = _workspace_rows(m, int(k.min()), int(k.max()))
     work = np.empty(starts[-1] * lines[(0,) + boxes[0]].size)
     dest = result.transpose(order)
@@ -327,12 +336,13 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     for box in boxes:
         block = lines[(slice(None),) + box]
         nb = block[0].size
-        Wp, dp, gp, H, T, Wq = (work[lo * nb:hi * nb].reshape(hi - lo, nb)
-                                for lo, hi in zip(starts[:-1], starts[1:]))
-        np.copyto(gp[2:m + 2].reshape(block.shape), block)
+        gp, *rest = (work[lo * nb:hi * nb].reshape(hi - lo, nb)
+                     for lo, hi in zip(starts[:-1], starts[1:]))
+        G = (gp.shape[0] - m) // 2
+        np.copyto(gp[G:G + m].reshape(block.shape), block)
         b = slice(i, i + nb)
-        _advect_lines(gp, k[b], [w[b] for w in h], bc, floor,
-                      (Wp, dp, H, T, Wq), dest[(slice(None),) + box])
+        _advect_lines(gp, k[b], [w[b] for w in h], bc, floor, rest,
+                      dest[(slice(None),) + box])
         i += nb
     return result
 
@@ -340,87 +350,64 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
 def _workspace_rows(m: int, kmin: int, kmax: int) -> list[int]:
     """Where each array of advect's workspace starts, in rows of one value
     per line, for lines of m cells and integer shifts kmin to kmax; the
-    last entry is the row count.  The arrays are _advect_lines' padded
-    averages gp and its work (Wp, dp, H, T, Wq), in the order Wp, dp, gp,
-    H, T, Wq."""
-    P = max(-kmin, kmax) + 1
-    rows = [m + 1 + 2 * P] * 2 + [m + 4] + [kmax - kmin + m + 1] * 2 + [m + 1]
+    last entry is the row count.  The arrays are the padded averages gp,
+    m + 2 G rows for G = max(-kmin, kmax) + 3 ghost rows at each end, and
+    _advect_lines' work (A, B, C) of R + 1, R + 1 and R rows for
+    R = kmax - kmin + m + 1."""
+    G = max(-kmin, kmax) + 3
+    R = kmax - kmin + m + 1
+    rows = [m + 2 * G, R + 1, R + 1, R]
     return [sum(rows[:i]) for i in range(len(rows) + 1)]
 
 
 def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
-                  floor: float, work: tuple, out: np.ndarray):
+                  floor: float, work: list, out: np.ndarray):
     """advect on the L columns of one block into out, shape (m, ...).
 
-    gp, shape (m + 4, L), holds the cell averages in rows 2 to m + 1; its
-    two ghost rows at each end are filled here.  k are the integer shifts
-    and h = (h00, h10, h01, h11) the Hermite weights, each of shape (L,).
-    work = (Wp, dp, H, T, Wq) is the workspace: the padded primitive and
-    slopes, m + 1 + 2 P rows for some P > max|k|, the Hermite sum and its
-    term, at least max k - min k + m + 1 rows, and the picked windows,
-    m + 1 rows; each has L columns.
+    gp, shape (m + 2 G, L) with G > max|k| + 2, holds the cell averages in
+    rows G to G + m - 1; its G ghost rows at each end are filled here.  k
+    are the integer shifts and h = (h00, h10, h01, h11) the Hermite
+    weights, each of shape (L,).  work = (A, B, C) is the workspace, of at
+    least R + 1, R + 1 and R rows for R = max k - min k + m + 1 and L
+    columns each.
     """
-    Wp, dp, H, T, Wq = work
-    m, L = out.shape[0], k.size
+    A, B, C = work
+    m = out.shape[0]
     kmin, kmax = int(k.min()), int(k.max())
-    # edge e of a line sits at row P + e of the padded arrays
-    P = (Wp.shape[0] - m - 1) // 2
-    lines = gp[2:m + 2]
-    Wp[:P + 1] = 0.0
-    # the primitive: on blocks this wide the rows are long enough that
-    # one np.add per row beats np.cumsum, which adds the same numbers in
-    # the same order
-    if L >= 512:
-        np.copyto(Wp[P + 1], lines[0])
-        for r in range(1, m):
-            np.add(Wp[P + r], lines[r], out=Wp[P + 1 + r])
-    else:
-        np.cumsum(lines, axis=0, out=Wp[P + 1:P + m + 1])
-    total = Wp[P + m]
+    # average e of a line sits at row G + e of gp
+    G = (gp.shape[0] - m) // 2
     if bc == "periodic":
-        gp[:2] = lines[-2:]
-        gp[m + 2:] = lines[:2]
+        e = np.r_[-G:0, m:m + G]
+        gp[G + e] = gp[G + e % m]
     else:
-        gp[:2] = gp[m + 2:] = 0.0
-    _limited_slopes(gp.T, dp[P:P + m + 1].T, T[:m + 1].T)
-    if bc == "periodic":
-        e = np.r_[-P:0, m + 1:m + P + 1]
-        Wp[P + e] = Wp[P + e % m] + (e // m)[:, None] * total
-        dp[P + e] = dp[P + e % m]
-    else:
-        Wp[P + m + 1:] = total
-        dp[:P] = dp[P + m + 1:] = 0.0
+        gp[:G] = gp[G + m:] = 0.0
+    # the slopes d of edges kmin to kmax + m + 1 into A, with the
+    # limiter's bounds in B, and their differences Dd_e = d_{e+1} - d_e
+    # into C: row r of each is edge kmin + r
+    R = kmax - kmin + m + 1
+    _limited_slopes(gp[G + kmin - 2:G + kmin + R + 2].T, A[:R + 1].T,
+                    B[:R + 1].T)
+    Dd = np.subtract(A[1:R + 1], A[:R], out=C[:R])
 
-    # Hermite sum at every row any line of the block reads: H[r] uses
-    # rows P + kmin + r and the one after, so a line with shift kk reads
-    # H[kk - kmin:kk - kmin + m + 1]; summed as ((a + b) + c) + d
+    # Hermite sum at every row any line of the block reads, into B with
+    # its term in A: H[r] uses averages and slope differences kmin + r
+    # and the one after, so a line with shift kk reads
+    # H[kk - kmin:kk - kmin + m]; summed as ((a + b) + c) + d
     h00, h10, h01, h11 = h
-    n_rows = kmax - kmin + m + 1
-    H, T = H[:n_rows], T[:n_rows]
-    w0 = slice(P + kmin, P + kmin + n_rows)
-    w1 = slice(P + kmin + 1, P + kmin + n_rows + 1)
-    np.multiply(h00, Wp[w0], out=H)
-    for hw, src in ((h10, dp[w0]), (h01, Wp[w1]), (h11, dp[w1])):
+    H, T = B[:R - 1], A[:R - 1]
+    np.multiply(h00, gp[G + kmin:G + kmin + R - 1], out=H)
+    for hw, src in ((h10, Dd[:-1]), (h01, gp[G + kmin + 1:G + kmin + R]),
+                    (h11, Dd[1:])):
         H += np.multiply(hw, src, out=T)
     if kmin == kmax:
-        Wq = H[:m + 1]
+        D = H[:m]
     else:
-        np.copyto(Wq, H[:m + 1])
+        D = T[:m]
+        np.copyto(D, H[:m])
         for kk in range(kmin + 1, kmax + 1):
-            np.copyto(Wq, H[kk - kmin:kk - kmin + m + 1], where=k == kk)
-    if bc == "outgoing":
-        # edge e departs from left of the line when e < -k, and from
-        # right of it when e >= m - k
-        for e in range(max(0, -kmin)):
-            np.copyto(Wq[e], 0.0, where=k < -e)
-        for e in range(max(0, m - kmax), m + 1):
-            np.copyto(Wq[e], total, where=k >= m - e)
-
-    # the difference goes through T, which is free now and contiguous,
-    # and then into out in one copy
-    D = T[:m]
-    np.subtract(Wq[1:], Wq[:-1], out=D)
-    np.copyto(D, 0.0, where=(D < 0) & (D >= floor))
+            np.copyto(D, H[kk - kmin:kk - kmin + m], where=k == kk)
+    # zero the roundoff negatives at or above the floor (NaN stays)
+    np.maximum(D, 0.0, out=D, where=D >= floor)
     np.copyto(out, D.reshape(out.shape))
 
 

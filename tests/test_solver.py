@@ -52,10 +52,40 @@ def test_advect_preserves_constants(sig):
 
 
 def test_advect_integer_shift_is_exact():
+    """At a whole-cell shift xi = 0 and the Hermite weights are (1, 0, 0,
+    0): each cell takes its departure cell's average bit for bit, for
+    shifts of 1 and 2 cells either way under both boundary conditions,
+    also on data that span 1e-300 to 1 from cell to cell.  An outgoing
+    line takes in nothing, so the cells its shift uncovers hold +0.0."""
     g = np.zeros(32)
     g[10:14] = [1.0, 3.0, 2.0, 0.5]
-    out = advect(g, np.full_like(g, 2.0), axis=0, bc="periodic")
-    assert np.allclose(out, np.roll(g, 2), atol=1e-13)
+    wide = 10.0 ** np.random.default_rng(5).uniform(-300.0, 0.0, 32)
+    wide[[3, 17]] = 1e-300, 1.0
+    for data in (g, wide):
+        for sig in (1, -1, 2, -2):
+            for bc in ("outgoing", "periodic"):
+                out = advect(data, np.full_like(data, sig), axis=0, bc=bc)
+                want = np.roll(data, sig)
+                if bc == "outgoing":
+                    want[:max(sig, 0)] = want[32 + min(sig, 0):] = 0.0
+                assert np.array_equal(out.view(np.int64),
+                                      want.view(np.int64)), (sig, bc)
+
+
+def test_advect_resolves_tails_locally():
+    """A line whose right half is 1e-150 times its left half: away from
+    the join (4 cells on either side of it), the right half's cells equal
+    bit for bit those of the right half advected alone, for shifts of
+    less than a cell either way.  Each cell reads only its neighbours, so
+    small values keep their own precision next to large ones."""
+    rng = np.random.default_rng(3)
+    left = rng.uniform(0.5, 1.5, 32)
+    right = 1e-150 * rng.uniform(0.5, 1.5, 32)
+    line = np.concatenate([left, right])
+    for sig in (0.3, -0.3, 0.7, -0.7):
+        got = advect(line, np.full_like(line, sig), axis=0)[32 + 4:]
+        alone = advect(right, np.full_like(right, sig), axis=0)[4:]
+        assert np.array_equal(got.view(np.int64), alone.view(np.int64)), sig
 
 
 def test_advect_outgoing_drains_mass_only_at_boundary():
@@ -152,22 +182,16 @@ def test_advect_lines_with_different_shifts(shape, axis, bc, block_cells,
 # return its memory layout, which the reductions downstream sum in.
 
 def _reference_advect(g: np.ndarray, sigma: np.ndarray, axis: int,
-                      bc: str = "outgoing") -> np.ndarray:
+                      bc: str = "outgoing", lines_kernel=None) -> np.ndarray:
     """Shift cell averages by sigma cells along one axis, conservatively.
 
     sigma must broadcast to g's shape and be constant along the advection
     axis, so each 1-D line of m cells moves by one uniform shift.  Cell
     edge j departs from j - sigma = (j + k) + xi, with one integer shift
     k = floor(-sigma) and one fraction xi in [0, 1) per line, hence four
-    cubic Hermite weights per line.  The primitive W (cumulative sum) and
-    its monotone edge slopes are built once and padded by max|k| + 1 edges
-    on each side, so all lines that share k read the same contiguous
-    window of them.  W at the departure points is differenced back into
-    cell averages, so the total along each line is exact up to boundary
-    outflow.  Outgoing lines take in nothing: an edge departing from left
-    of the line gets W = 0 and one departing from right of it gets the
-    line total, both exactly.  Periodic lines wrap with
-    W(b +- m) = W(b) +- total.
+    cubic Hermite weights per line.  lines_kernel advects the lines of
+    one block: _reference_advect_lines (the default) or
+    _primitive_advect_lines.
     """
     g = np.asarray(g, dtype=float)
     gm = np.moveaxis(g, axis, -1)
@@ -176,23 +200,22 @@ def _reference_advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     sig = np.moveaxis(np.broadcast_to(np.asarray(sigma, dtype=float),
                                       g.shape), axis, -1)[..., 0]
     sig = sig.reshape(-1, 1)
-    # cumulative-sum cancellation can leave negatives at the roundoff
-    # scale; zero those without touching genuinely signed data
+    # roundoff can leave negatives just below zero; zero those without
+    # touching genuinely signed data
     floor = -1e-13 * np.max(np.abs(gm), initial=0.0)
     out = np.empty(lines.shape)
     per_block = max(1, solver.BLOCK_CELLS // m)
     for i in range(0, len(lines), per_block):
         block = slice(i, i + per_block)
-        out[block] = _reference_advect_lines(lines[block], sig[block], bc,
-                                             floor)
+        out[block] = (lines_kernel or _reference_advect_lines)(
+            lines[block], sig[block], bc, floor)
     return np.moveaxis(out.reshape(gm.shape), -1, axis)
 
 
-def _reference_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
-                            floor: float) -> np.ndarray:
-    """_reference_advect on lines of shape (L, m) with shifts s of shape
-    (L, 1)."""
-    L, m = lines.shape
+def _reference_weights(s: np.ndarray, m: int, bc: str):
+    """The integer shifts k, shape (L,), and Hermite weights (h00, h10,
+    h01, h11), each of shape (L, 1), for shifts s of shape (L, 1) of
+    lines of m cells."""
     # shifting by whole periods, or past the whole line, changes nothing
     # and would only widen the padding
     if bc == "periodic":
@@ -204,10 +227,66 @@ def _reference_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
     k = np.nan_to_num(k).astype(np.int64).ravel()
     xi2 = xi * xi
     xi3 = xi2 * xi
-    h00 = 2 * xi3 - 3 * xi2 + 1
-    h10 = xi3 - 2 * xi2 + xi
-    h01 = -2 * xi3 + 3 * xi2
-    h11 = xi3 - xi2
+    return k, (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi,
+               -2 * xi3 + 3 * xi2, xi3 - xi2)
+
+
+def _rows_of_shift(k: np.ndarray, kk: int):
+    """The rows of the lines with shift kk: a slice where they are
+    consecutive (a view, not a copy), else their indices."""
+    rows = np.flatnonzero(k == kk)
+    if rows[-1] - rows[0] + 1 == len(rows):
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _reference_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
+                            floor: float) -> np.ndarray:
+    """_reference_advect on lines of shape (L, m) with shifts s of shape
+    (L, 1): the interpolated primitive differenced in closed form,
+
+        out_j = ((h00 g_{j+k} + h10 Dd_{j+k}) + h01 g_{j+k+1}) + h11 Dd_{j+k+1}
+
+    with Dd_e = d_{e+1} - d_e the difference of the limited edge slopes,
+    on averages padded with max|k| + 3 ghost cells: zeros for outgoing
+    lines and wrapped cells for periodic ones."""
+    L, m = lines.shape
+    k, (h00, h10, h01, h11) = _reference_weights(s, m, bc)
+    # average e of a line sits at column G + e of the padded averages
+    G = int(np.max(np.abs(k))) + 3
+    if bc == "periodic":
+        gp = lines[:, np.arange(-G, m + G) % m]
+    else:
+        gp = np.zeros((L, m + 2 * G))
+        gp[:, G:G + m] = lines
+    # the slope of edge e sits at column G - 2 + e, and so does Dd_e
+    Dd = np.diff(_limited_slopes(gp), axis=1)
+    out = np.empty((L, m))
+    for kk in np.unique(k):
+        rows = _rows_of_shift(k, kk)
+        g0 = gp[rows, G + kk:G + kk + m]
+        g1 = gp[rows, G + kk + 1:G + kk + m + 1]
+        d0 = Dd[rows, G - 2 + kk:G - 2 + kk + m]
+        d1 = Dd[rows, G - 1 + kk:G - 1 + kk + m]
+        out[rows] = (((h00[rows] * g0 + h10[rows] * d0) + h01[rows] * g1)
+                     + h11[rows] * d1)
+    return np.where((out >= floor) & (out <= 0.0), 0.0, out)
+
+
+def _primitive_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
+                            floor: float) -> np.ndarray:
+    """_reference_advect on lines of shape (L, m) with shifts s of shape
+    (L, 1) in the form advect had before: the primitive W (cumulative
+    sum) and its monotone edge slopes are built once and padded by
+    max|k| + 1 edges on each side, W at the departure points is
+    differenced back into cell averages.  Outgoing lines take in nothing:
+    an edge departing from left of the line gets W = 0 and one departing
+    from right of it gets the line total, both exactly.  Periodic lines
+    wrap with W(b +- m) = W(b) +- total.  It equals the closed form in
+    exact arithmetic; in floating point its cells carry roundoff of the
+    line total."""
+    L, m = lines.shape
+    k, (h00, h10, h01, h11) = _reference_weights(s, m, bc)
 
     # edge e of a line sits at column P + e of the padded arrays
     P = int(np.max(np.abs(k))) + 1
@@ -230,9 +309,7 @@ def _reference_advect_lines(lines: np.ndarray, s: np.ndarray, bc: str,
 
     Wq = np.empty((L, m + 1))
     for kk in np.unique(k):
-        rows = np.flatnonzero(k == kk)
-        if rows[-1] - rows[0] + 1 == len(rows):
-            rows = slice(rows[0], rows[-1] + 1)     # a view, not a copy
+        rows = _rows_of_shift(k, kk)
         w0 = slice(P + kk, P + kk + m + 1)
         w1 = slice(P + kk + 1, P + kk + m + 2)
         Wq[rows] = (h00[rows] * Wp[rows, w0] + h10[rows] * dp[rows, w0]
@@ -366,6 +443,59 @@ def test_advect_result_layout(shape):
             assert got.shape == shape and got.strides == want, (axis, layout)
             ref = _reference_advect(g, sig, axis)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("bc", ["outgoing", "periodic"])
+@pytest.mark.parametrize("shape", [(64, 48), (10, 12, 8, 6)])
+def test_advect_matches_primitive_form_to_roundoff(shape, bc):
+    """advect agrees with the primitive form it replaced, which equals it
+    in exact arithmetic: per line, |advect - primitive| <= 8 eps times the
+    line's sum of |g|, on every axis with the solver's shifts, for
+    nonnegative and signed data."""
+    rng = np.random.default_rng(sum(shape))
+    eps = np.finfo(float).eps
+    nonneg = rng.random(shape) * (rng.random(shape) > 0.2)
+    signed = rng.normal(size=shape)
+    for axis in range(len(shape)):
+        sig = _solver_shift(shape, axis, rng)
+        for data in (nonneg, signed):
+            got = advect(data, sig, axis, bc=bc)
+            prim = _reference_advect(data, sig, axis, bc=bc,
+                                     lines_kernel=_primitive_advect_lines)
+            scale = _lines(np.abs(data), axis).sum(axis=1)
+            err = np.max(np.abs(_lines(got - prim, axis)), axis=1)
+            assert np.all(err <= 8 * eps * scale), axis
+
+
+def test_roundoff_floor_zeroes_only_values_between_it_and_zero():
+    """The line kernel's floor step on a hand-made block of four lines
+    (the columns), at shift 0, where the Hermite weights (1, 0, 0, 0)
+    hand each average to the step unchanged: values in [floor, 0) and
+    -0.0 become +0.0; values below the floor, NaN and positive values are
+    untouched."""
+    floor = -1e-13
+    below = np.nextafter(floor, -np.inf)
+    lines = np.array([[-1e-14, -2e-13, np.nan, 1e-300],
+                      [floor, -1.0, np.nan, 0.5],
+                      [-5e-324, below, np.nan, 1.0],
+                      [-0.0, -3.0, np.nan, 5e-324]])
+    m, L = lines.shape
+    starts = solver._workspace_rows(m, 0, 0)
+    work = np.empty(starts[-1] * L)
+    gp, *rest = (work[lo * L:hi * L].reshape(hi - lo, L)
+                 for lo, hi in zip(starts[:-1], starts[1:]))
+    G = (gp.shape[0] - m) // 2
+    gp[G:G + m] = lines
+    out = np.empty((m, L))
+    solver._advect_lines(gp, np.zeros(L, dtype=np.int64),
+                         [np.full(L, w) for w in (1.0, 0.0, 0.0, 0.0)],
+                         "outgoing", floor, rest, out)
+    want = lines.copy()
+    want[:, 0] = 0.0
+    assert np.all(np.isnan(out[:, 2]))
+    keep = [0, 1, 3]
+    assert np.array_equal(out[:, keep].view(np.int64),
+                          want[:, keep].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
