@@ -175,9 +175,6 @@ class PPoly:
         return isinstance(other, PPoly) and self.n == other.n \
             and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def __add__(self, other: "PPoly") -> "PPoly":
         out = dict(self.terms)
         for deg, c in other.terms.items():
@@ -296,16 +293,9 @@ class QPoly:
         return QPoly(self.n, self.p0 + other.p0, self.pt + other.pt,
                      [a + b for a, b in zip(self.px, other.px)])
 
-    def __neg__(self):
-        return QPoly(self.n, -self.p0, -self.pt, [-p for p in self.px])
-
     def scale(self, c) -> "QPoly":
         return QPoly(self.n, self.p0.scale(c), self.pt.scale(c),
                      [p.scale(c) for p in self.px])
-
-    def coeff_norm(self) -> Fraction:
-        return self.p0.coeff_norm() + self.pt.coeff_norm() \
-            + sum((p.coeff_norm() for p in self.px), Fraction(0))
 
     def apply_lifted(self, g: Generator) -> "QPoly":
         """Derivative of the coefficient polynomial by a lifted generator.
@@ -332,13 +322,6 @@ class QPoly:
             if pk:
                 out = out + x[..., k] * pk.evaluate(v)
         return out
-
-    def canonical(self):
-        return (
-            self.p0.canonical(),
-            self.pt.canonical(),
-            tuple(p.canonical() for p in self.px),
-        )
 
     def __repr__(self):
         bits = []

@@ -147,17 +147,15 @@ def cmd_derive(args) -> int:
         raise ConfigError(f"order {args.order} is below {lowest} for "
                           f"target {args.target}")
     indices = commuted.all_multi_indices(args.n, args.order)
-    if args.target == "vlasov":
-        rhs = {A: commuted.derive_commuted_vlasov(A, args.n) for A in indices}
-        to_json, to_text = (commuted.vlasov_rhs_to_json,
-                            commuted.vlasov_rhs_to_text)
-    else:
-        rhs = {A: commuted.derive_commuted_kg(A, args.n) for A in indices}
-        to_json, to_text = commuted.kg_rhs_to_json, commuted.kg_rhs_to_text
+    derive, to_doc, to_text = (
+        (commuted.derive_commuted_vlasov, commuted.vlasov_rhs_doc,
+         commuted.vlasov_rhs_to_text) if args.target == "vlasov" else
+        (commuted.derive_commuted_kg, commuted.kg_rhs_doc,
+         commuted.kg_rhs_to_text))
+    rhs = {A: derive(A, args.n) for A in indices}
     if args.format == "json":
-        doc = {commuted._mi_str(A): json.loads(to_json(r))
-               for A, r in rhs.items()}
-        print(json.dumps(doc, indent=1, sort_keys=True))
+        print(json.dumps({commuted.mi_str(A): to_doc(r)
+                          for A, r in rhs.items()}, indent=1, sort_keys=True))
     else:
         for A in indices:
             print(to_text(rhs[A]))

@@ -16,7 +16,6 @@ canonical ordering so derived objects are directly comparable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cache
 
@@ -220,14 +219,12 @@ def check_index_bounds(rhs: CommutedVlasovRHS) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _mi_str(mi: MultiIndex) -> str:
+def mi_str(mi: MultiIndex) -> str:
     return "id" if not mi else ".".join(str(g) for g in mi)
 
 
 def _ppoly_json(p: PPoly):
-    return [
-        {"deg": list(deg), "coeff": str(c)} for deg, c in p.canonical()
-    ]
+    return [{"deg": list(deg), "coeff": str(c)} for deg, c in p.canonical()]
 
 
 def _qpoly_json(q: QPoly):
@@ -238,50 +235,46 @@ def _qpoly_json(q: QPoly):
     }
 
 
-def vlasov_rhs_to_json(rhs: CommutedVlasovRHS) -> str:
-    doc = {
+def vlasov_rhs_doc(rhs: CommutedVlasovRHS) -> dict:
+    """The JSON document of a commuted transport equation."""
+    return {
         "type": "commuted_vlasov",
         "n": rhs.n,
-        "A": _mi_str(rhs.A),
+        "A": mi_str(rhs.A),
         "terms": [
-            {
-                "mu": tm.mu,
-                "B": _mi_str(tm.B),
-                "C": _mi_str(tm.C),
-                "coeff": _qpoly_json(tm.coeff),
-            }
+            {"mu": tm.mu, "B": mi_str(tm.B), "C": mi_str(tm.C),
+             "coeff": _qpoly_json(tm.coeff)}
             for tm in rhs.terms
         ],
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def kg_rhs_to_json(rhs: CommutedKGRHS) -> str:
-    doc = {
+def kg_rhs_doc(rhs: CommutedKGRHS) -> dict:
+    """The JSON document of a commuted velocity average."""
+    return {
         "type": "commuted_kg",
         "n": rhs.n,
-        "A": _mi_str(rhs.A),
+        "A": mi_str(rhs.A),
         "terms": [
-            {"B": _mi_str(tm.B), "coeff": _ppoly_json(tm.coeff)}
+            {"B": mi_str(tm.B), "coeff": _ppoly_json(tm.coeff)}
             for tm in rhs.terms
         ],
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def vlasov_rhs_to_text(rhs: CommutedVlasovRHS) -> str:
-    lines = [f"[T_phi, Zhat_{_mi_str(rhs.A)}] =  (n={rhs.n})"]
+    lines = [f"[T_phi, Zhat_{mi_str(rhs.A)}] =  (n={rhs.n})"]
     names = ["t"] + [f"x{k}" for k in range(1, rhs.n + 1)]
     for tm in rhs.terms:
         lines.append(
-            f"  + [{tm.coeff!r}] * d_{names[tm.mu]}(Z_{_mi_str(tm.B)} phi)"
-            f" * Zhat_{_mi_str(tm.C)}"
+            f"  + [{tm.coeff!r}] * d_{names[tm.mu]}(Z_{mi_str(tm.B)} phi)"
+            f" * Zhat_{mi_str(tm.C)}"
         )
     return "\n".join(lines)
 
 
 def kg_rhs_to_text(rhs: CommutedKGRHS) -> str:
-    lines = [f"Z_{_mi_str(rhs.A)} int f dv =  (n={rhs.n})"]
+    lines = [f"Z_{mi_str(rhs.A)} int f dv =  (n={rhs.n})"]
     for tm in rhs.terms:
-        lines.append(f"  + int [{tm.coeff!r}] * Zhat_{_mi_str(tm.B)} f dv")
+        lines.append(f"  + int [{tm.coeff!r}] * Zhat_{mi_str(tm.B)} f dv")
     return "\n".join(lines)

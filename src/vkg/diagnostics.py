@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commuted import MultiIndex, _mi_str
+from .commuted import MultiIndex, mi_str
 from .energies import EnergyReport, SliceQuantities
 
 
@@ -63,13 +63,16 @@ def decay_fit(times, values, window: tuple[float, float]) -> DecayFit:
 # ---------------------------------------------------------------------------
 
 VACUOUS_FLOOR = 1e-300
+TIE_RTOL = 1e-9       # node values this close to the largest tie with it
 
 
 def _worst(name: str, sq: SliceQuantities, vals: np.ndarray,
            energy: float) -> InequalityRecord:
-    """Record of the largest node value; the first node wins a tie."""
-    i = int(np.argmax(vals))
-    lhs = float(vals[i])
+    """Record of the largest node value, located at the first node within
+    TIE_RTOL of it: mirror-symmetric data tie at mirrored nodes, and
+    roundoff must not choose between them."""
+    lhs = float(np.max(vals))
+    i = int(np.argmax(vals >= lhs * (1 - TIE_RTOL)))
     return InequalityRecord(name, sq.tau, lhs, energy, lhs / energy,
                             tuple(sq.y[i]))
 
@@ -124,7 +127,7 @@ def l2_estimate_check(sq: SliceQuantities, A: MultiIndex, eps: float,
     intf = sq.integrate_v(np.abs(sq.f[A]))
     lhs = sq.integrate((sq.t / sq.tau) * np.float_power(intf, 2))
     env = eps ** 2 * sq.tau ** (2 * delta - n)
-    name = f"l2_{_mi_str(A)}"
+    name = f"l2_{mi_str(A)}"
     if lhs < VACUOUS_FLOOR:
         return InequalityRecord(name, sq.tau, lhs, env, 0.0, (), True)
     return InequalityRecord(name, sq.tau, lhs, env, lhs / env, ())

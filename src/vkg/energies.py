@@ -445,15 +445,14 @@ def vlasov_energy_inequality_slack(slices: list[SliceQuantities],
         vals = np.sqrt(_squares(sq.phi_grad[()])) \
             * sq.integrate_v(np.abs(sq.f[A]))
         if rhs is not None:
-            # the coefficients are elementwise in (t, x, v): evaluate
-            # them once at every (node, velocity) point
-            N, nv = len(sq.t), sq.v0.size
+            # the coefficients are elementwise in (t, x, v): (N, 1..) times
+            # and (N, 1.., n) nodes broadcast against the (v.., n) grid
+            ones = (1,) * sq.n
+            t, y = sq.t.reshape(-1, *ones), sq.y.reshape(-1, *ones, sq.n)
             v = np.stack(np.meshgrid(*sq.v_axes, indexing="ij"), axis=-1)
-            t, y = np.repeat(sq.t, nv), np.repeat(sq.y, nv, axis=0)
-            v = np.tile(v.reshape(nv, sq.n), (N, 1))
             h = np.zeros_like(sq.f[A])
             for tm in rhs.terms:
-                coeff = tm.coeff.evaluate(t, y, v).reshape(sq.f[A].shape)
+                coeff = tm.coeff.evaluate(t, y, v)
                 dphi = sq.phi_dt[tm.B] if tm.mu == 0 \
                     else sq.phi_grad[tm.B][:, tm.mu - 1]
                 h = h + coeff * sq.nodewise(dphi) * sq.f[tm.C]

@@ -3,8 +3,11 @@
 Functions here operate on batched point arrays with columns
 (t, x^1..x^n, v^1..v^n) and apply plain or lifted generators by central
 differences, so symbolic derivations can be checked against arbitrary
-smooth test functions.  Residuals come with a Richardson refinement
-study: halving the step must shrink a genuine O(h^2) error by about 4.
+smooth test functions; free transport is the phi = None case of the
+commuted transport check, and every velocity average is one
+`velocity_integrals` sum per (t, x) row over a `trapezoid_grid`.
+Residuals come with a Richardson refinement study: halving the step
+must shrink a genuine O(h^2) error by about 4.
 """
 
 from __future__ import annotations
@@ -124,19 +127,6 @@ def refinement_study(residual: Callable[[float], np.ndarray], h: float,
     return RefinementStudy(rc, rf, ratio, floor)
 
 
-def check_free_transport_commutation(func: PointFunc, A: MultiIndex,
-                                     pts: np.ndarray, h: float = 1e-3,
-                                     floor: float = 1e-9) -> RefinementStudy:
-    """Residual of [T, Zhat_A] f = 0 for the free transport operator."""
-
-    def residual(step):
-        lhs = transport_apply(apply_multi_index(func, A, step, True), None, step)
-        rhs = apply_multi_index(transport_apply(func, None, step), A, step, True)
-        return lhs(pts) - rhs(pts)
-
-    return refinement_study(residual, h, floor)
-
-
 def evaluate_vlasov_rhs(rhs: CommutedVlasovRHS, func: PointFunc,
                         phi: PointFunc, pts: np.ndarray,
                         h: float) -> np.ndarray:
@@ -163,16 +153,19 @@ def evaluate_vlasov_rhs(rhs: CommutedVlasovRHS, func: PointFunc,
 
 
 def verify_commuted_vlasov(A: MultiIndex, n: int, func: PointFunc,
-                           phi: PointFunc, pts: np.ndarray, h: float = 1e-3,
+                           phi: PointFunc | None, pts: np.ndarray,
+                           h: float = 1e-3,
                            floor: float = 1e-9) -> RefinementStudy:
-    """FD check of [T_phi, Zhat_A] f against the derived RHS."""
-    rhs = derive_commuted_vlasov(A, n)
+    """FD check of [T_phi, Zhat_A] f against the derived RHS; phi None
+    is free transport, whose commutator [T, Zhat_A] vanishes."""
+    rhs = None if phi is None else derive_commuted_vlasov(A, n)
 
     def residual(step):
         lhs_f = transport_apply(apply_multi_index(func, A, step, True), phi, step)
         rhs_f = apply_multi_index(transport_apply(func, phi, step), A, step, True)
         lhs = lhs_f(pts) - rhs_f(pts)
-        return lhs - evaluate_vlasov_rhs(rhs, func, phi, pts, step)
+        return lhs if rhs is None else \
+            lhs - evaluate_vlasov_rhs(rhs, func, phi, pts, step)
 
     return refinement_study(residual, h, floor)
 
@@ -191,38 +184,39 @@ def moment_exchange_check(func: PointFunc, g: Generator, k: int,
         raise ValueError("k must be 0 or 1")
     tx = np.asarray(tx, dtype=float)
     n = tx.shape[1] - 1
-    vgrid, vw = gauss_quadrature_grid(n, vmax, m)
+    vgrid, vw = trapezoid_grid(n, vmax, m)
     v0 = np.sqrt(1.0 + np.sum(vgrid * vgrid, axis=1))
 
     def chi(txp):
-        out = np.zeros(len(txp))
-        for j, txk in enumerate(txp):
-            out[j] = float(np.sum(vw * func(velocity_points(txk, vgrid))
-                                  / v0 ** k))
-        return out
+        return velocity_integrals(lambda p: vw * func(p) / v0 ** k, txp,
+                                  vgrid)
 
     def residual(step):
         lhs = apply_generator(chi, g, step, False)(tx)
         zf = apply_generator(func, g, step, True)
-        rhs = np.zeros(len(tx))
-        for j, txk in enumerate(tx):
-            pts = velocity_points(txk, vgrid)
-            rhs[j] = float(np.sum(vw * zf(pts) / v0 ** k))
-            if g.kind == BOOST:
-                rhs[j] += (1 - k) * float(np.sum(
-                    vw * vgrid[:, g.i - 1] / v0 ** (k + 1) * func(pts)))
+        rhs = velocity_integrals(lambda p: vw * zf(p) / v0 ** k, tx, vgrid)
+        if g.kind == BOOST:
+            rhs += (1 - k) * velocity_integrals(
+                lambda p: vw * vgrid[:, g.i - 1] / v0 ** (k + 1) * func(p),
+                tx, vgrid)
         return lhs - rhs
 
     return refinement_study(residual, h, floor)
 
 
-def velocity_points(txk: np.ndarray, vgrid: np.ndarray) -> np.ndarray:
-    """Phase-space points (t, x, v) at one (t, x) and every velocity node."""
-    return np.column_stack([
-        np.broadcast_to(txk, (len(vgrid), len(txk))), vgrid])
+def velocity_integrals(integrand: PointFunc, tx: np.ndarray,
+                       vgrid: np.ndarray) -> np.ndarray:
+    """Per (t, x) row of tx, the sum of integrand over the phase-space
+    points (t, x, v) at every velocity node v; the integrand carries the
+    quadrature weights."""
+    out = np.zeros(len(tx))
+    for j, txj in enumerate(tx):
+        pts = np.column_stack([np.tile(txj, (len(vgrid), 1)), vgrid])
+        out[j] = float(np.sum(integrand(pts)))
+    return out
 
 
-def gauss_quadrature_grid(n: int, vmax: float, m: int):
+def trapezoid_grid(n: int, vmax: float, m: int):
     """Velocity tensor grid and trapezoid weights for moment integrals."""
     axis = np.linspace(-vmax, vmax, m)
     w1 = np.full(m, axis[1] - axis[0])
@@ -241,10 +235,8 @@ def evaluate_kg_rhs(rhs: CommutedKGRHS, func: PointFunc, tx: np.ndarray,
     total = np.zeros(len(tx))
     for tm in rhs.terms:
         zf = apply_multi_index(func, tm.B, h, True)
-        for k, txk in enumerate(tx):
-            pts = velocity_points(txk, vgrid)
-            w = tm.coeff.evaluate(vgrid)
-            total[k] += float(np.sum(vweights * w * zf(pts)))
+        w = vweights * tm.coeff.evaluate(vgrid)
+        total += velocity_integrals(lambda p: w * zf(p), tx, vgrid)
     return total
 
 
@@ -257,13 +249,10 @@ def verify_commuted_kg(A: MultiIndex, n: int, func: PointFunc,
     truncation is below the floor.
     """
     rhs = derive_commuted_kg(A, n)
-    vgrid, vw = gauss_quadrature_grid(n, vmax, m)
+    vgrid, vw = trapezoid_grid(n, vmax, m)
 
     def rho(txp):
-        out = np.zeros(len(txp))
-        for k, txk in enumerate(txp):
-            out[k] = float(np.sum(vw * func(velocity_points(txk, vgrid))))
-        return out
+        return velocity_integrals(lambda p: vw * func(p), txp, vgrid)
 
     def residual(step):
         lhs = apply_multi_index(rho, A, step, False)(tx)

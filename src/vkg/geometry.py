@@ -56,13 +56,16 @@ class SliceQuadrature:
         self.weights.setflags(write=False)
 
 
+ANGULAR_NODES = 64    # uniform angles of the n = 2 slice quadrature
+
+
 def build_slice_quadrature(
-    tau: float, n: int, rmax: float, resolution: int, n_angles: int = 64
+    tau: float, n: int, rmax: float, resolution: int
 ) -> SliceQuadrature:
     """Composite-trapezoid quadrature on the truncated slice.
 
     Radial nodes are uniform on [0, rmax] (for n = 1 they cover
-    [-rmax, rmax]); n = 2 adds a uniform angular grid, which is
+    [-rmax, rmax]); n = 2 adds ANGULAR_NODES uniform angles, which is
     trapezoid-exact by periodicity.  Nodes with vanishing volume-form
     weight (r = 0 at n = 2) are dropped so all stored weights are
     strictly positive.
@@ -84,8 +87,8 @@ def build_slice_quadrature(
         dr = np.full(rr.size, rr[1] - rr[0])
         dr[0] *= 0.5
         dr[-1] *= 0.5
-        th = np.arange(n_angles) * (2.0 * np.pi / n_angles)
-        dth = 2.0 * np.pi / n_angles
+        th = np.arange(ANGULAR_NODES) * (2.0 * np.pi / ANGULAR_NODES)
+        dth = 2.0 * np.pi / ANGULAR_NODES
         R, TH = np.meshgrid(rr, th, indexing="ij")
         W = (dr[:, None] * dth) * (tau / np.sqrt(tau**2 + R**2)) * R
         pts = np.stack([R * np.cos(TH), R * np.sin(TH)], axis=-1)

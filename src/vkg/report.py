@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .commuted import _mi_str
+from .commuted import mi_str
 from .diagnostics import BootstrapStatus, DecayFit, InequalityRecord
 from .energies import EnergyReport
 from .solver import RunResult
@@ -68,10 +68,10 @@ def decay_csv(fits: dict[str, DecayFit]) -> str:
 def energies_csv(reports: list[EnergyReport]) -> str:
     return csv_text(["tau", "order", "multi_index", "E_phi", "Ehat_f",
                      "Ehat_f_weighted"], (
-        [f"{rep.tau:.9g}", len(A), _mi_str(A), f"{rep.breakdown_phi[A]:.17g}",
+        [f"{rep.tau:.9g}", len(A), mi_str(A), f"{rep.breakdown_phi[A]:.17g}",
          f"{rep.breakdown_f[A]:.17g}", f"{rep.breakdown_fw[A]:.17g}"]
         for rep in reports
-        for A in sorted(rep.breakdown_f, key=lambda a: (len(a), _mi_str(a)))))
+        for A in sorted(rep.breakdown_f, key=lambda a: (len(a), mi_str(a)))))
 
 
 def energies_json(reports: list[EnergyReport]) -> str:

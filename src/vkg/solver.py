@@ -537,11 +537,6 @@ def field_substep(field: FieldState, rho: np.ndarray | float, k: float,
         _sommerfeld(field, cfg)
 
 
-def grad_phi(phi: np.ndarray, cfg: SimConfig) -> list[np.ndarray]:
-    return [np.gradient(phi, cfg.dx, axis=ax, edge_order=2)
-            for ax in range(cfg.n)]
-
-
 def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
          kinetic_source: Callable | None = None,
          field_source: Callable | None = None):
@@ -591,7 +586,8 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
     if evolve_field:
         field_substep(field, rho, dt / 2, cfg, field_source)
     if kick:
-        for d, gp in enumerate(grad_phi(field.phi, cfg)):
+        for d in range(n):
+            gp = np.gradient(field.phi, cfg.dx, axis=d, edge_order=2)
             phase.f = advect(phase.f, -gp[(...,) + (None,) * n] * dt / cfg.dv,
                              axis=n + d, bc=cfg.bc)
     if kinetic_source is not None:
@@ -699,23 +695,16 @@ def _kept_box(pending: deque):
                   for e in pending))
 
 
-# bytes that run's five series take per recorded step: a float object
-# and a list slot each while stepping, then an array entry each.  Traced
-# with tracemalloc, the peak of run on a 4 x 4 grid grew by 196-203 bytes
-# per step between 1000 and 120 000 steps.
-SERIES_BYTES_PER_STEP = 208
-
-
 def _check_memory(cfg: SimConfig, box: tuple) -> int:
     """Reject a run whose arrays cannot fit in physical memory, before
     any is allocated, and return the bytes it needs.  A step holds two
     states (f and phi) at once, the input and the result of an advect
     call, beside that call's workspace (taken for shifts of less than one
     cell, as the CFL bound makes the x shifts), and the levels hold
-    T_WINDOW copies of the kept box.  The series grow by one entry per
-    step.  In mms mode mms_forcing holds three f-sized factors for the
-    whole run.  It builds them with a fourth, but before any state
-    exists, so that peak stays below the run's."""
+    T_WINDOW copies of the kept box.  The series take five floats per
+    recorded level.  In mms mode mms_forcing holds three f-sized factors
+    for the whole run.  It builds them with a fourth, but before any
+    state exists, so that peak stays below the run's."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
     cells = (cfg.nx * cfg.nv) ** cfg.n
@@ -724,7 +713,7 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
                for m in (cfg.nx, cfg.nv))
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
     factors = 3 * 8 * cells if cfg.mode == "mms" else 0
-    series = SERIES_BYTES_PER_STEP * (cfg.nsteps + 1)
+    series = 5 * 8 * (cfg.nsteps + 1)
     need = 2 * state + work + T_WINDOW * kept + factors + series
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -824,11 +813,12 @@ def run(cfg: SimConfig) -> RunResult:
     slices: dict[float, SliceData] = {
         tau: SliceData(tau, cfg.n, [], cfg.dv) for tau in cfg.taus}
     warnings: list[str] = []
-    series = {k: [] for k in ("t", "sup_phi", "sup_f", "min_f", "mass")}
-
+    # one column per recorded level; the rows are RunResult's t, sup_phi,
+    # sup_f, min_f and mass
+    series = np.empty((5, cfg.nsteps + 1))
     f_row = ()
 
-    def record():
+    def record(i):
         nonlocal f_row
         # an overflow is reported as the non-finite state below
         with np.errstate(over="ignore"):
@@ -837,27 +827,26 @@ def run(cfg: SimConfig) -> RunResult:
                 f_row = (float(phase.f.max()), float(phase.f.min()),
                          total_mass(phase.f, cfg))
             row = (phase.t, float(np.abs(fld.phi).max())) + f_row
-        for values, value in zip(series.values(), row):
-            values.append(value)
+        series[:, i] = row
         # NaN and +-inf anywhere in f or phi reach one of these reductions
         if not all(map(math.isfinite, row)):
             raise SolverError(f"non-finite state at t={phase.t}")
 
-    record()
+    record(0)
     # data that underflows to zero on every cell of the grid
     for name, amp, peak in zip(("f", "phi"), _amplitudes(cfg),
-                               (series["sup_f"][0], series["sup_phi"][0])):
+                               (series[2, 0], series[1, 0])):
         if amp > 0 and peak == 0:
             raise SolverError(
                 f"the initial {name} of amplitude {amp:g} is zero on every "
                 f"cell: the grid (dx={cfg.dx:g}, dv={cfg.dv:g}) cannot hold "
                 "the data")
     boundary_flagged = False
-    for _ in range(cfg.nsteps):
+    for i in range(1, cfg.nsteps + 1):
         step(phase, fld, cfg, kinetic_source, field_source)
         if pending:
             levels.append(level())
-        record()
+        record(i)
         # fire every node whose block is now centered in the levels
         fired = []
         while pending and pending[0][0] <= phase.t - 2 * cfg.dt:
@@ -886,10 +875,8 @@ def run(cfg: SimConfig) -> RunResult:
         err -= phase.f
         mms_error = (float(np.max(np.abs(fld.phi - phi_ex(fld.t)))),
                      float(np.max(np.abs(err, out=err))))
-    return RunResult(cfg, slices, np.array(series["t"]),
-                     np.array(series["sup_phi"]), np.array(series["sup_f"]),
-                     np.array(series["min_f"]), np.array(series["mass"]),
-                     warnings, time.perf_counter() - t_start, mms_error)
+    return RunResult(cfg, slices, *series, warnings,
+                     time.perf_counter() - t_start, mms_error)
 
 
 def _boundary_max(f: np.ndarray, n: int) -> float:

@@ -81,7 +81,7 @@ def test_vlasov_rhs_matches_sympy_oracle_n1(order):
                       * sp.diff(spacetime_multi(tm.B, PHI_), dmu)
                       * lifted_multi(tm.C, F_))
         diff = sp.simplify(lhs - sp.expand(total))
-        assert diff == 0, commuted._mi_str(A)
+        assert diff == 0, commuted.mi_str(A)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_index_bounds_exhaustive_up_to_3(n):
         if not A:
             continue
         rhs = commuted.derive_commuted_vlasov(A, n)
-        assert commuted.check_index_bounds(rhs), commuted._mi_str(A)
+        assert commuted.check_index_bounds(rhs), commuted.mi_str(A)
 
 
 def test_kg_translations_are_identity():
@@ -133,7 +133,7 @@ def test_vlasov_golden_dump(n):
         if not A:
             continue
         rhs = commuted.derive_commuted_vlasov(A, n)
-        doc[commuted._mi_str(A)] = json.loads(commuted.vlasov_rhs_to_json(rhs))
+        doc[commuted.mi_str(A)] = commuted.vlasov_rhs_doc(rhs)
     frozen = json.loads((GOLDEN / f"vlasov_upto2_n{n}.json").read_text())
     assert doc == frozen
 
@@ -143,7 +143,7 @@ def test_kg_golden_dump(n):
     doc = {}
     for A in commuted.multi_indices_up_to(n, 2):
         rhs = commuted.derive_commuted_kg(A, n)
-        doc[commuted._mi_str(A)] = json.loads(commuted.kg_rhs_to_json(rhs))
+        doc[commuted.mi_str(A)] = commuted.kg_rhs_doc(rhs)
     frozen = json.loads((GOLDEN / f"kg_upto2_n{n}.json").read_text())
     assert doc == frozen
 
@@ -152,7 +152,7 @@ def test_text_and_json_dumps_agree_on_term_count():
     gens = generators(1)
     A = (gens[2], gens[0])  # boost then translation
     rhs = commuted.derive_commuted_vlasov(A, 1)
-    doc = json.loads(commuted.vlasov_rhs_to_json(rhs))
+    doc = commuted.vlasov_rhs_doc(rhs)
     text = commuted.vlasov_rhs_to_text(rhs)
     assert len(doc["terms"]) == sum(
         1 for line in text.splitlines() if line.strip().startswith("+"))
@@ -161,8 +161,8 @@ def test_text_and_json_dumps_agree_on_term_count():
 def test_derivation_deterministic():
     gens = generators(2)
     A = (gens[4], gens[1])
-    a = commuted.vlasov_rhs_to_json(commuted.derive_commuted_vlasov(A, 2))
-    b = commuted.vlasov_rhs_to_json(commuted.derive_commuted_vlasov(A, 2))
+    a = commuted.vlasov_rhs_doc(commuted.derive_commuted_vlasov(A, 2))
+    b = commuted.vlasov_rhs_doc(commuted.derive_commuted_vlasov(A, 2))
     assert a == b
 
 

@@ -2,6 +2,7 @@
 and the bootstrap threshold logic, mostly on synthetic inputs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_energies import node_phi, node_rows, one_node_slices, random_slice
-from vkg import energies, report
-from vkg.commuted import _mi_str, multi_indices_up_to
+from vkg import diagnostics, energies, report
+from vkg.commuted import mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
                              bootstrap_monitor, decay_fit, delta_rule,
                              first_crossing, ks_check_f, ks_check_phi,
@@ -190,20 +191,26 @@ def test_zero_data_checks_are_vacuous():
 
 # ---------------------------------------------------------------------------
 # node-by-node references: the per-node loops that the stacked monitors
-# replaced, on rows of the stacked arrays with Python floats; the first
-# node wins a tie, as with the strict > below
+# replaced, on rows of the stacked arrays with Python floats
 # ---------------------------------------------------------------------------
+
+def ref_worst(vals, ys):
+    """The largest value and the y of the first node within a relative
+    1e-9 of it."""
+    worst = max(vals)
+    return worst, next(y for v, y in zip(vals, ys) if v >= worst * (1 - 1e-9))
+
 
 def ref_ks_check_f(sq, report, k):
     n, energy = sq.n, report.Ehat_N_f
     vg = np.meshgrid(*sq.v_axes, indexing="ij")
     v0 = np.sqrt(1.0 + sum(v ** 2 for v in vg))
-    worst, loc = -1.0, ()
+    vals, ys = [], []
     for i, t, y, _ in node_rows(sq):
         lhs = float(np.sum(np.abs(sq.f[()][i]) / v0 ** k)) * sq.dv ** n
-        val = lhs * t ** (n - 1 + k) * sq.tau ** (1 - k)
-        if val > worst:
-            worst, loc = val, y
+        vals.append(lhs * t ** (n - 1 + k) * sq.tau ** (1 - k))
+        ys.append(y)
+    worst, loc = ref_worst(vals, ys)
     return InequalityRecord(f"ks_f_k{k}", sq.tau, worst, energy,
                             worst / energy, loc)
 
@@ -211,17 +218,15 @@ def ref_ks_check_f(sq, report, k):
 def ref_ks_check_phi(sq, report):
     n = sq.n
     energy = math.sqrt(max(report.E_N_phi, 0.0))
-    worst_p, worst_d = -1.0, -1.0
-    loc_p, loc_d = (), ()
+    vals_p, vals_d, ys = [], [], []
     for i, t, y, _ in node_rows(sq):
         phi, dtphi, grad = node_phi(sq, (), i)
-        val_p = abs(phi) * t ** (n / 2)
+        vals_p.append(abs(phi) * t ** (n / 2))
         dnorm = math.sqrt(dtphi ** 2 + sum(g ** 2 for g in grad))
-        val_d = dnorm * t ** (n / 2 - 1) * sq.tau
-        if val_p > worst_p:
-            worst_p, loc_p = val_p, y
-        if val_d > worst_d:
-            worst_d, loc_d = val_d, y
+        vals_d.append(dnorm * t ** (n / 2 - 1) * sq.tau)
+        ys.append(y)
+    (worst_p, loc_p), (worst_d, loc_d) = (ref_worst(vals_p, ys),
+                                          ref_worst(vals_d, ys))
     return (InequalityRecord("ks_phi", sq.tau, worst_p, energy,
                              worst_p / energy, loc_p),
             InequalityRecord("ks_dphi", sq.tau, worst_d, energy,
@@ -236,8 +241,18 @@ def ref_l2_estimate_check(sq, A, eps, delta):
         vals.append((t / sq.tau) * intf ** 2)
     lhs = sq.integrate(np.array(vals))
     env = eps ** 2 * sq.tau ** (2 * delta - n)
-    return InequalityRecord(f"l2_{_mi_str(A)}", sq.tau, lhs, env, lhs / env,
+    return InequalityRecord(f"l2_{mi_str(A)}", sq.tau, lhs, env, lhs / env,
                             ())
+
+
+@pytest.mark.parametrize("later,where", [
+    (np.nextafter(0.7, 1.0), (-1.0,)), (0.7 + 1e-6, (1.0,))])
+def test_worst_node_of_a_mirror_tie_is_the_first(later, where):
+    """Two mirror nodes: one ulp apart they tie and the first node's y is
+    reported, 1e-6 apart the larger one's; the value is the larger."""
+    sq = SimpleNamespace(tau=2.0, y=np.array([[-1.0], [1.0]]))
+    rec = diagnostics._worst("ks_phi", sq, np.array([0.7, later]), 1.0)
+    assert later > 0.7 and rec.lhs == later and rec.location == where
 
 
 @pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])

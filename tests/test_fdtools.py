@@ -5,10 +5,10 @@ import pytest
 
 from vkg.algebra import generators
 from vkg.commuted import multi_indices_up_to
-from vkg.fdtools import (check_free_transport_commutation,
-                         gaussian_field, gaussian_test_function,
-                         moment_exchange_check, refinement_study,
-                         sample_points, verify_commuted_kg,
+from vkg.fdtools import (apply_generator, gaussian_field,
+                         gaussian_test_function, moment_exchange_check,
+                         refinement_study, sample_points, trapezoid_grid,
+                         velocity_integrals, verify_commuted_kg,
                          verify_commuted_vlasov)
 
 
@@ -17,7 +17,7 @@ def test_free_transport_commutes_with_every_lift(n):
     func = gaussian_test_function(n, seed=0)
     pts = sample_points(n, m=30, seed=2)
     for g in generators(n):
-        st = check_free_transport_commutation(func, (g,), pts)
+        st = verify_commuted_vlasov((g,), n, func, None, pts)
         assert st.second_order, (g, st)
 
 
@@ -51,16 +51,6 @@ def test_commuted_kg_first_order(n, m):
         assert st.second_order, (A, st)
 
 
-@pytest.mark.parametrize("n,m", [(1, 321), (2, 141)])
-def test_moment_exchange_all_generators_both_weights(n, m):
-    func = gaussian_test_function(n, seed=0)
-    tx = sample_points(n, m=6, seed=2)[:, :1 + n]
-    for g in generators(n):
-        for k in (0, 1):
-            st = moment_exchange_check(func, g, k, tx, vmax=11.0, m=m)
-            assert st.second_order, (g, k, st)
-
-
 def test_moment_exchange_boost_correction_is_needed():
     """Dropping the velocity-ratio correction must break the identity."""
     n = 1
@@ -70,26 +60,16 @@ def test_moment_exchange_boost_correction_is_needed():
     st = moment_exchange_check(func, g, 0, tx)
     assert st.second_order and st.coarse > 0
 
-    # rerun with a fake k that suppresses the correction term: k=1 weight
-    # removed by hand would not converge; emulate by comparing magnitudes
-    from vkg.fdtools import (apply_generator, gauss_quadrature_grid,
-                             velocity_points)
-    vgrid, vw = gauss_quadrature_grid(n, 11.0, 321)
-    v0 = np.sqrt(1.0 + np.sum(vgrid * vgrid, axis=1))
+    # the same residual without the correction term
+    vgrid, vw = trapezoid_grid(n, 11.0, 321)
 
     def chi(txp):
-        out = np.zeros(len(txp))
-        for j, txk in enumerate(txp):
-            out[j] = float(np.sum(vw * func(velocity_points(txk, vgrid))))
-        return out
+        return velocity_integrals(lambda p: vw * func(p), txp, vgrid)
 
     def residual(step):
         lhs = apply_generator(chi, g, step, False)(tx)
         zf = apply_generator(func, g, step, True)
-        rhs = np.zeros(len(tx))
-        for j, txk in enumerate(tx):
-            rhs[j] = float(np.sum(vw * zf(velocity_points(txk, vgrid))))
-        return lhs - rhs
+        return lhs - velocity_integrals(lambda p: vw * zf(p), tx, vgrid)
 
     broken = refinement_study(residual, 1e-3)
     assert broken.fine > 1e-5  # does not converge without the correction
@@ -103,3 +83,15 @@ def test_refinement_study_detects_h2():
 def test_refinement_study_floor_marks_vanishing():
     st = refinement_study(lambda h: np.array([1e-15]), 1e-3, floor=1e-9)
     assert st.vanishes and st.second_order
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_velocity_integrals_sum_each_row_on_the_trapezoid_grid(n):
+    """One sum per (t, x) row: the weighted Gaussian in v integrates to
+    (2 pi)^(n/2) times the row's t."""
+    vgrid, vw = trapezoid_grid(n, 11.0, 141)
+    tx = sample_points(n, m=3, seed=2)[:, :1 + n]
+    got = velocity_integrals(
+        lambda p: vw * p[:, 0] * np.exp(-0.5 * np.sum(p[:, 1 + n:] ** 2,
+                                                      axis=1)), tx, vgrid)
+    assert np.allclose(got, tx[:, 0] * (2 * np.pi) ** (n / 2), rtol=1e-12)

@@ -1039,14 +1039,14 @@ def test_non_finite_value_stops_the_run_within_its_step(where, monkeypatch):
 
 
 def test_memory_check_counts_the_series():
-    """run's series grow by one entry each per step, and the memory check
-    counts them with run's own step count."""
+    """run records five float64 series, one entry each per level, and the
+    memory check counts them exactly with run's own step count."""
     cfg = SimConfig(n=1, mode="free_transport", x_extent=4.0, nx=16,
                     vmax=2.0, nv=8, dt=0.1, t0=2.0, t_end=3.0, taus=())
     longer = dataclasses.replace(cfg, dt=1e-4)
     assert (cfg.nsteps, longer.nsteps) == (10, 10_000)
     assert (solver._check_memory(longer, ()) - solver._check_memory(cfg, ())
-            == solver.SERIES_BYTES_PER_STEP * 9_990)
+            == 5 * 8 * 9_990)
 
 
 @pytest.mark.parametrize("mode,change,name", [
