@@ -6,10 +6,10 @@ block it pads the averages with ghost cells, limits the edge slopes,
 differences them, and sums four Hermite terms of averages and slope
 differences, so no primitive is built and each cell (the tails of f
 included) is resolved from its neighbours alone.
-Times one advect call per shape, axis and boundary condition on random
-cell averages, with one shift per line on a linear ramp over [-0.9, 0.9]
-across the lines (the CFL-bounded x-advection range; the velocity kick
-is smaller still).  A ramp and not random shifts, because the solver's
+Times one advect call per shape and axis on random cell averages, with
+one shift per line on a linear ramp over [-0.9, 0.9] across the lines
+(the CFL-bounded x-advection range; the velocity kick is smaller
+still).  A ramp and not random shifts, because the solver's
 shifts vary smoothly across lines: they are vhat(v) h/dx and
 -d_x phi(x) dt/dv.  Neighbouring lines then share their integer shift,
 whereas random shifts alternate it from line to line, which is the slow
@@ -59,13 +59,13 @@ def timed_kernel(kernel, spent):
     return timed
 
 
-def time_call(g, sigma, axis, bc, repeat, in_kernel):
+def time_call(g, sigma, axis, repeat, in_kernel):
     """(first call s, its minor faults, median warm call s, minor faults
     per warm call, median warm call s outside the kernel); in_kernel[0]
     is the kernel time that timed_kernel adds up"""
     faults = minor_faults()
     t0 = time.perf_counter()
-    advect(g, sigma, axis, bc)
+    advect(g, sigma, axis)
     first = time.perf_counter() - t0
     first_faults = minor_faults() - faults
     times, outside = [], []
@@ -73,7 +73,7 @@ def time_call(g, sigma, axis, bc, repeat, in_kernel):
     for _ in range(repeat):
         in_kernel[0] = 0.0
         t0 = time.perf_counter()
-        advect(g, sigma, axis, bc)
+        advect(g, sigma, axis)
         times.append(time.perf_counter() - t0)
         outside.append(times[-1] - in_kernel[0])
     return (first, first_faults, float(np.median(times)),
@@ -91,7 +91,7 @@ def main():
     in_kernel = [0.0]
     solver._advect_lines = timed_kernel(solver._advect_lines, in_kernel)
 
-    print(f"{'shape':>18} {'axis':>4} {'bc':>9} {'input':>6} "
+    print(f"{'shape':>18} {'axis':>4} {'input':>6} "
           f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
           f"{'flt/call':>8} {'setup us':>8}")
     for shape in SHAPES:
@@ -106,14 +106,13 @@ def main():
             before = (axis - 1) % len(shape)
             inputs = (("C", g),
                       ("solver", advect(g, sigmas[before], before)))
-            for bc in ("outgoing", "periodic"):
-                for name, data in inputs:
-                    first, first_flt, sec, flt, outside = time_call(
-                        data, sigma, axis, bc, args.repeat, in_kernel)
-                    print(f"{str(shape):>18} {axis:>4} {bc:>9} {name:>6} "
-                          f"{first * 1e3:8.2f} {first_flt:8d} "
-                          f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
-                          f"{flt:8.1f} {outside * 1e6:8.1f}")
+            for name, data in inputs:
+                first, first_flt, sec, flt, outside = time_call(
+                    data, sigma, axis, args.repeat, in_kernel)
+                print(f"{str(shape):>18} {axis:>4} {name:>6} "
+                      f"{first * 1e3:8.2f} {first_flt:8d} "
+                      f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
+                      f"{flt:8.1f} {outside * 1e6:8.1f}")
 
 
 if __name__ == "__main__":

@@ -209,9 +209,6 @@ class PPoly:
                     out.pop(d, None)
         return PPoly(self.n, out)
 
-    def coeff_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
-
     def lifted_derive(self, g: Generator) -> "PPoly":
         """The velocity part of g's complete lift acting on the polynomial
         (zero for translations); closed in the class.

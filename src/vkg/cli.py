@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import commuted, criteria, diagnostics, energies, geometry, report
-from .config import ConfigError, RunSettings, load_settings, settings_echo
+from .config import (ConfigError, RunSettings, check_decay_window,
+                     load_settings, settings_echo)
 from .solver import SYMBOLIC_CAP, SimConfig, SolverError, run
 
 
@@ -39,14 +40,9 @@ def run_pipeline(settings: RunSettings):
     eps = cfg.epsilon
     delta = diagnostics.delta_rule(eps, settings.delta_mode)
     for sq, rep in zip(slices_q, reports):
-        # the decay envelopes use the low-order energies: order n for
-        # velocity averages, floor(n/2)+1 for the field
-        rep_f = energies.energy_report(sq, min(cfg.n, cfg.energy_order))
-        rep_phi = energies.energy_report(
-            sq, min(cfg.n // 2 + 1, cfg.energy_order))
-        records.append(diagnostics.ks_check_f(sq, rep_f, 0))
-        records.append(diagnostics.ks_check_f(sq, rep_f, 1))
-        records.extend(diagnostics.ks_check_phi(sq, rep_phi))
+        records.append(diagnostics.ks_check_f(sq, rep, 0))
+        records.append(diagnostics.ks_check_f(sq, rep, 1))
+        records.extend(diagnostics.ks_check_phi(sq, rep))
         for A in commuted.multi_indices_up_to(cfg.n, 1):
             records.append(diagnostics.l2_estimate_check(sq, A, eps, delta))
     statuses = diagnostics.bootstrap_monitor(reports, eps, delta)
@@ -248,6 +244,7 @@ def cmd_ks_check(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
+    check_decay_window(*args.window)
     p = Path(args.series)
     if not p.is_file():
         raise ConfigError(f"series file not found: {args.series}")

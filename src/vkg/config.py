@@ -89,6 +89,13 @@ def apply_env_overrides(values: dict, environ=None) -> dict:
     return out
 
 
+def check_decay_window(lo: float, hi: float):
+    """Refuse a decay-fit window that is not a finite, nonempty [lo, hi]."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError("the decay window needs finite decay_window_lo < "
+                          f"decay_window_hi, got {lo} and {hi}")
+
+
 def load_settings(text: str, environ=None) -> RunSettings:
     values = apply_env_overrides(parse_config(text), environ)
     if values.pop("schema", None) != SCHEMA_VERSION:
@@ -100,10 +107,7 @@ def load_settings(text: str, environ=None) -> RunSettings:
     if settings.delta_mode not in ("free", "n4"):
         raise ConfigError(
             f"delta_mode must be free or n4, got {settings.delta_mode!r}")
-    lo, hi = settings.decay_window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError("the decay window needs finite decay_window_lo < "
-                          f"decay_window_hi, got {lo} and {hi}")
+    check_decay_window(*settings.decay_window)
     if not (math.isfinite(settings.ratio_variation_max)
             and settings.ratio_variation_max > 0):
         raise ConfigError("ratio_variation_max must be positive and finite, "

@@ -77,17 +77,25 @@ def _worst(name: str, sq: SliceQuantities, vals: np.ndarray,
                             tuple(sq.y[i]))
 
 
+def _envelope(breakdown: dict, order: int) -> float:
+    """The energy of every multi-index up to order: the partial sum of a
+    report's breakdown, which lists the indices by increasing order, so it
+    adds the same values in the same order as a report of that order."""
+    return sum(e for A, e in breakdown.items() if len(A) <= order)
+
+
 def ks_check_f(sq: SliceQuantities, report: EnergyReport,
                k: int) -> InequalityRecord:
     """Velocity-average decay against the order-n energy envelope.
 
     ratio = max over nodes of int |f|/(v^0)^k dv * t^(n-1+k) tau^(1-k),
-    divided by Ehat_n(f)(tau).
+    divided by Ehat_n(f)(tau), the energy of the indices of order up to
+    min(n, report.order).
     """
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     n = sq.n
-    energy = report.Ehat_N_f
+    energy = _envelope(report.breakdown_f, min(n, report.order))
     name = f"ks_f_k{k}"
     if energy < VACUOUS_FLOOR:
         return InequalityRecord(name, sq.tau, 0.0, energy, 0.0, (), True)
@@ -98,12 +106,15 @@ def ks_check_f(sq: SliceQuantities, report: EnergyReport,
 
 def ks_check_phi(sq: SliceQuantities, report: EnergyReport
                  ) -> tuple[InequalityRecord, InequalityRecord]:
-    """Field and field-gradient decay against E_{floor(n/2)+1}^(1/2).
+    """Field and field-gradient decay against E_{floor(n/2)+1}^(1/2), the
+    field energy of the indices of order up to min(floor(n/2) + 1,
+    report.order).
 
     Envelopes: t^(n/2) for |phi| and t^(n/2-1) tau for |d phi|.
     """
     n = sq.n
-    energy = math.sqrt(max(report.E_N_phi, 0.0))
+    energy = math.sqrt(max(
+        _envelope(report.breakdown_phi, min(n // 2 + 1, report.order)), 0.0))
     if energy < VACUOUS_FLOOR:
         rec = InequalityRecord("ks_phi", sq.tau, 0.0, energy, 0.0, (), True)
         dec = InequalityRecord("ks_dphi", sq.tau, 0.0, energy, 0.0, (), True)

@@ -65,10 +65,10 @@ def build_slice_quadrature(
     """Composite-trapezoid quadrature on the truncated slice.
 
     Radial nodes are uniform on [0, rmax] (for n = 1 they cover
-    [-rmax, rmax]); n = 2 adds ANGULAR_NODES uniform angles, which is
-    trapezoid-exact by periodicity.  Nodes with vanishing volume-form
-    weight (r = 0 at n = 2) are dropped so all stored weights are
-    strictly positive.
+    [-rmax, rmax]); n = 2 adds ANGULAR_NODES uniform angles, on which the
+    trapezoid rule over the full circle converges spectrally for smooth
+    integrands.  Nodes with vanishing volume-form weight (r = 0 at
+    n = 2) are dropped so all stored weights are strictly positive.
     """
     if resolution < 2:
         raise ValueError(f"resolution={resolution} < 2")

@@ -76,7 +76,6 @@ class SimConfig:
     rmax_mode: str = "fixed"       # fixed | lightcone
     support_radius: float = 3.0    # data support estimate for lightcone mode
     slice_resolution: int = 40
-    bc: str = "outgoing"           # outgoing | periodic
     energy_order: int = 2          # max |A| in grid diagnostics
 
     @property
@@ -96,8 +95,6 @@ class SimConfig:
             raise SolverError(f"dimension {self.n} unsupported")
         if self.mode not in ("coupled", "free_transport", "free_kg", "mms"):
             raise SolverError(f"unknown mode {self.mode!r}")
-        if self.bc not in ("outgoing", "periodic"):
-            raise SolverError(f"unknown boundary condition {self.bc!r}")
         if self.rmax_mode not in ("fixed", "lightcone"):
             raise SolverError(f"unknown rmax mode {self.rmax_mode!r}")
         for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
@@ -147,13 +144,16 @@ class SimConfig:
             if tau < self.t0 + 3 * self.dt:
                 raise SolverError(
                     f"slice tau={tau} starts before history coverage (t0={self.t0})")
+            # slice_rmax and the node times square tau
+            if not math.isfinite(tau * tau):
+                raise SolverError(f"taus squared overflows, got {tau}")
             rm = slice_rmax(self, tau)
             if rm <= 0:
                 why = (f"rmax={self.rmax}" if rm == self.rmax
                        else "in lightcone mode")
                 raise SolverError(
                     f"slice tau={tau} has no covered radius ({why})")
-            t_top = math.sqrt(tau ** 2 + rm ** 2)
+            t_top = math.hypot(tau, rm)
             if t_top > self.t_end - 2 * self.dt:
                 raise SolverError(
                     f"slice tau={tau} needs t up to {t_top:.2f} > t_end={self.t_end}")
@@ -191,8 +191,8 @@ def _grids(cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 
-def _limited_slopes(fpad2: np.ndarray, out: np.ndarray | None = None,
-                    tmp: np.ndarray | None = None) -> np.ndarray:
+def _limited_slopes(fpad2: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray) -> np.ndarray:
     """Edge slopes of the primitive from cell averages (two ghost cells).
 
     Fourth-order edge-value estimate, limited into the monotone region
@@ -201,16 +201,12 @@ def _limited_slopes(fpad2: np.ndarray, out: np.ndarray | None = None,
     what preserves positivity; the high-order interior estimate keeps
     the advection second-order globally.  The stencil runs along the last
     axis.  The slopes are written to out and tmp holds the bounds; both
-    have the shape of the result and are fresh arrays when not given.
+    have the shape of the result.
     """
     z = fpad2[..., :-3]
     a = fpad2[..., 1:-2]
     b = fpad2[..., 2:-1]
     c = fpad2[..., 3:]
-    if out is None:
-        out = np.empty(a.shape)
-    if tmp is None:
-        tmp = np.empty(a.shape)
     # d4 = (7 (a + b) - (z + c)) / 12
     np.add(a, b, out=out)
     np.multiply(7.0, out, out=out)
@@ -251,8 +247,7 @@ def _line_blocks(shape: tuple[int, ...], per_block: int):
             yield lead + (slice(i, i + step),)
 
 
-def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
-           bc: str = "outgoing") -> np.ndarray:
+def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     """Shift cell averages by sigma cells along one axis, conservatively.
 
     sigma must broadcast to g's shape and be constant along the advection
@@ -271,11 +266,11 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
     slopes d.  Each cell reads only its neighbourhood, so small values
     far from large ones (the tails of f) keep their own relative
     precision instead of roundoff of the line total.  The averages are
-    padded with max|k| + 3 ghost cells at each end: zeros for outgoing
-    lines, which take in nothing and lose exactly what leaves, and
-    wrapped cells for periodic ones.  The cells of a line sum to the
-    interpolant's difference between its end edges, so the total along
-    each line is kept to roundoff, up to boundary outflow.
+    padded with max|k| + 3 zero ghost cells at each end: the boundary is
+    open, so a line takes in nothing and loses exactly what leaves.  The
+    cells of a line sum to the interpolant's difference between its end
+    edges, so the total along each line is kept to roundoff, up to
+    boundary outflow.
 
     The lines are the columns of an (m, L) array, so every stencil step
     (limiter, slope difference, Hermite sum) is an operation on
@@ -306,12 +301,9 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
                           g.shape).transpose(order)[0].flatten()
     if not sig.size:
         return result
-    # shifting by whole periods, or past the whole line, changes nothing
-    # and would only widen the padding
-    if bc == "periodic":
-        sig -= m * np.round(sig / m)
-    else:
-        np.minimum(np.maximum(sig, -m - 1.0, out=sig), m + 1.0, out=sig)
+    # shifting past the whole line changes nothing and would only widen
+    # the padding
+    np.minimum(np.maximum(sig, -m - 1.0, out=sig), m + 1.0, out=sig)
     k = np.floor(-sig)
     xi = -sig - k
     k = np.where(np.isnan(k), 0.0, k).astype(np.int64)
@@ -341,7 +333,7 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int,
         G = (gp.shape[0] - m) // 2
         np.copyto(gp[G:G + m].reshape(block.shape), block)
         b = slice(i, i + nb)
-        _advect_lines(gp, k[b], [w[b] for w in h], bc, floor, rest,
+        _advect_lines(gp, k[b], [w[b] for w in h], floor, rest,
                       dest[(slice(None),) + box])
         i += nb
     return result
@@ -360,12 +352,12 @@ def _workspace_rows(m: int, kmin: int, kmax: int) -> list[int]:
     return [sum(rows[:i]) for i in range(len(rows) + 1)]
 
 
-def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
-                  floor: float, work: list, out: np.ndarray):
+def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, floor: float,
+                  work: list, out: np.ndarray):
     """advect on the L columns of one block into out, shape (m, ...).
 
     gp, shape (m + 2 G, L) with G > max|k| + 2, holds the cell averages in
-    rows G to G + m - 1; its G ghost rows at each end are filled here.  k
+    rows G to G + m - 1; its G ghost rows at each end are zeroed here.  k
     are the integer shifts and h = (h00, h10, h01, h11) the Hermite
     weights, each of shape (L,).  work = (A, B, C) is the workspace, of at
     least R + 1, R + 1 and R rows for R = max k - min k + m + 1 and L
@@ -376,11 +368,7 @@ def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, bc: str,
     kmin, kmax = int(k.min()), int(k.max())
     # average e of a line sits at row G + e of gp
     G = (gp.shape[0] - m) // 2
-    if bc == "periodic":
-        e = np.r_[-G:0, m:m + G]
-        gp[G + e] = gp[G + e % m]
-    else:
-        gp[:G] = gp[G + m:] = 0.0
+    gp[:G] = gp[G + m:] = 0.0
     # the slopes d of edges kmin to kmax + m + 1 into A, with the
     # limiter's bounds in B, and their differences Dd_e = d_{e+1} - d_e
     # into C: row r of each is edge kmin + r
@@ -472,13 +460,12 @@ def total_mass(f: np.ndarray, cfg: SimConfig) -> float:
     return float(f.sum()) * cfg.dx ** cfg.n * cfg.dv ** cfg.n
 
 
-def _laplacian(phi: np.ndarray, dx: float, bc: str) -> np.ndarray:
+def _laplacian(phi: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order five-point stencil per axis on phi padded once by two
-    cells: wrapped for the periodic case, zeros for the outgoing one (the
-    radiation condition keeps the boundary cells small)."""
+    cells of zeros (the radiation condition keeps the boundary cells
+    small)."""
     core = (slice(2, -2),) * phi.ndim
-    padded = (phi[np.ix_(*[np.arange(-2, m + 2) % m for m in phi.shape])]
-              if bc == "periodic" else np.zeros([m + 4 for m in phi.shape]))
+    padded = np.zeros([m + 4 for m in phi.shape])
     padded[core] = phi
     out, term, tmp = np.zeros_like(phi), np.empty_like(phi), np.empty_like(phi)
     for ax, m in enumerate(phi.shape):
@@ -523,8 +510,7 @@ def field_substep(field: FieldState, rho: np.ndarray | float, k: float,
 
     def accel(t):
         if field.lap is None or field.lap[0] is not field.phi:
-            field.lap = (field.phi, _laplacian(field.phi, cfg.dx, cfg.bc)
-                         - field.phi)
+            field.lap = (field.phi, _laplacian(field.phi, cfg.dx) - field.phi)
         a = field.lap[1] - rho
         return a if source is None else a + source(t)
 
@@ -533,8 +519,7 @@ def field_substep(field: FieldState, rho: np.ndarray | float, k: float,
     a1 = accel(field.t + k)
     field.pi = field.pi + 0.5 * k * (a0 + a1)
     field.t += k
-    if cfg.bc == "outgoing":
-        _sommerfeld(field, cfg)
+    _sommerfeld(field, cfg)
 
 
 def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
@@ -567,7 +552,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
 
     def advect_x():
         for d in range(n):
-            phase.f = advect(phase.f, x_shift[d], axis=d, bc=cfg.bc)
+            phase.f = advect(phase.f, x_shift[d], axis=d)
 
     def add_source():
         # (dt/2) s + f: the same products and sums as f + (dt/2) s, with
@@ -589,7 +574,7 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
         for d in range(n):
             gp = np.gradient(field.phi, cfg.dx, axis=d, edge_order=2)
             phase.f = advect(phase.f, -gp[(...,) + (None,) * n] * dt / cfg.dv,
-                             axis=n + d, bc=cfg.bc)
+                             axis=n + d)
     if kinetic_source is not None:
         add_source()
     if evolve_field:
@@ -857,7 +842,7 @@ def run(cfg: SimConfig) -> RunResult:
         if not pending:
             # no node left to capture: hold no level
             levels.clear()
-        if not boundary_flagged and cfg.bc == "outgoing":
+        if not boundary_flagged:
             edge = _boundary_max(phase.f, cfg.n)
             if edge > BOUNDARY_FLOOR:
                 warnings.append(

@@ -16,6 +16,7 @@ import pytest
 
 from vkg import algebra, cli, commuted, criteria, solver
 from vkg.cli import main
+from vkg.config import ConfigError, load_settings
 from vkg.report import (content_hash, read_binary_grid, svg_plot,
                         write_binary_grid)
 
@@ -152,7 +153,7 @@ def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("key", ["cfl_safety", "boundary_floor",
-                                 "f_center_v"])
+                                 "f_center_v", "bc"])
 def test_removed_key_in_config_exits_2(key, tmp_path, capsys):
     # these were settings once; a file that still sets one is refused
     conf = tmp_path / "old.conf"
@@ -187,8 +188,18 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
     ({"VKG_PHI_WIDTH": "1e-160"}, "the initial phi of amplitude 0.0004 is"
      " zero on every cell"),
     ({"VKG_F_WIDTH_V": "1e-160"}, "the initial f of amplitude 2e-06 is zero"
-     " on every cell")],
-    ids=["dt", "vmax", "f_amplitude", "phi_width", "f_width_v"])
+     " on every cell"),
+    # slice times whose squares overflow ended in an OverflowError
+    # traceback: at tau ** 2 in the slice's top time, in lightcone mode at
+    # tau ** 2 in slice_rmax, and at rmax ** 2 in the top time
+    ({"VKG_TAUS": "1e160"}, "taus squared overflows, got 1e+160"),
+    ({"VKG_TAUS": "1e160", "VKG_RMAX_MODE": "lightcone",
+      "VKG_SUPPORT_RADIUS": "2.4"}, "taus squared overflows, got 1e+160"),
+    ({"VKG_T_END": "1e300", "VKG_TAUS": "1e155"},
+     "taus squared overflows, got 1e+155"),
+    ({"VKG_RMAX": "1e160"}, "slice tau=5.0 needs t up to 1000")],
+    ids=["dt", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
+         "taus_lightcone", "t_end_taus", "rmax"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -393,6 +404,21 @@ def test_decay_fit_command(small_run, tmp_path, capsys):
     no_t.write_text("x,sup_phi\n1,2\n")
     assert main(["decay-fit", str(no_t)]) == 2
     assert "column 't'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [("10", "5"), ("5", "5"), ("nan", "6"),
+                                    ("2.5", "inf")],
+                         ids=["inverted", "empty", "nan", "inf"])
+def test_decay_fit_bad_window_exits_2(window, small_run, capsys):
+    # an inverted window used to exit 3 for too few points; the command
+    # refuses it with the message of the config keys
+    _, out, _ = small_run
+    with pytest.raises(ConfigError) as want:
+        load_settings(f"schema = 1\ndecay_window_lo = {window[0]}\n"
+                      f"decay_window_hi = {window[1]}", environ={})
+    assert main(["decay-fit", str(out / "series.csv"),
+                 "--window", *window]) == 2
+    assert capsys.readouterr().err == f"config error: {want.value}\n"
 
 
 def test_ks_check_without_slices_exits_2(tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_settings_echo_is_flat_and_complete():
     json.dumps(echo)
 
 
-REMOVED = ("cfl_safety", "boundary_floor", "f_center_v")
+REMOVED = ("cfl_safety", "boundary_floor", "f_center_v", "bc")
 
 
 def test_key_table_is_the_declared_fields():
@@ -133,7 +133,7 @@ def test_key_table_is_the_declared_fields():
     names = [f.name for f in dataclasses.fields(SimConfig)] + [
         f.name for f in dataclasses.fields(RunSettings) if f.name != "sim"]
     assert list(KEYS) == ["schema"] + names
-    assert len(names) == 26
+    assert len(names) == 25
     assert KEYS["nx"] is int and KEYS["dt"] is float
     assert KEYS["mode"] is str and KEYS["decay_window_lo"] is float
     assert not set(REMOVED) & set(KEYS)

@@ -278,6 +278,25 @@ def test_monitors_equal_node_loop(n, count, coupled_pair):
                     == ref_l2_estimate_check(sq, A, 1e-3, delta)
 
 
+@pytest.mark.parametrize("n,order", [(1, 2), (2, 3)])
+def test_ks_envelopes_are_partial_sums_of_one_report(n, order):
+    """From one report, the monitors take the envelopes of the reports of
+    their own orders, min(n, N) for f and min(floor(n/2) + 1, N) for phi,
+    bit for bit: a pipeline needs one report per slice."""
+    sq = evaluate_slice(random_slice(n, 3), order)
+    rep = energy_report(sq, order)
+    rep_f = energy_report(sq, min(n, order))
+    rep_phi = energy_report(sq, min(n // 2 + 1, order))
+    assert rep_f.Ehat_N_f < rep.Ehat_N_f and rep_phi.E_N_phi < rep.E_N_phi
+    for k in (0, 1):
+        rec = ks_check_f(sq, rep, k)
+        assert rec == ks_check_f(sq, rep_f, k)
+        assert rec.envelope == rep_f.Ehat_N_f
+    recs = ks_check_phi(sq, rep)
+    assert recs == ks_check_phi(sq, rep_phi)
+    assert recs[0].envelope == math.sqrt(rep_phi.E_N_phi)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
