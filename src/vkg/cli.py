@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import commuted, criteria, diagnostics, energies, geometry, report
+from . import commuted, criteria, diagnostics, energies, report
 from .config import (ConfigError, RunSettings, check_decay_window,
                      load_settings, settings_echo)
-from .solver import SYMBOLIC_CAP, SimConfig, SolverError, run
+from .solver import SYMBOLIC_CAP, SolverError, run
 
 
 # ---------------------------------------------------------------------------
@@ -164,62 +164,20 @@ def cmd_derive(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_algebra(small_run):
-    return [criteria.structure_constants(n) for n in (1, 2, 3, 4)]
-
-
-def _suite_geometry(small_run):
-    for n, res in ((1, 4000), (2, 400)):
-        q = geometry.build_slice_quadrature(2.0, n, 3.0, res)
-        vol = float(q.weights.sum())
-        ref = geometry.truncated_slice_volume(2.0, 3.0, n)
-        err = abs(vol - ref) / ref
-        yield f"slice volume n={n}", err < 1e-3, f"rel err {err:.2e}"
-
-
-def _small_run():
-    return run_pipeline(RunSettings(sim=SimConfig(
-        n=1, mode="coupled", x_extent=12.0, nx=240, vmax=4.0, nv=48,
-        dt=0.04, t0=4.0, t_end=9.0, epsilon=1e-3, taus=(4.5, 6.0),
-        rmax=5.0, support_radius=2.4)))
-
-
-def _suite_solver(small_run):
-    result = small_run()[0]
-    return [criteria.mass_conservation(result), criteria.positivity(result),
-            ("slice capture", all(len(s.nodes) > 0
-                                  for s in result.slices.values()),
-             "nodes fired")]
-
-
-def _suite_energies(small_run):
-    _, slices_q, reports, _, _ = small_run()
-    mono = not any(rep.Ehat_N1_f < rep.Ehat_N_f * (1 - 1e-12)
-                   for rep in reports)
-    return [criteria.density_lower_bounds(slices_q),
-            ("hierarchy monotone", mono, "Ehat_{N,1} >= Ehat_N")]
-
-
-_SUITES = {
-    "algebra": _suite_algebra,
-    "geometry": _suite_geometry,
-    "solver": _suite_solver,
-    "energies": _suite_energies,
-}
-
-
 def cmd_verify(args) -> int:
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    # the solver and energies suites share one small run
-    small_run = functools.cache(_small_run)
+    suites = ([s for s in criteria.SUITES if s != "acceptance"]
+              if args.suite == "all" else [args.suite])
+    # rows that share a reference run share it within this invocation
+    runs = functools.cache(run_pipeline)
     failed = 0
     results = []
-    for name in suites:
-        for check, ok, detail in _SUITES[name](small_run):
-            results.append({"suite": name, "check": check, "ok": bool(ok),
-                            "detail": detail})
-            print(criteria.line(name, check, ok, detail))
-            failed += not ok
+    for suite in suites:
+        for label, row in criteria.rows(suite):
+            for check, ok, detail in row(runs, main):
+                results.append({"suite": label, "check": check,
+                                "ok": bool(ok), "detail": detail})
+                print(criteria.line(label, check, ok, detail))
+                failed += not ok
     if args.log:
         Path(args.log).write_text(json.dumps(results, indent=1) + "\n")
     return 4 if failed else 0
@@ -306,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("verify", help="run built-in verification suites")
-    p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
+    p.add_argument("suite", choices=tuple(criteria.SUITES) + ("all",))
     p.add_argument("--log", default=None, help="write JSON result log")
     p.set_defaults(func=cmd_verify)
 

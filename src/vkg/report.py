@@ -109,6 +109,25 @@ def write_manifest(path: Path, config_echo: dict, outputs: list[Path],
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def same_outputs(a: Path, b: Path) -> dict[str, bool]:
+    """Per file name in either run directory: whether both runs wrote the
+    same file.  Artifacts are compared byte for byte and manifest.json
+    without its `timings` block, the only wall-clock-dependent field; a
+    file that one run did not write differs."""
+    same = {}
+    for name in sorted({p.name for d in (a, b) for p in d.iterdir()}):
+        if not ((a / name).is_file() and (b / name).is_file()):
+            same[name] = False
+        elif name == "manifest.json":
+            docs = [json.loads((d / name).read_text()) for d in (a, b)]
+            for doc in docs:
+                doc.pop("timings")
+            same[name] = docs[0] == docs[1]
+        else:
+            same[name] = (a / name).read_bytes() == (b / name).read_bytes()
+    return same
+
+
 def write_binary_grid(path: Path, array: np.ndarray):
     """Little-endian layout: magic 'VKG1', ndim, dims (u32), f64 payload
     in row-major order."""

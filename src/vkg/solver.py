@@ -135,8 +135,15 @@ class SimConfig:
             raise SolverError(
                 f"energy_order must be in [1, {SYMBOLIC_CAP}], "
                 f"got {self.energy_order}")
-        if self.rmax_mode == "lightcone" and self.t0 <= self.support_radius:
-            raise SolverError("lightcone truncation needs t0 > support_radius")
+        if self.rmax_mode == "lightcone":
+            if self.t0 <= self.support_radius:
+                raise SolverError(
+                    "lightcone truncation needs t0 > support_radius")
+            # slice_rmax squares c = t0 - support_radius
+            c = self.t0 - self.support_radius
+            if not math.isfinite(c * c):
+                raise SolverError("t0 - support_radius squared overflows "
+                                  f"in lightcone mode, got {c}")
         if self.dt > CFL_SAFETY * self.dx:
             raise SolverError(
                 f"CFL violation: dt={self.dt} > {CFL_SAFETY}*dx={CFL_SAFETY * self.dx}")
@@ -706,7 +713,7 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
             f"run needs about {need / 2 ** 30:.3g} GiB (two states of "
             f"{state / 2 ** 30:.3g} GiB, the advect workspace"
             + (", three forcing factors" if factors else "") +
-            f", {T_WINDOW} kept boxes and the series of {cfg.nsteps} "
+            f", {T_WINDOW} kept boxes and the series of {cfg.nsteps:.3g} "
             f"steps), more than the {have / 2 ** 30:.3g} GiB of physical "
             "memory")
     return need

@@ -17,10 +17,8 @@ import pytest
 from vkg import algebra, cli, commuted, criteria, solver
 from vkg.cli import main
 from vkg.config import ConfigError, load_settings
-from vkg.report import (content_hash, read_binary_grid, svg_plot,
-                        write_binary_grid)
-
-from run_outputs import same_outputs
+from vkg.report import (content_hash, read_binary_grid, same_outputs,
+                        svg_plot, write_binary_grid)
 
 SMALL_CONF = """\
 schema = 1
@@ -176,7 +174,10 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("env,message", [
     # 1.75e10 steps: the series alone would outgrow physical memory
-    ({"VKG_DT": "1e-9"}, "the series of 17500000000 steps"),
+    ({"VKG_DT": "1e-9"}, "the series of 1.75e+10 steps"),
+    # the step count is printed like the GiB figures beside it, not as a
+    # 202-digit integer
+    ({"VKG_T0": "-1e200"}, "the series of 2.22e+201 steps"),
     # dv is about 3e148 against f_width_v = 0.35: f underflows to zero
     ({"VKG_VMAX": "1e150"}, "the initial f of amplitude 2e-06 is zero on"
      " every cell"),
@@ -197,9 +198,16 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
       "VKG_SUPPORT_RADIUS": "2.4"}, "taus squared overflows, got 1e+160"),
     ({"VKG_T_END": "1e300", "VKG_TAUS": "1e155"},
      "taus squared overflows, got 1e+155"),
-    ({"VKG_RMAX": "1e160"}, "slice tau=5.0 needs t up to 1000")],
-    ids=["dt", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
-         "taus_lightcone", "t_end_taus", "rmax"])
+    ({"VKG_RMAX": "1e160"}, "slice tau=5.0 needs t up to 1000"),
+    # slice_rmax squares t0 - support_radius in lightcone mode: an
+    # OverflowError traceback
+    ({"VKG_RMAX_MODE": "lightcone", "VKG_SUPPORT_RADIUS": "-1e200"},
+     "t0 - support_radius squared overflows in lightcone mode, got 1e+200"),
+    ({"VKG_RMAX_MODE": "lightcone", "VKG_SUPPORT_RADIUS": "-1e155"},
+     "t0 - support_radius squared overflows in lightcone mode, got 1e+155")],
+    ids=["dt", "t0", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
+         "taus_lightcone", "t_end_taus", "rmax", "support_radius_lightcone",
+         "support_radius_lightcone_155"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -214,7 +222,7 @@ def test_run_the_grid_cannot_take_exits_3_before_stepping(
     err = capsys.readouterr().err
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("runtime error: ")
-    assert message in err
+    assert message in err and len(err) < 300
     assert steps == []
 
 
@@ -390,6 +398,53 @@ def test_verify_failure_exits_4(capsys, monkeypatch, tmp_path):
     assert "[FAIL] solver: positivity (forced)" in capsys.readouterr().out
     doc = json.loads(log.read_text())
     assert [item["check"] for item in doc if not item["ok"]] == ["positivity"]
+
+
+def _stub_row(ok):
+    def row(runs, main):
+        yield "stub", ok, "forced"
+    return row
+
+
+def test_verify_failing_table_row_exits_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setitem(criteria.SUITES, "acceptance",
+                        (_stub_row(True), _stub_row(False)))
+    log = tmp_path / "log.json"
+    assert main(["verify", "acceptance", "--log", str(log)]) == 4
+    assert capsys.readouterr().out == (
+        "[PASS] acceptance 01: stub (forced)\n"
+        "[FAIL] acceptance 02: stub (forced)\n")
+    doc = json.loads(log.read_text())
+    assert [(item["suite"], item["ok"]) for item in doc] == [
+        ("acceptance 01", True), ("acceptance 02", False)]
+
+
+def test_verify_row_solver_error_exits_3(capsys, monkeypatch):
+    def row(runs, main):
+        raise solver.SolverError("forced")
+        yield
+
+    monkeypatch.setitem(criteria.SUITES, "acceptance", (row,))
+    assert main(["verify", "acceptance"]) == 3
+    assert capsys.readouterr().err == "runtime error: forced\n"
+
+
+@pytest.mark.parametrize("row", [
+    criteria.density_lower_bounds, criteria.balance_laws,
+    criteria.dispersive_decay, criteria.klainerman_sobolev_boundedness,
+    criteria.bootstrap_monitor, criteria.determinism],
+    ids=lambda row: row.__name__)
+def test_verify_rows_without_configs_exit_2(row, capsys, monkeypatch,
+                                            tmp_path):
+    # an install without the source tree's configs/ directory
+    monkeypatch.setattr(criteria, "CONFIGS", tmp_path)
+    monkeypatch.setitem(criteria.SUITES, "acceptance", (row,))
+    assert main(["verify", "acceptance"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"config error: config file not found: {tmp_path}")
 
 
 def test_decay_fit_command(small_run, tmp_path, capsys):

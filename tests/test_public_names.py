@@ -10,23 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vkg"
 
 # public names that only the tests call: name -> (reason, what removes it)
-_CRITERIA = ("the finite-difference oracles of acceptance criteria 02-04",
-             "the criteria moving into vkg.criteria (ROADMAP item 4)")
 ALLOWED = {
-    "fdtools.RefinementStudy.second_order": _CRITERIA,
-    "fdtools.verify_commuted_vlasov": _CRITERIA,
-    "fdtools.moment_exchange_check": _CRITERIA,
-    "fdtools.gaussian_test_function": _CRITERIA,
-    "fdtools.gaussian_field": _CRITERIA,
-    "fdtools.sample_points": _CRITERIA,
-    "commuted.check_index_bounds": (
-        "the structural index bound of acceptance criterion 03", _CRITERIA[1]),
     "fdtools.verify_commuted_kg": (
         "the commuted Klein-Gordon oracle of tests/test_fdtools.py",
         "its check joining the criteria table (ROADMAP item 8)"),
-    "energies.vlasov_energy_inequality_slack": (
-        "the kinetic balance of acceptance criterion 06",
-        "a run reporting the slack in its summary (ROADMAP item 1)"),
     "report.read_binary_grid": (
         "the reader of the format `vkg slice-dump` writes, public API for "
         "the users of the dumps", "none: it stays"),
