@@ -38,14 +38,13 @@ def run_pipeline(settings: RunSettings):
         reports.append(energies.energy_report(sq, cfg.energy_order))
     records = []
     eps = cfg.epsilon
-    delta = diagnostics.delta_rule(eps, settings.delta_mode)
     for sq, rep in zip(slices_q, reports):
         records.append(diagnostics.ks_check_f(sq, rep, 0))
         records.append(diagnostics.ks_check_f(sq, rep, 1))
         records.extend(diagnostics.ks_check_phi(sq, rep))
         for A in commuted.multi_indices_up_to(cfg.n, 1):
-            records.append(diagnostics.l2_estimate_check(sq, A, eps, delta))
-    statuses = diagnostics.bootstrap_monitor(reports, eps, delta)
+            records.append(diagnostics.l2_estimate_check(sq, A, eps))
+    statuses = diagnostics.bootstrap_monitor(reports, eps)
     return result, slices_q, reports, records, statuses
 
 

@@ -28,7 +28,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunSettings:
     sim: SimConfig
-    delta_mode: str = "free"           # free | n4
     decay_window_lo: float = 10.0      # t window of the decay fits
     decay_window_hi: float = 100.0
     ratio_variation_max: float = 5.0
@@ -104,9 +103,6 @@ def load_settings(text: str, environ=None) -> RunSettings:
     sim = SimConfig(**{k: v for k, v in values.items() if k in _SIM_KEYS})
     settings = RunSettings(
         sim, **{k: v for k, v in values.items() if k not in _SIM_KEYS})
-    if settings.delta_mode not in ("free", "n4"):
-        raise ConfigError(
-            f"delta_mode must be free or n4, got {settings.delta_mode!r}")
     check_decay_window(*settings.decay_window)
     if not (math.isfinite(settings.ratio_variation_max)
             and settings.ratio_variation_max > 0):

@@ -17,6 +17,7 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import (algebra, commuted, diagnostics, energies, fdtools, geometry,
                report)
-from .config import ConfigError, RunSettings, load_settings
+from .config import ENV_PREFIX, ConfigError, RunSettings, load_settings
 from .solver import RunResult, SimConfig, run
 
 # the shipped configs of the source tree; an install may not have them
@@ -231,7 +232,18 @@ def commuted_vlasov(runs, main):
            f"|A|<=2 numeric n=1,2 + |A|<=3 index bounds in {elapsed:.1f}s")
 
 
+def _over_v0(func: fdtools.PointFunc, n: int, k: int) -> fdtools.PointFunc:
+    """The test function divided by (v^0)^k."""
+    def weighted(pts):
+        v = pts[:, 1 + n:]
+        return func(pts) / np.sqrt(1.0 + np.sum(v * v, axis=1)) ** k
+    return weighted
+
+
 def moment_exchange(runs, main):
+    """Z_a int f/(v^0)^k dv through the commuted velocity average of
+    f/(v^0)^k: for a boost the lift's Zhat_a (v^0)^-k = -k v^i/(v^0)^(k+1)
+    and the derived weight u_i = v^i/v^0 leave the (1 - k) correction."""
     t0 = time.perf_counter()
     failures = []
     for n, m in ((1, 321), (2, 141)):
@@ -239,8 +251,8 @@ def moment_exchange(runs, main):
         tx = fdtools.sample_points(n, m=6, seed=2)[:, :1 + n]
         for g in algebra.generators(n):
             for k in (0, 1):
-                st = fdtools.moment_exchange_check(func, g, k, tx,
-                                                   vmax=11.0, m=m)
+                st = fdtools.verify_commuted_kg(
+                    (g,), n, _over_v0(func, n, k), tx, vmax=11.0, m=m)
                 if not st.second_order:
                     failures.append((n, str(g), k, st))
     elapsed = time.perf_counter() - t0
@@ -327,9 +339,9 @@ def bootstrap_monitor(runs, main):
                                   E_N_phi=3 * eps, Ehat_N_f=0.0,
                                   Ehat_N1_f=3 * eps, breakdown_phi={},
                                   breakdown_f={}, breakdown_fw={})
-    tripped = diagnostics.bootstrap_monitor([fault], eps, 0.0)[0].crossed
+    tripped = diagnostics.bootstrap_monitor([fault], eps)[0].crossed
     trip_tau = diagnostics.first_crossing(
-        diagnostics.bootstrap_monitor([fault], eps, 0.0))
+        diagnostics.bootstrap_monitor([fault], eps))
     yield ("bootstrap monitor",
            crossing is None and margins < 1.0 and tripped
            and trip_tau == reports[0].tau,
@@ -337,11 +349,23 @@ def bootstrap_monitor(runs, main):
            f"injected fault trips at tau={trip_tau}")
 
 
+@contextlib.contextmanager
+def _without_overrides():
+    """No VKG_* variable in effect inside; the environment is restored
+    afterwards."""
+    saved = {k: os.environ.pop(k) for k in list(os.environ)
+             if k.startswith(ENV_PREFIX)}
+    try:
+        yield
+    finally:
+        os.environ.update(saved)
+
+
 def determinism(runs, main):
-    """Two `vkg simulate` runs of the shipped small coupled config, whose
-    own stdout is not shown, write the same artifacts."""
+    """Two `vkg simulate` runs of the shipped small coupled config as
+    written, whose own stdout is not shown, write the same artifacts."""
     conf = _shipped("n1-coupled-small.conf")
-    with tempfile.TemporaryDirectory() as tmp, \
+    with tempfile.TemporaryDirectory() as tmp, _without_overrides(), \
             contextlib.redirect_stdout(io.StringIO()):
         out1, out2 = Path(tmp) / "a", Path(tmp) / "b"
         code1 = main(["simulate", str(conf), "--out", str(out1)])

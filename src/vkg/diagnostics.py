@@ -128,16 +128,16 @@ def ks_check_phi(sq: SliceQuantities, report: EnergyReport
             _worst("ks_dphi", sq, val_d, energy))
 
 
-def l2_estimate_check(sq: SliceQuantities, A: MultiIndex, eps: float,
-                      delta: float) -> InequalityRecord:
-    """Weighted L2 norm of the velocity average against eps^2 tau^(2delta-n).
+def l2_estimate_check(sq: SliceQuantities, A: MultiIndex,
+                      eps: float) -> InequalityRecord:
+    """Weighted L2 norm of the velocity average against eps^2 tau^-n.
 
-    Reports int (t/tau) (int |Zhat_A f| dv)^2 dmu * tau^(n-2delta)/eps^2.
+    Reports int (t/tau) (int |Zhat_A f| dv)^2 dmu * tau^n/eps^2.
     """
     n = sq.n
     intf = sq.integrate_v(np.abs(sq.f[A]))
     lhs = sq.integrate((sq.t / sq.tau) * np.float_power(intf, 2))
-    env = eps ** 2 * sq.tau ** (2 * delta - n)
+    env = eps ** 2 * sq.tau ** -n
     name = f"l2_{mi_str(A)}"
     if lhs < VACUOUS_FLOOR:
         return InequalityRecord(name, sq.tau, lhs, env, 0.0, (), True)
@@ -169,27 +169,17 @@ def ratio_variations(records: list[InequalityRecord]) -> dict[str, float]:
 class BootstrapStatus:
     tau: float
     margin_phi: float      # E_N(phi) / (2 eps)
-    margin_f: float        # Ehat_{N,1}(f) / (2 eps tau^delta)
+    margin_f: float        # Ehat_{N,1}(f) / (2 eps)
     crossed: bool
 
 
-def delta_rule(eps: float, mode: str = "free") -> float:
-    """Threshold exponent: 0 in the weak-coupling regimes, eps^(1/4) in
-    the dimension-four rule."""
-    if mode == "free":
-        return 0.0
-    if mode == "n4":
-        return eps ** 0.25
-    raise ValueError(f"unknown delta mode {mode!r}")
-
-
-def bootstrap_monitor(reports: list[EnergyReport], eps: float,
-                      delta: float) -> list[BootstrapStatus]:
+def bootstrap_monitor(reports: list[EnergyReport],
+                      eps: float) -> list[BootstrapStatus]:
     """Threshold margins per slice; a margin >= 1 is a crossing."""
     out = []
     for rep in reports:
         m_phi = rep.E_N_phi / (2 * eps)
-        m_f = rep.Ehat_N1_f / (2 * eps * rep.tau ** delta)
+        m_f = rep.Ehat_N1_f / (2 * eps)
         out.append(BootstrapStatus(rep.tau, m_phi, m_f,
                                    m_phi >= 1.0 or m_f >= 1.0))
     return out

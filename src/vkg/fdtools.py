@@ -4,8 +4,10 @@ Functions here operate on batched point arrays with columns
 (t, x^1..x^n, v^1..v^n) and apply plain or lifted generators by central
 differences, so symbolic derivations can be checked against arbitrary
 smooth test functions; free transport is the phi = None case of the
-commuted transport check, and every velocity average is one
-`velocity_integrals` sum per (t, x) row over a `trapezoid_grid`.
+commuted transport check, the moment exchange at weight (v^0)^-k is
+the order-1 commuted velocity average of f/(v^0)^k, and every velocity
+average is one `velocity_integrals` sum per (t, x) row over a
+`trapezoid_grid`.
 Residuals come with a Richardson refinement study: halving the step
 must shrink a genuine O(h^2) error by about 4.
 """
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BOOST, Generator
+from .algebra import Generator
 from .commuted import (CommutedKGRHS, CommutedVlasovRHS, MultiIndex,
                        derive_commuted_kg, derive_commuted_vlasov)
 
@@ -166,40 +168,6 @@ def verify_commuted_vlasov(A: MultiIndex, n: int, func: PointFunc,
         lhs = lhs_f(pts) - rhs_f(pts)
         return lhs if rhs is None else \
             lhs - evaluate_vlasov_rhs(rhs, func, phi, pts, step)
-
-    return refinement_study(residual, h, floor)
-
-
-def moment_exchange_check(func: PointFunc, g: Generator, k: int,
-                          tx: np.ndarray, vmax: float = 11.0, m: int = 321,
-                          h: float = 1e-3,
-                          floor: float = 1e-8) -> RefinementStudy:
-    """Exchange of a generator with the weighted velocity average:
-
-    Z_a int f/(v^0)^k dv = int (Zhat_a f)/(v^0)^k dv
-                           + (1-k) int v^i/(v^0)^(k+1) f dv   (boosts),
-    with no correction for translations and rotations; k in {0, 1}.
-    """
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    tx = np.asarray(tx, dtype=float)
-    n = tx.shape[1] - 1
-    vgrid, vw = trapezoid_grid(n, vmax, m)
-    v0 = np.sqrt(1.0 + np.sum(vgrid * vgrid, axis=1))
-
-    def chi(txp):
-        return velocity_integrals(lambda p: vw * func(p) / v0 ** k, txp,
-                                  vgrid)
-
-    def residual(step):
-        lhs = apply_generator(chi, g, step, False)(tx)
-        zf = apply_generator(func, g, step, True)
-        rhs = velocity_integrals(lambda p: vw * zf(p) / v0 ** k, tx, vgrid)
-        if g.kind == BOOST:
-            rhs += (1 - k) * velocity_integrals(
-                lambda p: vw * vgrid[:, g.i - 1] / v0 ** (k + 1) * func(p),
-                tx, vgrid)
-        return lhs - rhs
 
     return refinement_study(residual, h, floor)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -109,10 +110,16 @@ class SimConfig:
             if value < 3:
                 raise SolverError(f"{name} must be at least 3, got {value}")
         for name in ("x_extent", "vmax"):
-            # the Laplacian, the energies and |v|^2 square these scales
+            # the Laplacian, the energies, |x|^2 and |v|^2 sum n squares of
+            # these scales
             value = getattr(self, name)
-            if not math.isfinite(value * value):
-                raise SolverError(f"{name} squared overflows, got {value}")
+            if not math.isfinite(self.n * value * value):
+                raise SolverError(f"{name} squared, summed over {self.n} "
+                                  f"axes, overflows, got {value}")
+        # the L2 estimate checks divide by epsilon^2
+        if self.epsilon * self.epsilon < sys.float_info.min:
+            raise SolverError(
+                f"epsilon squared underflows, got {self.epsilon}")
         for name in ("f_amplitude", "phi_amplitude", "rmax",
                      "support_radius"):
             value = getattr(self, name)

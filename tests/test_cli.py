@@ -151,7 +151,7 @@ def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("key", ["cfl_safety", "boundary_floor",
-                                 "f_center_v", "bc"])
+                                 "f_center_v", "bc", "delta_mode"])
 def test_removed_key_in_config_exits_2(key, tmp_path, capsys):
     # these were settings once; a file that still sets one is refused
     conf = tmp_path / "old.conf"
@@ -204,10 +204,14 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
     ({"VKG_RMAX_MODE": "lightcone", "VKG_SUPPORT_RADIUS": "-1e200"},
      "t0 - support_radius squared overflows in lightcone mode, got 1e+200"),
     ({"VKG_RMAX_MODE": "lightcone", "VKG_SUPPORT_RADIUS": "-1e155"},
-     "t0 - support_radius squared overflows in lightcone mode, got 1e+155")],
+     "t0 - support_radius squared overflows in lightcone mode, got 1e+155"),
+    # epsilon squared is 0 and the L2 envelopes divide by it: a
+    # ZeroDivisionError traceback; a subnormal square gave NaN ratios
+    ({"VKG_EPSILON": "1e-200"}, "epsilon squared underflows, got 1e-200"),
+    ({"VKG_EPSILON": "1e-160"}, "epsilon squared underflows, got 1e-160")],
     ids=["dt", "t0", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
          "taus_lightcone", "t_end_taus", "rmax", "support_radius_lightcone",
-         "support_radius_lightcone_155"])
+         "support_radius_lightcone_155", "epsilon", "epsilon_160"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -223,6 +227,41 @@ def test_run_the_grid_cannot_take_exits_3_before_stepping(
     assert code == 3
     assert err.count("\n") == 1 and err.startswith("runtime error: ")
     assert message in err and len(err) < 300
+    assert steps == []
+
+
+TINY_N2_CONF = """\
+schema = 1
+n = 2
+mode = coupled
+x_extent = 4.0
+nx = 8
+vmax = 2.0
+nv = 6
+dt = 0.1
+t0 = 2.0
+t_end = 2.5
+taus =
+"""
+
+
+@pytest.mark.parametrize("key", ["x_extent", "vmax"])
+def test_n2_sum_of_squares_overflow_exits_3_before_stepping(
+        key, tmp_path, monkeypatch, capsys):
+    # each square is finite but |x|^2 or |v|^2 sums two of them: numpy's
+    # overflow warning, or under warnings-as-errors a traceback
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_N2_CONF)
+    monkeypatch.setenv("VKG_" + key.upper(), "1.3e154")
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (f"runtime error: {key} squared, summed over 2 axes, "
+                   "overflows, got 1.3e+154\n")
     assert steps == []
 
 
@@ -445,6 +484,29 @@ def test_verify_rows_without_configs_exit_2(row, capsys, monkeypatch,
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(
         f"config error: config file not found: {tmp_path}")
+
+
+@pytest.mark.parametrize("key,value", [("VKG_DT", "0"), ("VKG_NX", "160")])
+def test_determinism_row_runs_the_config_as_written(key, value, tmp_path,
+                                                    monkeypatch):
+    # criterion 11 read VKG_* overrides: dt = 0 failed it with two runtime
+    # errors, and another nx silently checked another run
+    (tmp_path / "n1-coupled-small.conf").write_text(SMALL_CONF)
+    monkeypatch.setattr(criteria, "CONFIGS", tmp_path)
+    monkeypatch.setenv(key, value)
+    before = dict(os.environ)
+    seen = []
+
+    def spy(argv):
+        seen.append({k: v for k, v in os.environ.items()
+                     if k.startswith("VKG_")})
+        return main(argv)
+
+    assert list(criteria.determinism(None, spy)) == [(
+        "determinism", True, "9/9 artifacts byte-identical (manifest "
+        "compared without timings)")]
+    assert seen == [{}, {}]
+    assert dict(os.environ) == before
 
 
 def test_decay_fit_command(small_run, tmp_path, capsys):

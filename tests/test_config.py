@@ -20,7 +20,6 @@ nx = 200
 x_extent = 10.0
 dt = 0.04
 taus = 3.0, 4.5, 6.0
-delta_mode = n4
 decay_window_lo = 5
 decay_window_hi = 50
 """
@@ -69,7 +68,6 @@ def test_load_settings_roundtrip():
     s = load_settings(GOOD, environ={})
     assert s.sim.nx == 200
     assert s.sim.taus == (3.0, 4.5, 6.0)
-    assert s.delta_mode == "n4"
     assert s.decay_window == (5.0, 50.0)
     assert s.ratio_variation_max == 5.0  # default
 
@@ -117,14 +115,13 @@ def test_settings_echo_is_flat_and_complete():
     assert echo["schema"] == 1
     assert echo["nx"] == 200
     assert echo["taus"] == [3.0, 4.5, 6.0]   # JSON-friendly
-    assert echo["delta_mode"] == "n4"
     assert echo["decay_window_hi"] == 50.0
     # every value must be JSON-serializable
     import json
     json.dumps(echo)
 
 
-REMOVED = ("cfl_safety", "boundary_floor", "f_center_v", "bc")
+REMOVED = ("cfl_safety", "boundary_floor", "f_center_v", "bc", "delta_mode")
 
 
 def test_key_table_is_the_declared_fields():
@@ -133,7 +130,7 @@ def test_key_table_is_the_declared_fields():
     names = [f.name for f in dataclasses.fields(SimConfig)] + [
         f.name for f in dataclasses.fields(RunSettings) if f.name != "sim"]
     assert list(KEYS) == ["schema"] + names
-    assert len(names) == 25
+    assert len(names) == 24
     assert KEYS["nx"] is int and KEYS["dt"] is float
     assert KEYS["mode"] is str and KEYS["decay_window_lo"] is float
     assert not set(REMOVED) & set(KEYS)

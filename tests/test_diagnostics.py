@@ -13,9 +13,9 @@ from test_energies import node_phi, node_rows, one_node_slices, random_slice
 from vkg import diagnostics, energies, report
 from vkg.commuted import mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
-                             bootstrap_monitor, decay_fit, delta_rule,
-                             first_crossing, ks_check_f, ks_check_phi,
-                             l2_estimate_check, ratio_variation)
+                             bootstrap_monitor, decay_fit, first_crossing,
+                             ks_check_f, ks_check_phi, l2_estimate_check,
+                             ratio_variation)
 from vkg.energies import EnergyReport, energy_report, evaluate_slice
 from vkg.solver import SimConfig, run
 
@@ -68,13 +68,6 @@ def test_decay_fit_rejects_thin_or_nonpositive_data():
 # thresholds and crossings
 # ---------------------------------------------------------------------------
 
-def test_delta_rule_modes():
-    assert delta_rule(1e-3, "free") == 0.0
-    assert delta_rule(1e-4, "n4") == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        delta_rule(1e-3, "quartic")
-
-
 def _report(tau, e_phi, ehat, ehat_w):
     return EnergyReport(tau, 1, e_phi, ehat, ehat_w, {}, {}, {})
 
@@ -83,7 +76,7 @@ def test_bootstrap_margins_and_crossing():
     eps = 1e-3
     reports = [_report(2.0, 1e-4, 0.0, 1e-4),
                _report(4.0, 1e-4, 0.0, 3e-3)]
-    st0, st1 = bootstrap_monitor(reports, eps, delta=0.0)
+    st0, st1 = bootstrap_monitor(reports, eps)
     assert st0.margin_phi == pytest.approx(0.05)
     assert st0.margin_f == pytest.approx(0.05)
     assert not st0.crossed
@@ -91,16 +84,6 @@ def test_bootstrap_margins_and_crossing():
     assert st1.crossed
     assert first_crossing([st0, st1]) == 4.0
     assert first_crossing([st0]) is None
-
-
-def test_bootstrap_tau_delta_weakens_f_threshold():
-    reports = [_report(9.0, 0.0, 0.0, 2.5e-3)]
-    eps = 1e-3
-    hard = bootstrap_monitor(reports, eps, delta=0.0)[0]
-    soft = bootstrap_monitor(reports, eps, delta=0.5)[0]
-    assert hard.crossed
-    assert soft.margin_f == pytest.approx(hard.margin_f / 3.0)
-    assert not soft.crossed
 
 
 def test_ratio_variation():
@@ -167,11 +150,11 @@ def test_l2_check_quadratic_in_amplitude(coupled_pair):
     import dataclasses
     from vkg.energies import energy_report
     _, sls = coupled_pair
-    base = l2_estimate_check(sls[0], (), CFG.epsilon, 0.0)
+    base = l2_estimate_check(sls[0], (), CFG.epsilon)
     res2 = run(dataclasses.replace(CFG, f_amplitude=2e-3, taus=(3.0,),
                                    t_end=6.0))
     sq2 = evaluate_slice(res2.slices[3.0], 1)
-    scaled = l2_estimate_check(sq2, (), CFG.epsilon, 0.0)
+    scaled = l2_estimate_check(sq2, (), CFG.epsilon)
     assert scaled.lhs == pytest.approx(4 * base.lhs, rel=2e-2)
     assert base.envelope == CFG.epsilon ** 2 * sls[0].tau ** -1
 
@@ -186,7 +169,7 @@ def test_zero_data_checks_are_vacuous():
     rep = energy_report(sq, 1)
     assert ks_check_f(sq, rep, 0).vacuous
     assert ks_check_phi(sq, rep)[0].vacuous
-    assert l2_estimate_check(sq, (), 1e-3, 0.0).vacuous
+    assert l2_estimate_check(sq, (), 1e-3).vacuous
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +216,14 @@ def ref_ks_check_phi(sq, report):
                              worst_d / energy, loc_d))
 
 
-def ref_l2_estimate_check(sq, A, eps, delta):
+def ref_l2_estimate_check(sq, A, eps):
     n = sq.n
     vals = []
     for i, t, _, _ in node_rows(sq):
         intf = float(np.sum(np.abs(sq.f[A][i]))) * sq.dv ** n
         vals.append((t / sq.tau) * intf ** 2)
     lhs = sq.integrate(np.array(vals))
-    env = eps ** 2 * sq.tau ** (2 * delta - n)
+    env = eps ** 2 * sq.tau ** -n
     return InequalityRecord(f"l2_{mi_str(A)}", sq.tau, lhs, env, lhs / env,
                             ())
 
@@ -273,9 +256,8 @@ def test_monitors_equal_node_loop(n, count, coupled_pair):
             assert rec == ref_ks_check_f(sq, rep, k)
         assert ks_check_phi(sq, rep) == ref_ks_check_phi(sq, rep)
         for A in multi_indices_up_to(n, order):
-            for delta in (0.0, 0.25):
-                assert l2_estimate_check(sq, A, 1e-3, delta) \
-                    == ref_l2_estimate_check(sq, A, 1e-3, delta)
+            assert l2_estimate_check(sq, A, 1e-3) \
+                == ref_l2_estimate_check(sq, A, 1e-3)
 
 
 @pytest.mark.parametrize("n,order", [(1, 2), (2, 3)])

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from vkg.algebra import generators
-from vkg.commuted import multi_indices_up_to
 from vkg.fdtools import (apply_generator, gaussian_field,
-                         gaussian_test_function, moment_exchange_check,
-                         refinement_study, sample_points, trapezoid_grid,
-                         velocity_integrals, verify_commuted_kg,
-                         verify_commuted_vlasov)
+                         gaussian_test_function, refinement_study,
+                         sample_points, trapezoid_grid, velocity_integrals,
+                         verify_commuted_kg, verify_commuted_vlasov)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# n = 1 and 2 run in acceptance criterion 02 on the same function and points
+@pytest.mark.parametrize("n", [3, 4])
 def test_free_transport_commutes_with_every_lift(n):
     func = gaussian_test_function(n, seed=0)
     pts = sample_points(n, m=30, seed=2)
@@ -42,22 +41,13 @@ def test_commuted_vlasov_second_order_sample():
         assert st.second_order, (A, st)
 
 
-@pytest.mark.parametrize("n,m", [(1, 321), (2, 141)])
-def test_commuted_kg_first_order(n, m):
-    func = gaussian_test_function(n, seed=0)
-    tx = sample_points(n, m=6, seed=2)[:, :1 + n]
-    for A in multi_indices_up_to(n, 1):
-        st = verify_commuted_kg(A, n, func, tx, vmax=11.0, m=m)
-        assert st.second_order, (A, st)
-
-
 def test_moment_exchange_boost_correction_is_needed():
     """Dropping the velocity-ratio correction must break the identity."""
     n = 1
     func = gaussian_test_function(n, seed=0)
     tx = sample_points(n, m=6, seed=2)[:, :1 + n]
     g = generators(n)[2]
-    st = moment_exchange_check(func, g, 0, tx)
+    st = verify_commuted_kg((g,), n, func, tx, vmax=11.0, m=321)
     assert st.second_order and st.coarse > 0
 
     # the same residual without the correction term

@@ -11,9 +11,6 @@ SRC = ROOT / "src" / "vkg"
 
 # public names that only the tests call: name -> (reason, what removes it)
 ALLOWED = {
-    "fdtools.verify_commuted_kg": (
-        "the commuted Klein-Gordon oracle of tests/test_fdtools.py",
-        "its check joining the criteria table (ROADMAP item 8)"),
     "report.read_binary_grid": (
         "the reader of the format `vkg slice-dump` writes, public API for "
         "the users of the dumps", "none: it stays"),
