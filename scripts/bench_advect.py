@@ -23,18 +23,25 @@ axis, as the x-sweep follows the velocity kick).  The first call of each
 case is reported on its own: the earlier cases have warmed the allocator
 for some shapes and not for others, so its time and its minor page
 faults show each shape's allocation pattern.  Then the median time per
-call over the repeats, the throughput in Mcell/s, the minor page faults
-per warm call (resource.getrusage's ru_minflt) and the median time per
-call spent outside the line kernel _advect_lines, in microseconds: the
-set-up that does not scale with the lines of a block (shifts, Hermite
-weights, workspace views) plus the copies into and out of the kernel's
-buffers.  The kernel is timed by wrapping solver._advect_lines, which
-adds two clock reads per block to each call.
+call over the repeats, the throughput in Mcell/s and the minor page
+faults per warm call (resource.getrusage's ru_minflt), all on every CPU
+the process may run on, where a call of more than one block shares its
+blocks among solver.WORKERS workers.  Then the median time per call with
+the process pinned to one of those CPUs (os.sched_setaffinity on its own
+pid, with solver.WORKERS set to 1, as a process started on one CPU reads
+it), and, from those pinned calls, the median time per call spent
+outside the line kernel _advect_lines, in microseconds: the set-up that
+does not scale with the lines of a block (shifts, Hermite weights,
+workspace views) plus the copies into and out of the kernel's buffers.
+The kernel is timed by wrapping solver._advect_lines, which adds two
+clock reads per block to each pinned call.  The process's affinity is
+restored after each case.
 
     PYTHONPATH=src python3 scripts/bench_advect.py [--repeat 7]
 """
 
 import argparse
+import os
 import resource
 import time
 
@@ -59,25 +66,46 @@ def timed_kernel(kernel, spent):
     return timed
 
 
-def time_call(g, sigma, axis, repeat, in_kernel):
+def time_call(g, sigma, axis, repeat):
     """(first call s, its minor faults, median warm call s, minor faults
-    per warm call, median warm call s outside the kernel); in_kernel[0]
-    is the kernel time that timed_kernel adds up"""
+    per warm call) on every CPU the process may run on"""
     faults = minor_faults()
     t0 = time.perf_counter()
     advect(g, sigma, axis)
     first = time.perf_counter() - t0
     first_faults = minor_faults() - faults
-    times, outside = [], []
+    times = []
     faults = minor_faults()
     for _ in range(repeat):
-        in_kernel[0] = 0.0
         t0 = time.perf_counter()
         advect(g, sigma, axis)
         times.append(time.perf_counter() - t0)
-        outside.append(times[-1] - in_kernel[0])
     return (first, first_faults, float(np.median(times)),
-            (minor_faults() - faults) / repeat, float(np.median(outside)))
+            (minor_faults() - faults) / repeat)
+
+
+def time_pinned(g, sigma, axis, repeat):
+    """(median warm call s, median warm call s outside the kernel) with
+    the process pinned to one CPU and one worker"""
+    cpus, workers, kernel = (os.sched_getaffinity(0), solver.WORKERS,
+                             solver._advect_lines)
+    in_kernel = [0.0]
+    os.sched_setaffinity(os.getpid(), {min(cpus)})
+    solver.WORKERS = 1
+    solver._advect_lines = timed_kernel(kernel, in_kernel)
+    try:
+        advect(g, sigma, axis)
+        times, outside = [], []
+        for _ in range(repeat):
+            in_kernel[0] = 0.0
+            t0 = time.perf_counter()
+            advect(g, sigma, axis)
+            times.append(time.perf_counter() - t0)
+            outside.append(times[-1] - in_kernel[0])
+    finally:
+        os.sched_setaffinity(os.getpid(), cpus)
+        solver.WORKERS, solver._advect_lines = workers, kernel
+    return float(np.median(times)), float(np.median(outside))
 
 
 def main():
@@ -88,12 +116,11 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    in_kernel = [0.0]
-    solver._advect_lines = timed_kernel(solver._advect_lines, in_kernel)
 
+    print(f"{solver.WORKERS} workers on all CPUs, 1 pinned")
     print(f"{'shape':>18} {'axis':>4} {'input':>6} "
           f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
-          f"{'flt/call':>8} {'setup us':>8}")
+          f"{'flt/call':>8} {'1cpu ms':>8} {'setup us':>8}")
     for shape in SHAPES:
         g = rng.random(shape)
         sigmas = []
@@ -107,12 +134,13 @@ def main():
             inputs = (("C", g),
                       ("solver", advect(g, sigmas[before], before)))
             for name, data in inputs:
-                first, first_flt, sec, flt, outside = time_call(
-                    data, sigma, axis, args.repeat, in_kernel)
+                first, first_flt, sec, flt = time_call(
+                    data, sigma, axis, args.repeat)
+                one, outside = time_pinned(data, sigma, axis, args.repeat)
                 print(f"{str(shape):>18} {axis:>4} {name:>6} "
                       f"{first * 1e3:8.2f} {first_flt:8d} "
                       f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
-                      f"{flt:8.1f} {outside * 1e6:8.1f}")
+                      f"{flt:8.1f} {one * 1e3:8.2f} {outside * 1e6:8.1f}")
 
 
 if __name__ == "__main__":

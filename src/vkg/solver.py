@@ -27,9 +27,11 @@ the axes, except the Sommerfeld boundary and the capture half-width in
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import build_slice_quadrature
+from .geometry import ANGULAR_NODES, build_slice_quadrature
 
 
 class SolverError(RuntimeError):
@@ -120,6 +122,9 @@ class SimConfig:
         if self.epsilon * self.epsilon < sys.float_info.min:
             raise SolverError(
                 f"epsilon squared underflows, got {self.epsilon}")
+        if not math.isfinite(self.epsilon * self.epsilon):
+            raise SolverError(
+                f"epsilon squared overflows, got {self.epsilon}")
         for name in ("f_amplitude", "phi_amplitude", "rmax",
                      "support_radius"):
             value = getattr(self, name)
@@ -240,25 +245,60 @@ def _limited_slopes(fpad2: np.ndarray, out: np.ndarray,
 # per block stay few.  On the n = 2 benchmark state, (40, 40, 24, 24), a
 # call took 7-14% less time at 1 << 16 than at 1 << 15, and more at
 # 1 << 14 and 1 << 17; the n = 1 state, (320, 64), is one block at either
-# size.
+# size.  A call of more than one block shares its blocks among W <=
+# WORKERS workers, whose blocks hold BLOCK_CELLS // W cells each, so that
+# their workspaces together take no more than one block's.
 BLOCK_CELLS = 1 << 16
 
+# one worker per CPU this process may run on, read once at import
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else 1)
 
-def _line_blocks(shape: tuple[int, ...], per_block: int):
+
+def _line_blocks(shape: tuple[int, ...], per_block: int) -> list[tuple]:
     """Blocks of at most per_block lines (at least one) that tile an array
-    of lines of this shape in C order.  Each block is an index tuple into
-    the array: fixed indices on the leading axes, a range on one axis and
-    whole axes after it, so the block is a view of the array."""
+    of lines of this shape in C order, as few as can be and of equal size
+    up to one row, the first the largest.  Each block is an index tuple
+    into the array: fixed indices on the leading axes, a range on one axis
+    and whole axes after it, so the block is a view of the array."""
     j = 0
     while math.prod(shape[j:]) > per_block:
         j += 1
     if j == 0:
-        yield ()
-        return
-    step = per_block // math.prod(shape[j:])
-    for lead in np.ndindex(*shape[:j - 1]):
-        for i in range(0, shape[j - 1], step):
-            yield lead + (slice(i, i + step),)
+        return [()]
+    rows = shape[j - 1]
+    count = -(-rows // (per_block // math.prod(shape[j:])))
+    edges = [-(-rows * i // count) for i in range(count + 1)]
+    return [lead + (slice(lo, hi),) for lead in np.ndindex(*shape[:j - 1])
+            for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _in_workers(task: Callable[[int], None], workers: int):
+    """task(w) for w = 0 .. workers - 1, w = 0 on the calling thread and
+    each other on a thread of its own, which sees the caller's context
+    (numpy's error state among it).  Every thread is joined before this
+    returns, and the first exception a worker raised is raised here."""
+    errors = []
+
+    def guarded(w):
+        try:
+            task(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(guarded, w))
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
@@ -291,11 +331,21 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     contiguous rows of L lines.  The Hermite sum is evaluated for every
     line over the rows that any shift in the block reads, and each line's
     window is then picked with one masked copy per further shift.  The
-    lines are taken in blocks of at most BLOCK_CELLS cells, each a box of
-    lines with the line axes in g's memory order, copied straight from g
-    into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g is
-    never transposed as a whole.  The buffers of every step are allocated
-    once per call and every block writes into them.
+    lines are taken in equal blocks of at most BLOCK_CELLS cells, each a
+    box of lines with the line axes in g's memory order, copied straight
+    from g into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g
+    is never transposed as a whole.  The shifts, weights, roundoff floor,
+    result and workspace are prepared once per call.  A call of one block
+    runs it on the calling thread.  A call of more blocks splits its lines
+    into blocks of BLOCK_CELLS // W cells and shares them among W workers,
+    one per CPU (WORKERS) but no more than the call has blocks: the
+    calling thread and W - 1 threads, each taking the next block not yet
+    taken until none is left.  The lines of a sweep are independent 1-D
+    problems, so each worker writes the lines of its blocks of the result,
+    from its own slice of the one workspace, and every line is computed
+    by the same operations for any W and any order.  All threads are
+    joined before advect returns, and the first exception a worker raised
+    is raised here.
 
     The result is a fresh array laid out with the advection axis last in
     memory.  The callers' reductions (source_density, total_mass) sum in
@@ -311,8 +361,10 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     order = [axis] + sorted((a for a in range(ndim) if a != axis),
                             key=lambda a: -abs(g.strides[a]))
     lines = g.transpose(order)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=float),
-                          g.shape).transpose(order)[0].flatten()
+    # one shift per line, in a C-ordered array of the line axes, so that
+    # a block's shifts are a view of it
+    sig = np.array(np.broadcast_to(np.asarray(sigma, dtype=float),
+                                   g.shape).transpose(order)[0], order="C")
     if not sig.size:
         return result
     # shifting past the whole line changes nothing and would only widen
@@ -328,28 +380,56 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     # where the Hermite sum's terms cancel they can leave negatives at the
     # roundoff scale; zero those without touching genuinely signed data
     floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
-    boxes = list(_line_blocks(lines.shape[1:], max(1, BLOCK_CELLS // m)))
-    # the workspace of one block, at the size of the first (largest) one:
-    # the padded averages, then the slopes, the limiter's bounds and the
-    # slope differences, which the Hermite sum, its term and the picked
-    # windows reuse.  It is one allocation: freeing one large block raises
-    # glibc's mmap and trim thresholds above its size, so later calls
-    # reuse the same heap pages instead of faulting in fresh ones
+    per_block = max(1, BLOCK_CELLS // m)
+    boxes = _line_blocks(lines.shape[1:], per_block)
+    # no more workers than blocks, nor than lines in a block: the workers'
+    # blocks then hold at least one line each and no more than one block
+    # together
+    workers = min(WORKERS, len(boxes), per_block)
+    if workers > 1:
+        boxes = _line_blocks(lines.shape[1:], per_block // workers)
+    # the workspace of one block per worker, at the size of the first
+    # (largest) block: the padded averages, then the slopes, the limiter's
+    # bounds and the slope differences, which the Hermite sum, its term
+    # and the picked windows reuse.  It is one allocation: freeing one
+    # large block raises glibc's mmap and trim thresholds above its size,
+    # so later calls reuse the same heap pages instead of faulting in
+    # fresh ones
     starts = _workspace_rows(m, int(k.min()), int(k.max()))
-    work = np.empty(starts[-1] * lines[(0,) + boxes[0]].size)
+    size = starts[-1] * lines[(0,) + boxes[0]].size
+    work = np.empty(workers * size)
     dest = result.transpose(order)
-    i = 0
-    for box in boxes:
+
+    def advect_block(mine, box):
         block = lines[(slice(None),) + box]
         nb = block[0].size
-        gp, *rest = (work[lo * nb:hi * nb].reshape(hi - lo, nb)
+        gp, *rest = (mine[lo * nb:hi * nb].reshape(hi - lo, nb)
                      for lo, hi in zip(starts[:-1], starts[1:]))
         G = (gp.shape[0] - m) // 2
         np.copyto(gp[G:G + m].reshape(block.shape), block)
-        b = slice(i, i + nb)
-        _advect_lines(gp, k[b], [w[b] for w in h], floor, rest,
+        _advect_lines(gp, k[box].reshape(-1),
+                      [hw[box].reshape(-1) for hw in h], floor, rest,
                       dest[(slice(None),) + box])
-        i += nb
+
+    if workers == 1:
+        for box in boxes:
+            advect_block(work, box)
+        return result
+    # the blocks go to the workers in order, each to the first one free,
+    # so a worker slowed by another process on its CPU takes fewer
+    queue = iter(boxes)
+    lock = threading.Lock()
+
+    def sweep(w):
+        mine = work[w * size:(w + 1) * size]
+        while True:
+            with lock:
+                box = next(queue, None)
+            if box is None:
+                return
+            advect_block(mine, box)
+
+    _in_workers(sweep, workers)
     return result
 
 
@@ -608,6 +688,9 @@ def step(phase: PhaseState, field: FieldState, cfg: SimConfig,
 
 T_WINDOW = 6          # time levels per node block
 X_HALF = 6            # x cells each side of a node (n=1); reduced for n=2
+# bytes per slice node while run builds its pending nodes, above the peaks
+# tracemalloc measured there: 0.75 KiB at n = 1 and 1.07 KiB at n = 2
+NODE_BYTES = 1100
 
 
 @dataclass
@@ -694,16 +777,27 @@ def _kept_box(pending: deque):
                   for e in pending))
 
 
+def _node_count(cfg: SimConfig) -> int:
+    """The slice nodes of cfg, counted from slice_resolution r alone, as
+    build_slice_quadrature lays them out: 2 r + 1 per slice at n = 1, and
+    r rings of ANGULAR_NODES at n = 2 (the ring at r = 0 is dropped)."""
+    r = max(cfg.slice_resolution, 0)
+    return len(cfg.taus) * (2 * r + 1 if cfg.n == 1 else r * ANGULAR_NODES)
+
+
 def _check_memory(cfg: SimConfig, box: tuple) -> int:
     """Reject a run whose arrays cannot fit in physical memory, before
     any is allocated, and return the bytes it needs.  A step holds two
     states (f and phi) at once, the input and the result of an advect
     call, beside that call's workspace (taken for shifts of less than one
-    cell, as the CFL bound makes the x shifts), and the levels hold
-    T_WINDOW copies of the kept box.  The series take five floats per
-    recorded level.  In mms mode mms_forcing holds three f-sized factors
-    for the whole run.  It builds them with a fourth, but before any
-    state exists, so that peak stays below the run's."""
+    cell, as the CFL bound makes the x shifts; a call shared among
+    workers splits one block's workspace among them, so the workers take
+    no more), and the levels hold T_WINDOW copies of the kept box.  The
+    series take five floats per recorded level, and the slice nodes
+    NODE_BYTES each, counted before any is built.  In mms mode
+    mms_forcing holds three f-sized factors for the whole run.  It builds
+    them with a fourth, but before any state exists, so that peak stays
+    below the run's."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
     cells = (cfg.nx * cfg.nv) ** cfg.n
@@ -713,16 +807,18 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
     factors = 3 * 8 * cells if cfg.mode == "mms" else 0
     series = 5 * 8 * (cfg.nsteps + 1)
-    need = 2 * state + work + T_WINDOW * kept + factors + series
+    nodes = _node_count(cfg)
+    need = (2 * state + work + T_WINDOW * kept + factors + series
+            + NODE_BYTES * nodes)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise SolverError(
             f"run needs about {need / 2 ** 30:.3g} GiB (two states of "
             f"{state / 2 ** 30:.3g} GiB, the advect workspace"
             + (", three forcing factors" if factors else "") +
-            f", {T_WINDOW} kept boxes and the series of {cfg.nsteps:.3g} "
-            f"steps), more than the {have / 2 ** 30:.3g} GiB of physical "
-            "memory")
+            f", {T_WINDOW} kept boxes, the series of {cfg.nsteps:.3g} "
+            f"steps and {nodes:.3g} slice nodes), more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
     return need
 
 
@@ -794,6 +890,9 @@ def run(cfg: SimConfig) -> RunResult:
     """
     cfg.validate()
     t_start = time.perf_counter()
+    # the slice nodes are counted before they are built, and the kept box
+    # is known once they are
+    _check_memory(cfg, ())
     box, pending = _kept_box(_pending_nodes(cfg))
     _check_memory(cfg, box)
     kinetic_source = field_source = None

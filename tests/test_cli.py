@@ -208,10 +208,14 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
     # epsilon squared is 0 and the L2 envelopes divide by it: a
     # ZeroDivisionError traceback; a subnormal square gave NaN ratios
     ({"VKG_EPSILON": "1e-200"}, "epsilon squared underflows, got 1e-200"),
-    ({"VKG_EPSILON": "1e-160"}, "epsilon squared underflows, got 1e-160")],
+    ({"VKG_EPSILON": "1e-160"}, "epsilon squared underflows, got 1e-160"),
+    # and an infinite square: an OverflowError traceback at eps ** 2
+    ({"VKG_EPSILON": "1e300"}, "epsilon squared overflows, got 1e+300"),
+    ({"VKG_EPSILON": "1e155"}, "epsilon squared overflows, got 1e+155")],
     ids=["dt", "t0", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
          "taus_lightcone", "t_end_taus", "rmax", "support_radius_lightcone",
-         "support_radius_lightcone_155", "epsilon", "epsilon_160"])
+         "support_radius_lightcone_155", "epsilon", "epsilon_160",
+         "epsilon_300", "epsilon_155"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -228,6 +232,27 @@ def test_run_the_grid_cannot_take_exits_3_before_stepping(
     assert err.count("\n") == 1 and err.startswith("runtime error: ")
     assert message in err and len(err) < 300
     assert steps == []
+
+
+def test_slice_nodes_beyond_memory_exit_3_before_they_are_built(
+        tmp_path, monkeypatch, capsys):
+    # 10^8 rings took the process down (exit 137) while it built about
+    # 0.56 KiB per node; the nodes are counted from the resolution alone
+    # and refused before the quadrature is built
+    conf = Path(__file__).resolve().parent.parent / "configs" \
+        / "n1-coupled-small.conf"
+    monkeypatch.setenv("VKG_SLICE_RESOLUTION", str(10 ** 12))
+
+    def spy(*args):
+        raise AssertionError("the slice quadrature was built")
+
+    monkeypatch.setattr(solver, "build_slice_quadrature", spy)
+    code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("runtime error: ")
+    # five slices of 2 r + 1 nodes
+    assert "1e+13 slice nodes" in err and "physical memory" in err
 
 
 TINY_N2_CONF = """\

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from collections import deque
@@ -393,6 +394,164 @@ def test_advect_matches_reference_kernel_on_n2_chain(block_cells,
         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), axis
         assert got.strides == ref.strides, axis
         g = got
+
+
+def _thread_spy(monkeypatch):
+    """The threads threading.Thread makes from now on, in a list."""
+    made = []
+    real = threading.Thread
+
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    return made
+
+
+# 9200 cells: blocks of 230 lines of 40 cells, 383 of 24; 460800: half the
+# state, so each call has two blocks, fewer than three workers
+@pytest.mark.parametrize("block_cells,workers,threads", [
+    (9200, 2, 1), (9200, 3, 2), (460800, 3, 1)],
+    ids=["two_workers", "three_workers", "fewer_blocks_than_workers"])
+def test_advect_is_the_same_for_any_worker_count(block_cells, workers,
+                                                 threads, monkeypatch):
+    """On the n = 2 benchmark state, along every axis from a C-ordered
+    input and through the advect calls of one step in solver order,
+    advect with W workers equals its one-worker result bit for bit, with
+    the same strides.  A call takes no more workers than it has blocks,
+    and no thread outlives it."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", block_cells)
+    shape = (40, 40, 24, 24)
+    rng = np.random.default_rng(30)
+    g = rng.random(shape) * (rng.random(shape) > 0.2)
+    calls = [(g, _solver_shift(shape, axis, rng), axis)
+             for axis in range(4)]
+    chain = g
+    for axis in (0, 1, 2, 3, 0, 1):
+        calls.append((chain, _solver_shift(shape, axis, rng), axis))
+        chain = advect(*calls[-1])
+    monkeypatch.setattr(solver, "WORKERS", 1)
+    want = [advect(*call) for call in calls]
+    monkeypatch.setattr(solver, "WORKERS", workers)
+    made = _thread_spy(monkeypatch)
+    running = threading.active_count()
+    for call, ref in zip(calls, want):
+        got = advect(*call)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert got.strides == ref.strides
+        assert threading.active_count() == running
+    assert len(made) == threads * len(calls)
+
+
+def test_advect_workers_under_fast_thread_switching(monkeypatch):
+    """More workers than CPUs, with the interpreter switching threads
+    every microsecond: each worker still writes all of its lines and only
+    its own, so the results of a chain of calls equal the one-worker
+    results bit for bit, and the chain finishes within a minute."""
+    monkeypatch.setattr(solver, "BLOCK_CELLS", 2000)
+    shape = (16, 16, 12, 12)
+    rng = np.random.default_rng(31)
+    g = rng.random(shape) * (rng.random(shape) > 0.2)
+    shifts = [(_solver_shift(shape, axis, rng), axis)
+              for axis in (0, 1, 2, 3, 0, 1)]
+
+    def chain(out):
+        f = g
+        for sig, axis in shifts:
+            f = advect(f, sig, axis)
+            out.append(f)
+
+    want = []
+    monkeypatch.setattr(solver, "WORKERS", 1)
+    chain(want)
+    got = []
+    monkeypatch.setattr(solver, "WORKERS", len(os.sched_getaffinity(0)) + 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=chain, args=(got,), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    """An exception raised on a worker thread is raised by advect, after
+    every thread has been joined."""
+    monkeypatch.setattr(solver, "WORKERS", 2)
+    real = solver._advect_lines
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        real(*args)
+
+    monkeypatch.setattr(solver, "_advect_lines", failing)
+    made = _thread_spy(monkeypatch)
+    running = threading.active_count()
+    g = np.random.default_rng(3).random((40, 40, 24, 24))
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        advect(g, _solver_shift(g.shape, 0, np.random.default_rng(4)), 0)
+    assert len(made) == 1 and not made[0].is_alive()
+    assert threading.active_count() == running
+
+
+def test_workers_see_the_callers_error_state(monkeypatch):
+    """Each worker runs its blocks under the caller's numpy error state,
+    so an invalid operation is treated alike on every block."""
+    monkeypatch.setattr(solver, "WORKERS", 2)
+    real = solver._advect_lines
+    seen = set()
+
+    def spy(*args):
+        seen.add((threading.current_thread() is threading.main_thread(),
+                  np.geterr()["invalid"]))
+        real(*args)
+
+    monkeypatch.setattr(solver, "_advect_lines", spy)
+    g = np.random.default_rng(6).random((40, 40, 24, 24))
+    with np.errstate(invalid="raise"):
+        advect(g, _solver_shift(g.shape, 2, np.random.default_rng(7)), 2)
+    assert seen == {(True, "raise"), (False, "raise")}
+
+
+def test_a_one_block_call_starts_no_thread(monkeypatch):
+    """The n = 1 benchmark state is one block: advect runs it on the
+    calling thread, with every worker available."""
+    monkeypatch.setattr(solver, "WORKERS", 4)
+    made = _thread_spy(monkeypatch)
+    rng = np.random.default_rng(5)
+    g = rng.random((320, 64))
+    for axis in range(2):
+        advect(g, _solver_shift(g.shape, axis, rng), axis)
+    assert made == []
+
+
+@pytest.mark.parametrize("shape,per_block,rows", [
+    # the x-sweep of the n = 2 state at half a block: 24 rows of 40 lines
+    # in two blocks of 12, not 20 and 4
+    ((24, 24, 40), 819, [12] * 48),
+    ((24, 24, 40), 1638, [1] * 24),
+    ((5,), 2, [2, 2, 1]),
+    ((7, 3), 9, [3, 2, 2]),
+    ((4, 6), 24, [4])])
+def test_line_blocks_are_equal(shape, per_block, rows):
+    """The blocks tile the lines in C order, each of at most per_block
+    lines, as few as can be, and of equal size up to one row, the first
+    the largest."""
+    blocks = solver._line_blocks(shape, per_block)
+    index = np.arange(math.prod(shape)).reshape(shape)
+    tiled = np.concatenate([index[b].ravel() for b in blocks])
+    assert np.array_equal(tiled, np.arange(index.size))
+    sizes = [index[b].size for b in blocks]
+    assert max(sizes) <= per_block and sizes[0] == max(sizes)
+    assert [index[b].shape[0] for b in blocks] == rows
 
 
 @pytest.mark.parametrize("block_cells", [solver.BLOCK_CELLS, 200],
@@ -1057,6 +1216,20 @@ def test_memory_check_counts_the_series():
     assert (cfg.nsteps, longer.nsteps) == (10, 10_000)
     assert (solver._check_memory(longer, ()) - solver._check_memory(cfg, ())
             == 5 * 8 * 9_990)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_memory_check_counts_the_slice_nodes(n):
+    """The memory check counts NODE_BYTES per slice node, from the
+    resolution alone: as many nodes as build_slice_quadrature lays out."""
+    cfg = SimConfig(n=n, mode="coupled", x_extent=4.0, nx=40, vmax=2.0,
+                    nv=8, dt=0.1, t0=2.0, t_end=5.0, taus=(2.5, 3.0),
+                    rmax=1.0, slice_resolution=7)
+    built = sum(len(solver.build_slice_quadrature(
+        tau, n, cfg.rmax, cfg.slice_resolution).radii) for tau in cfg.taus)
+    no_nodes = dataclasses.replace(cfg, taus=())
+    assert (solver._check_memory(cfg, ()) - solver._check_memory(no_nodes, ())
+            == solver.NODE_BYTES * built)
 
 
 @pytest.mark.parametrize("mode,change,name", [
