@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: simulate, derive, verify, ks-check, decay-fit, slice-dump.
+Subcommands: simulate, derive, verify, decay-fit.
 Exit codes: 0 success, 2 usage/config error, 3 runtime error,
 4 verification failure.
 """
@@ -92,17 +92,6 @@ def cmd_simulate(args) -> int:
     if fits:
         emit("decay.csv", report.decay_csv(fits))
 
-    taus = np.array([rep.tau for rep in reports])
-    if len(taus) >= 2:
-        emit("energy_vs_tau.svg", report.svg_plot(
-            {"E_phi": (taus, np.array([r.E_N_phi for r in reports])),
-             "Ehat_f": (taus, np.array([r.Ehat_N_f for r in reports]))},
-            "tau", "slice energy"))
-    emit("decay.svg", report.svg_plot(
-        {"sup |phi|": (result.times, result.sup_phi),
-         "sup f": (result.times, result.sup_f)},
-        "log10 t", "log10 sup", loglog=True))
-
     crossing = diagnostics.first_crossing(statuses)
     variations = diagnostics.ratio_variations(records)
     bounded = all(v <= settings.ratio_variation_max
@@ -183,21 +172,8 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# ks-check / decay-fit / slice-dump
+# decay-fit
 # ---------------------------------------------------------------------------
-
-
-def cmd_ks_check(args) -> int:
-    settings = _load_settings_path(args.config)
-    if not settings.sim.taus:
-        raise ConfigError("ks-check needs slices: taus is empty, so there"
-                          " are no ks records to check")
-    _, _, _, records, _ = run_pipeline(settings)
-    sys.stdout.write(report.inequalities_csv(records))
-    worst = max(diagnostics.ratio_variations(records).values())
-    print(f"# worst ratio variation {worst:.6g} "
-          f"(max {settings.ratio_variation_max})")
-    return 4 if worst > settings.ratio_variation_max else 0
 
 
 def cmd_decay_fit(args) -> int:
@@ -215,27 +191,6 @@ def cmd_decay_fit(args) -> int:
     print(f"{args.column}: exponent {fit.exponent:.6f} "
           f"+- {fit.stderr:.2e} (residual {fit.residual:.2e}, "
           f"{fit.npoints} points)")
-    return 0
-
-
-def cmd_slice_dump(args) -> int:
-    settings = _load_settings_path(args.config)
-    cfg = settings.sim
-    result = run(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for tau in sorted(result.slices):
-        sq = energies.evaluate_slice(result.slices[tau], 0)
-        fstack = sq.f[()]
-        phistack = np.column_stack([sq.phi[()], sq.phi_dt[()],
-                                    sq.phi_grad[()]])
-        ystack = np.column_stack([sq.y, sq.t, sq.weight])
-        for tag, arr in (("f", fstack), ("phi", phistack), ("nodes", ystack)):
-            path = outdir / f"slice_tau{tau:g}_{tag}.bin"
-            report.write_binary_grid(path, arr)
-            written.append(path)
-    print(f"wrote {len(written)} dumps to {outdir}")
     return 0
 
 
@@ -267,20 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="write JSON result log")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("ks-check", help="decay-envelope monitors for a config")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_ks_check)
-
     p = sub.add_parser("decay-fit", help="log-log slope of a series column")
     p.add_argument("series", help="series.csv from a simulate run")
     p.add_argument("--column", default="sup_phi")
     p.add_argument("--window", type=float, nargs=2, default=(10.0, 100.0))
     p.set_defaults(func=cmd_decay_fit)
-
-    p = sub.add_parser("slice-dump", help="binary dumps of slice data")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_slice_dump)
     return ap
 
 

@@ -1,5 +1,4 @@
-"""Run artifacts: CSV and JSON tables, manifests, raw binary dumps, and
-dependency-free SVG plots."""
+"""Run artifacts: CSV and JSON tables, and the manifest that hashes them."""
 
 from __future__ import annotations
 
@@ -7,18 +6,12 @@ import csv
 import hashlib
 import io
 import json
-import math
-import struct
 from pathlib import Path
-
-import numpy as np
 
 from .commuted import mi_str
 from .diagnostics import BootstrapStatus, DecayFit, InequalityRecord
 from .energies import EnergyReport
 from .solver import RunResult
-
-BINARY_MAGIC = b"VKG1"
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +81,7 @@ def read_csv(path: Path) -> list[dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Manifests and binary dumps
+# Manifests
 # ---------------------------------------------------------------------------
 
 
@@ -126,118 +119,3 @@ def same_outputs(a: Path, b: Path) -> dict[str, bool]:
         else:
             same[name] = (a / name).read_bytes() == (b / name).read_bytes()
     return same
-
-
-def write_binary_grid(path: Path, array: np.ndarray):
-    """Little-endian layout: magic 'VKG1', ndim, dims (u32), f64 payload
-    in row-major order."""
-    arr = np.ascontiguousarray(array, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def read_binary_grid(path: Path | str) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != BINARY_MAGIC:
-        raise ValueError("bad magic")
-    ndim = struct.unpack_from("<I", raw, 4)[0]
-    dims = struct.unpack_from(f"<{ndim}I", raw, 8)
-    return np.frombuffer(raw, dtype="<f8",
-                         offset=8 + 4 * ndim).reshape(dims).copy()
-
-
-# ---------------------------------------------------------------------------
-# SVG plots (no timestamps, no external runtime)
-# ---------------------------------------------------------------------------
-
-_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-_W, _H = 640, 440
-_ML, _MR, _MT, _MB = 70, 20, 30, 50
-
-
-def _ticks(lo: float, hi: float, log: bool):
-    if log:
-        lo_e = math.floor(lo)
-        hi_e = math.ceil(hi)
-        step = max(1, (hi_e - lo_e) // 6)
-        return [float(e) for e in range(int(lo_e), int(hi_e) + 1, step)]
-    span = hi - lo or 1.0
-    step = 10 ** math.floor(math.log10(span / 4))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    start = math.ceil(lo / step) * step
-    out = []
-    while start <= hi + 1e-12 * span:
-        out.append(start)
-        start += step
-    return out
-
-
-def svg_plot(series: dict[str, tuple[np.ndarray, np.ndarray]],
-             xlabel: str, ylabel: str, loglog: bool = False) -> str:
-    """Polyline plot; with loglog both axes are log10-scaled."""
-    pts = {}
-    for name, (x, y) in series.items():
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if loglog:
-            mask = (x > 0) & (y > 0)
-            x, y = np.log10(x[mask]), np.log10(y[mask])
-        pts[name] = (x, y)
-    xs = np.concatenate([p[0] for p in pts.values()])
-    ys = np.concatenate([p[1] for p in pts.values()])
-    if len(xs) == 0:
-        xs = ys = np.array([0.0, 1.0])
-    x0, x1 = float(np.min(xs)), float(np.max(xs))
-    y0, y1 = float(np.min(ys)), float(np.max(ys))
-    if x1 == x0:
-        x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
-
-    def sx(x):
-        return _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
-
-    def sy(y):
-        return _H - _MB - (y - y0) / (y1 - y0) * (_H - _MT - _MB)
-
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>',
-           f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}"'
-           f' height="{_H - _MT - _MB}" fill="none" stroke="black"/>']
-    for tx in _ticks(x0, x1, loglog):
-        if not (x0 <= tx <= x1):
-            continue
-        label = f"1e{int(tx)}" if loglog else f"{tx:.4g}"
-        out.append(f'<line x1="{sx(tx):.1f}" y1="{_H - _MB}" x2="{sx(tx):.1f}"'
-                   f' y2="{_H - _MB + 5}" stroke="black"/>')
-        out.append(f'<text x="{sx(tx):.1f}" y="{_H - _MB + 18}" font-size="11"'
-                   f' text-anchor="middle">{label}</text>')
-    for ty in _ticks(y0, y1, loglog):
-        if not (y0 <= ty <= y1):
-            continue
-        label = f"1e{int(ty)}" if loglog else f"{ty:.4g}"
-        out.append(f'<line x1="{_ML - 5}" y1="{sy(ty):.1f}" x2="{_ML}"'
-                   f' y2="{sy(ty):.1f}" stroke="black"/>')
-        out.append(f'<text x="{_ML - 8}" y="{sy(ty):.1f}" font-size="11"'
-                   f' text-anchor="end" dominant-baseline="middle">{label}</text>')
-    out.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" font-size="13"'
-               f' text-anchor="middle">{xlabel}</text>')
-    out.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" font-size="13"'
-               f' text-anchor="middle" transform="rotate(-90 16'
-               f' {(_MT + _H - _MB) / 2})">{ylabel}</text>')
-    for k, (name, (x, y)) in enumerate(sorted(pts.items())):
-        color = _COLORS[k % len(_COLORS)]
-        path = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
-        out.append(f'<polyline points="{path}" fill="none" stroke="{color}"'
-                   f' stroke-width="1.5"/>')
-        out.append(f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * k}"'
-                   f' font-size="12" text-anchor="end"'
-                   f' fill="{color}">{name}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"

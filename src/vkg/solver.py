@@ -118,6 +118,11 @@ class SimConfig:
             if not math.isfinite(self.n * value * value):
                 raise SolverError(f"{name} squared, summed over {self.n} "
                                   f"axes, overflows, got {value}")
+        for name in ("f_width_x", "f_width_v", "phi_width"):
+            # the initial Gaussians divide by 2 w^2
+            value = getattr(self, name)
+            if not math.isfinite(2 * value * value):
+                raise SolverError(f"{name} squared overflows, got {value}")
         # the L2 estimate checks divide by epsilon^2
         if self.epsilon * self.epsilon < sys.float_info.min:
             raise SolverError(

@@ -1,11 +1,11 @@
 """Command-line surface: exit codes, artifact layout, manifest hashing,
-determinism, the binary/SVG report helpers, and the scripts' --help."""
+determinism, the report helpers, and the scripts' --help."""
 
+import argparse
 import hashlib
 import json
 import os
 import runpy
-import struct
 import subprocess
 import sys
 import warnings
@@ -17,8 +17,7 @@ import pytest
 from vkg import algebra, cli, commuted, criteria, solver
 from vkg.cli import main
 from vkg.config import ConfigError, load_settings
-from vkg.report import (content_hash, read_binary_grid, same_outputs,
-                        svg_plot, write_binary_grid)
+from vkg.report import content_hash, same_outputs
 
 SMALL_CONF = """\
 schema = 1
@@ -56,8 +55,7 @@ def small_run(tmp_path_factory):
 
 
 ARTIFACTS = ("energies.csv", "energies.json", "inequalities.csv",
-             "bootstrap.csv", "series.csv", "decay.csv",
-             "energy_vs_tau.svg", "decay.svg", "manifest.json")
+             "bootstrap.csv", "series.csv", "decay.csv", "manifest.json")
 
 
 def test_simulate_exit_and_artifacts(small_run):
@@ -290,6 +288,44 @@ def test_n2_sum_of_squares_overflow_exits_3_before_stepping(
     assert steps == []
 
 
+@pytest.mark.parametrize("key", ["f_width_x", "f_width_v", "phi_width"])
+@pytest.mark.parametrize("conf_text,value", [
+    (SMALL_CONF, "1e200"), (SMALL_CONF, "1e308"), (TINY_N2_CONF, "1e200")],
+    ids=["n1-1e200", "n1-1e308", "n2-1e200"])
+def test_width_square_overflow_exits_3_before_stepping(
+        key, conf_text, value, tmp_path, monkeypatch, capsys):
+    # the initial Gaussians divide by 2 w^2, a Python float power: an
+    # OverflowError traceback and exit 1
+    conf = tmp_path / "w.conf"
+    conf.write_text(conf_text)
+    monkeypatch.setenv("VKG_" + key.upper(), value)
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (f"runtime error: {key} squared overflows, "
+                   f"got {float(value)}\n")
+    assert steps == []
+
+
+@pytest.mark.parametrize("amplitude", ["1e154", "3e154"])
+def test_overflowing_slice_energies_end_without_traceback(
+        amplitude, tmp_path, monkeypatch, capsys):
+    # the state stays finite but the slice energies reach or pass the
+    # largest float; drawing them as an SVG plot ended in an
+    # OverflowError traceback at 3e154
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    monkeypatch.setenv("VKG_F_AMPLITUDE", amplitude)
+    code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key", ["VKG_PHI_WIDTH", "VKG_F_WIDTH_V"])
 def test_width_floats_cannot_hold_prints_one_line(key, tmp_path):
     # at the default warning filters, the command itself: numpy's overflow
@@ -344,7 +380,7 @@ def test_non_finite_state_exits_3(case, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("key,value,message", [
     ("energy_order", "0", "energy_order must be in [1, 4]"),
     ("taus", "3.0, 4.0, 3.0", "taus must be distinct")])
-def test_ks_check_rejects_config_before_stepping(
+def test_simulate_rejects_config_before_stepping(
         key, value, message, tmp_path, monkeypatch, capsys):
     # energy_order = 0 left the order-1 L2 checks without their
     # quantities; a repeated tau collected each of its nodes twice
@@ -353,7 +389,7 @@ def test_ks_check_rejects_config_before_stepping(
     monkeypatch.setenv("VKG_" + key.upper(), value)
     steps = []
     monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
-    assert main(["ks-check", str(conf)]) == 3
+    assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert steps == []
@@ -528,7 +564,7 @@ def test_determinism_row_runs_the_config_as_written(key, value, tmp_path,
         return main(argv)
 
     assert list(criteria.determinism(None, spy)) == [(
-        "determinism", True, "9/9 artifacts byte-identical (manifest "
+        "determinism", True, "7/7 artifacts byte-identical (manifest "
         "compared without timings)")]
     assert seen == [{}, {}]
     assert dict(os.environ) == before
@@ -563,69 +599,32 @@ def test_decay_fit_bad_window_exits_2(window, small_run, capsys):
     assert capsys.readouterr().err == f"config error: {want.value}\n"
 
 
-def test_ks_check_without_slices_exits_2(tmp_path, capsys):
-    conf = tmp_path / "no_slices.conf"
-    conf.write_text(SMALL_CONF.replace("taus = 3.0, 4.0", "taus ="))
-    assert main(["ks-check", str(conf)]) == 2
-    assert "taus is empty" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["ks-check", "x.conf"],
+                                  ["slice-dump", "x.conf", "--out", "d"]])
+def test_removed_subcommand_is_a_usage_error(argv, capsys):
+    # the first printed what simulate writes to inequalities.csv and
+    # summary.ratio_bounded; the second wrote dumps that nothing read
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_slice_dump_roundtrip(small_run, tmp_path, capsys):
-    conf, _, _ = small_run
-    out = tmp_path / "dump"
-    assert main(["slice-dump", str(conf), "--out", str(out)]) == 0
-    files = sorted(p.name for p in out.iterdir())
-    assert files == [f"slice_tau{t}_{tag}.bin" for t in (3, 4)
-                     for tag in ("f", "nodes", "phi")]
-    nodes = read_binary_grid(out / "slice_tau3_nodes.bin")
-    f = read_binary_grid(out / "slice_tau3_f.bin")
-    assert nodes.shape == (2 * 12 + 1, 3)        # y, t*, weight
-    assert f.shape == (2 * 12 + 1, 48)
-    # every node sits on the tau = 3 hyperboloid
-    assert np.allclose(nodes[:, 1] ** 2 - nodes[:, 0] ** 2, 9.0)
-    assert np.all(nodes[:, 2] > 0)
+def test_parser_offers_one_subcommand_per_question():
+    subparsers, = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"simulate", "derive", "verify",
+                                       "decay-fit"}
 
 
 # ---------------------------------------------------------------------------
 # report helpers
 # ---------------------------------------------------------------------------
 
-def test_binary_grid_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    for shape in ((7,), (5, 4), (3, 4, 2)):
-        arr = rng.normal(size=shape)
-        p = tmp_path / "grid.bin"
-        write_binary_grid(p, arr)
-        back = read_binary_grid(p)
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
-    raw = p.read_bytes()
-    assert raw[:4] == b"VKG1"
-    assert struct.unpack_from("<I", raw, 4)[0] == 3  # ndim of last write
-
-
-def test_binary_grid_rejects_bad_magic(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"XXXX" + b"\0" * 16)
-    with pytest.raises(ValueError):
-        read_binary_grid(p)
-
-
 def test_content_hash_is_sha256(tmp_path):
     p = tmp_path / "x.txt"
     p.write_bytes(b"abc")
     assert content_hash(p) == hashlib.sha256(b"abc").hexdigest()
-
-
-def test_svg_plot_deterministic_and_clean():
-    x = np.linspace(1.0, 10.0, 20)
-    a = svg_plot({"s": (x, x ** -0.5)}, "t", "v", loglog=True)
-    b = svg_plot({"s": (x, x ** -0.5)}, "t", "v", loglog=True)
-    assert a == b
-    assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
-    assert "polyline" in a
-    for word in ("date", "time", "2026"):
-        assert word not in a
 
 
 # ---------------------------------------------------------------------------

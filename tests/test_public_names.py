@@ -10,11 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vkg"
 
 # public names that only the tests call: name -> (reason, what removes it)
-ALLOWED = {
-    "report.read_binary_grid": (
-        "the reader of the format `vkg slice-dump` writes, public API for "
-        "the users of the dumps", "none: it stays"),
-}
+ALLOWED = {}
 
 
 def definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
