@@ -5,13 +5,15 @@ The massive scalar propagates strictly inside the light cone of its
 data, so with lightcone-mode slice truncation the energy on every
 hyperboloid is the same up to scheme error.  This sweep reports the
 worst relative deviation across the slice window per resolution, on the
-reference run of acceptance criterion 06(b) (`vkg.criteria`).
+reference run of acceptance criterion 06(b) (`vkg.criteria.free_kg_run`)
+through the pipeline of `vkg.cli`.
 """
 
 import argparse
 import time
 
-from vkg.criteria import free_kg_slice_energies, relative_deviation
+from vkg.cli import run_pipeline
+from vkg.criteria import energy_deviation, free_kg_run
 
 
 def main():
@@ -32,11 +34,12 @@ def main():
         nx = args.nx0 * 2 ** lvl
         dt = args.dt0 / 2 ** lvl
         t0 = time.perf_counter()
-        E = free_kg_slice_energies(nx, dt, taus)
-        dev = relative_deviation(E)
+        reports = run_pipeline(free_kg_run(nx, dt, taus))[2]
+        dev = energy_deviation(reports)
         el = time.perf_counter() - t0
         ratio = f"{prev / dev:.2f}" if prev else "-"
-        print(f"{nx:>6} {dt:>8.4f} {E[0]:>13.6e} {dev:>10.3e} "
+        E0 = reports[0].breakdown_phi[()]
+        print(f"{nx:>6} {dt:>8.4f} {E0:>13.6e} {dev:>10.3e} "
               f"{ratio:>6} {el:>6.1f}")
         prev = dev
 

@@ -5,15 +5,17 @@ Runs the forced coupled system on a ladder of (nx, dt) pairs with a
 fixed refinement factor, compares the final state to the closed-form
 target, and prints the sup-norm errors with the observed orders.  The
 run is the one acceptance criterion 07 (n = 1) and the n = 2 order test
-refine (`vkg.criteria.mms_errors`).  At n = 1 nv stays fixed; at n = 2,
-where a converged velocity grid does not fit, nv is refined with nx.
+refine (`vkg.criteria.mms_run`), through the pipeline of `vkg.cli`.  At
+n = 1 nv stays fixed; at n = 2, where a converged velocity grid does not
+fit, nv is refined with nx.
 """
 
 import argparse
 import math
 import time
 
-from vkg.criteria import mms_errors
+from vkg.cli import run_pipeline
+from vkg.criteria import mms_run
 
 # (nx0, dt0, nv) of the first level per dimension
 DEFAULTS = {1: (320, 0.01, 160), 2: (16, 0.1, 12)}
@@ -41,7 +43,7 @@ def main():
         nv = nv0 * 2 ** lvl if args.n == 2 else nv0
         dt = dt0 / 2 ** lvl
         t0 = time.perf_counter()
-        e = mms_errors(nx, dt, nv, args.span, args.n)
+        e = run_pipeline(mms_run(nx, dt, nv, args.span, args.n))[0].mms_error
         el = time.perf_counter() - t0
         if prev is None:
             orders = ("-", "-")

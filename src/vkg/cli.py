@@ -30,21 +30,26 @@ from .solver import SYMBOLIC_CAP, SolverError, run
 def run_pipeline(settings: RunSettings):
     cfg = settings.sim
     result = run(cfg)
-    slices_q = []
-    reports = []
-    for tau in sorted(result.slices):
-        sq = energies.evaluate_slice(result.slices[tau], cfg.energy_order)
-        slices_q.append(sq)
-        reports.append(energies.energy_report(sq, cfg.energy_order))
-    records = []
-    eps = cfg.epsilon
-    for sq, rep in zip(slices_q, reports):
-        records.append(diagnostics.ks_check_f(sq, rep, 0))
-        records.append(diagnostics.ks_check_f(sq, rep, 1))
-        records.extend(diagnostics.ks_check_phi(sq, rep))
-        for A in commuted.multi_indices_up_to(cfg.n, 1):
-            records.append(diagnostics.l2_estimate_check(sq, A, eps))
-    statuses = diagnostics.bootstrap_monitor(reports, eps)
+    order, eps = cfg.energy_order, cfg.epsilon
+    # a finite state can still square to slice energies past the largest
+    # float: one line names the slice, and no numpy warning comes before it
+    with np.errstate(all="ignore"):
+        slices_q = [energies.evaluate_slice(result.slices[tau], order)
+                    for tau in sorted(result.slices)]
+        reports = [energies.energy_report(sq, order) for sq in slices_q]
+        statuses = diagnostics.bootstrap_monitor(reports, eps)
+        for rep, st in zip(reports, statuses):
+            if not np.isfinite([rep.E_N_phi, rep.Ehat_N_f, rep.Ehat_N1_f,
+                                st.margin_phi, st.margin_f]).all():
+                raise SolverError("the slice energies or bootstrap margins "
+                                  f"at tau={rep.tau} are not finite")
+        records = []
+        for sq, rep in zip(slices_q, reports):
+            records.append(diagnostics.ks_check_f(sq, rep, 0))
+            records.append(diagnostics.ks_check_f(sq, rep, 1))
+            records.extend(diagnostics.ks_check_phi(sq, rep))
+            for A in commuted.multi_indices_up_to(cfg.n, 1):
+                records.append(diagnostics.l2_estimate_check(sq, A, eps))
     return result, slices_q, reports, records, statuses
 
 

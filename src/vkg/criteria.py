@@ -6,9 +6,9 @@ A row is called as ``row(runs, main)`` and yields ``(name, ok, detail)``
 checks.  ``runs`` is the caller's cache over the pipeline of `vkg.cli`:
 ``runs(settings)`` returns its ``(result, slices, reports, records,
 statuses)`` and runs each `RunSettings` once per `vkg verify` invocation
-or test session.  ``main`` is the `vkg` command line, through which
-criterion 11 runs `simulate`.  `line` formats a check as the ``[PASS]
-suite: name (detail)`` line both runners print.
+or test session, and is the only way a row gets a run.  ``main`` is the
+`vkg` command line, through which criterion 11 runs `simulate`.  `line`
+formats the ``[PASS] suite: name (detail)`` line both runners print.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import (algebra, commuted, diagnostics, energies, fdtools, geometry,
                report)
 from .config import ENV_PREFIX, ConfigError, RunSettings, load_settings
-from .solver import RunResult, SimConfig, run
+from .solver import RunResult, SimConfig
 
 # the shipped configs of the source tree; an install may not have them
 CONFIGS = Path(__file__).resolve().parents[2] / "configs"
@@ -91,38 +91,35 @@ def lower_bounds(slices_q: list[energies.SliceQuantities]):
 # ---------------------------------------------------------------------------
 
 
-def free_kg_slice_energies(nx: int, dt: float,
-                           taus: tuple[float, ...] = (6.5, 8.0, 10.0, 12.0)
-                           ) -> np.ndarray:
-    """Order-0 field energy on each slice of a lightcone-truncated
-    free-field run.  The massive field stays inside the light cone of its
-    data, so every slice holds the same energy up to scheme error."""
-    cfg = SimConfig(n=1, mode="free_kg", x_extent=30.0, nx=nx, vmax=1.0,
-                    nv=8, dt=dt, t0=6.0, t_end=28.0, epsilon=1e-3,
-                    phi_amplitude=2e-5, phi_width=0.4, taus=taus,
-                    rmax=25.0, rmax_mode="lightcone", support_radius=2.4,
-                    slice_resolution=60)
-    res = run(cfg)
-    return np.array([energies.energy_report(
-        energies.evaluate_slice(res.slices[tau], 0), 0).E_N_phi
-        for tau in taus])
+def free_kg_run(nx: int, dt: float,
+                taus: tuple[float, ...] = (6.5, 8.0, 10.0, 12.0)
+                ) -> RunSettings:
+    """A lightcone-truncated free-field run, its slices evaluated at order
+    1.  The massive field stays inside the light cone of its data, so
+    every slice holds the same order-0 field energy up to scheme error."""
+    return RunSettings(sim=SimConfig(
+        n=1, mode="free_kg", x_extent=30.0, nx=nx, vmax=1.0, nv=8, dt=dt,
+        t0=6.0, t_end=28.0, epsilon=1e-3, phi_amplitude=2e-5,
+        phi_width=0.4, taus=taus, rmax=25.0, rmax_mode="lightcone",
+        support_radius=2.4, slice_resolution=60, energy_order=1))
 
 
-def relative_deviation(E: np.ndarray) -> float:
-    """Worst relative deviation of a slice-energy series from its first."""
+def energy_deviation(reports: list[energies.EnergyReport]) -> float:
+    """Worst relative deviation of the order-0 field energy of the slices
+    of a pipeline run from that of its first slice."""
+    E = np.array([rep.breakdown_phi[()] for rep in reports])
     return float(np.max(np.abs(E - E[0])) / E[0])
 
 
-def mms_errors(nx: int, dt: float, nv: int = 160, span: float = 1.0,
-               n: int = 1) -> tuple[float, float]:
-    """Sup-norm errors (phi, f) of the manufactured-solution run in n
-    dimensions from t = 1 to 1 + span, on x in [-8, 8] and v in [-3, 3]
-    for n = 1 and on the smaller box x in [-4, 4], v in [-2, 2] for
-    n = 2."""
+def mms_run(nx: int, dt: float, nv: int = 160, span: float = 1.0,
+            n: int = 1) -> RunSettings:
+    """The manufactured-solution run in n dimensions from t = 1 to 1 + span
+    on x in [-8, 8], v in [-3, 3] (n = 1) or x in [-4, 4], v in [-2, 2]
+    (n = 2); its result's mms_error is the final sup errors (phi, f)."""
     x_extent, vmax = (8.0, 3.0) if n == 1 else (4.0, 2.0)
-    return run(SimConfig(n=n, mode="mms", x_extent=x_extent, nx=nx,
-                         vmax=vmax, nv=nv, dt=dt, t0=1.0, t_end=1.0 + span,
-                         epsilon=1e-3, taus=())).mms_error
+    return RunSettings(sim=SimConfig(
+        n=n, mode="mms", x_extent=x_extent, nx=nx, vmax=vmax, nv=nv, dt=dt,
+        t0=1.0, t_end=1.0 + span, epsilon=1e-3, taus=()))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +131,13 @@ SMALL_RUN = RunSettings(sim=SimConfig(
     n=1, mode="coupled", x_extent=12.0, nx=240, vmax=4.0, nv=48, dt=0.04,
     t0=4.0, t_end=9.0, epsilon=1e-3, taus=(4.5, 6.0), rmax=5.0,
     support_radius=2.4))
+
+# criterion 07's contained support: the velocity grid holds the Gaussian
+# tail, whose outflow would otherwise show up as mass drift
+CONTAINED_RUN = RunSettings(sim=SimConfig(
+    n=1, mode="coupled", x_extent=14.0, nx=280, vmax=3.0, nv=72, dt=0.04,
+    t0=2.0, t_end=8.0, epsilon=1e-3, taus=(), f_width_x=0.5,
+    f_width_v=0.3))
 
 
 def structure_constants_n1_to_4(runs, main):
@@ -267,12 +271,10 @@ def density_lower_bounds(runs, main):
 
 def balance_laws(runs, main):
     # (a) free-field energy conservation at default resolution
-    slices_kg = runs(_settings("n1-free-kg.conf"))[1]
-    dev = relative_deviation(np.array(
-        [energies.energy_report(sq, 0).E_N_phi for sq in slices_kg]))
+    dev = energy_deviation(runs(_settings("n1-free-kg.conf"))[2])
     # (b) second-order convergence of the deviation on a scaled run
-    ratio = (relative_deviation(free_kg_slice_energies(2400, 0.02))
-             / relative_deviation(free_kg_slice_energies(4800, 0.01)))
+    ratio = (energy_deviation(runs(free_kg_run(2400, 0.02))[2])
+             / energy_deviation(runs(free_kg_run(4800, 0.01))[2]))
     # (c) kinetic balance inequality on the coupled reference
     _, slices_c, reports_c, _, _ = runs(_settings("n1-coupled-small.conf"))
     slack = energies.vlasov_energy_inequality_slack(slices_c, reports_c, ())
@@ -283,16 +285,10 @@ def balance_laws(runs, main):
 
 
 def conservation_and_mms(runs, main):
-    # contained support: the velocity grid must hold the full Gaussian
-    # tail, otherwise truncation outflow (not scheme error) shows up as
-    # mass drift at the tail amplitude
-    cfg = SimConfig(n=1, mode="coupled", x_extent=14.0, nx=280, vmax=3.0,
-                    nv=72, dt=0.04, t0=2.0, t_end=8.0, epsilon=1e-3,
-                    taus=(), f_width_x=0.5, f_width_v=0.3)
-    res = run(cfg)
+    res = runs(CONTAINED_RUN)[0]
     checks = [mass_conservation(res), positivity(res)]
-    coarse = mms_errors(640, 0.005)
-    fine = mms_errors(1280, 0.0025)
+    coarse = runs(mms_run(640, 0.005))[0].mms_error
+    fine = runs(mms_run(1280, 0.0025))[0].mms_error
     orders = tuple(math.log2(c / f) for c, f in zip(coarse, fine))
     yield ("conservation and manufactured solutions",
            all(check[1] for check in checks)
@@ -304,7 +300,7 @@ def conservation_and_mms(runs, main):
 def dispersive_decay(runs, main):
     t0 = time.perf_counter()
     settings = _settings("n1-free-kg-decay.conf")
-    res = run(settings.sim)
+    res = runs(settings)[0]
     fit = diagnostics.decay_fit(res.times, res.sup_phi,
                                 settings.decay_window)
     elapsed = time.perf_counter() - t0

@@ -59,6 +59,12 @@ class SliceQuadrature:
 ANGULAR_NODES = 64    # uniform angles of the n = 2 slice quadrature
 
 
+def slice_node_count(n: int, resolution: int) -> int:
+    """How many nodes build_slice_quadrature lays out, for any tau and rmax."""
+    r = max(resolution, 0)
+    return 2 * r + 1 if n == 1 else r * ANGULAR_NODES
+
+
 def build_slice_quadrature(
     tau: float, n: int, rmax: float, resolution: int
 ) -> SliceQuadrature:

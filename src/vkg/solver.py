@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ANGULAR_NODES, build_slice_quadrature
+from .geometry import build_slice_quadrature, slice_node_count
 
 
 class SolverError(RuntimeError):
@@ -119,10 +119,15 @@ class SimConfig:
                 raise SolverError(f"{name} squared, summed over {self.n} "
                                   f"axes, overflows, got {value}")
         for name in ("f_width_x", "f_width_v", "phi_width"):
-            # the initial Gaussians divide by 2 w^2
+            # the initial Gaussians divide by 2 w^2, and in mms mode the
+            # forcing's Laplacian divides by phi_width^4
             value = getattr(self, name)
             if not math.isfinite(2 * value * value):
                 raise SolverError(f"{name} squared overflows, got {value}")
+        w2 = self.phi_width * self.phi_width
+        if self.mode == "mms" and not math.isfinite(w2 * w2):
+            raise SolverError("phi_width to the fourth power overflows in "
+                              f"mms mode, got {self.phi_width}")
         # the L2 estimate checks divide by epsilon^2
         if self.epsilon * self.epsilon < sys.float_info.min:
             raise SolverError(
@@ -416,10 +421,6 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
                       [hw[box].reshape(-1) for hw in h], floor, rest,
                       dest[(slice(None),) + box])
 
-    if workers == 1:
-        for box in boxes:
-            advect_block(work, box)
-        return result
     # the blocks go to the workers in order, each to the first one free,
     # so a worker slowed by another process on its CPU takes fewer
     queue = iter(boxes)
@@ -782,14 +783,6 @@ def _kept_box(pending: deque):
                   for e in pending))
 
 
-def _node_count(cfg: SimConfig) -> int:
-    """The slice nodes of cfg, counted from slice_resolution r alone, as
-    build_slice_quadrature lays them out: 2 r + 1 per slice at n = 1, and
-    r rings of ANGULAR_NODES at n = 2 (the ring at r = 0 is dropped)."""
-    r = max(cfg.slice_resolution, 0)
-    return len(cfg.taus) * (2 * r + 1 if cfg.n == 1 else r * ANGULAR_NODES)
-
-
 def _check_memory(cfg: SimConfig, box: tuple) -> int:
     """Reject a run whose arrays cannot fit in physical memory, before
     any is allocated, and return the bytes it needs.  A step holds two
@@ -812,7 +805,7 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
     factors = 3 * 8 * cells if cfg.mode == "mms" else 0
     series = 5 * 8 * (cfg.nsteps + 1)
-    nodes = _node_count(cfg)
+    nodes = len(cfg.taus) * slice_node_count(cfg.n, cfg.slice_resolution)
     need = (2 * state + work + T_WINDOW * kept + factors + series
             + NODE_BYTES * nodes)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

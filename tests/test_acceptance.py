@@ -3,22 +3,16 @@
 One test per row of the acceptance table in `vkg.criteria`, which pins
 each criterion's tolerances and wall-time gate; `vkg verify acceptance`
 runs the same rows and prints the same PASS/FAIL lines.  Reference runs
-are shared through one session cache; the suite takes about 20 s.
+are shared through the session cache `runs` of conftest.py; the suite
+takes about 20 s.
 """
-
-import functools
 
 import pytest
 
 from vkg import criteria
-from vkg.cli import main, run_pipeline
+from vkg.cli import main
 
 ROWS = criteria.rows("acceptance")
-
-
-@pytest.fixture(scope="session")
-def runs():
-    return functools.cache(run_pipeline)
 
 
 @pytest.mark.parametrize(

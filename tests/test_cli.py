@@ -1,5 +1,5 @@
 """Command-line surface: exit codes, artifact layout, manifest hashing,
-determinism, the report helpers, and the scripts' --help."""
+determinism, the report helpers, and the scripts' --help and sweeps."""
 
 import argparse
 import hashlib
@@ -311,19 +311,59 @@ def test_width_square_overflow_exits_3_before_stepping(
     assert steps == []
 
 
-@pytest.mark.parametrize("amplitude", ["1e154", "3e154"])
+OVERFLOW_LINE = ("runtime error: the slice energies or bootstrap margins "
+                 "at tau=3.0 are not finite\n")
+
+
+@pytest.mark.parametrize("amplitude", ["1e154", "3e154", "1e155"])
 def test_overflowing_slice_energies_end_without_traceback(
         amplitude, tmp_path, monkeypatch, capsys):
-    # the state stays finite but the slice energies reach or pass the
-    # largest float; drawing them as an SVG plot ended in an
-    # OverflowError traceback at 3e154
+    # the state stays finite but the slice energies or their bootstrap
+    # margins pass the largest float: 1e154 wrote inf margins and exited
+    # 4, drawing 3e154 as an SVG plot ended in an OverflowError
+    # traceback, and 1e155 wrote NaN energies and passed with exit 0
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)
     monkeypatch.setenv("VKG_F_AMPLITUDE", amplitude)
-    code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4)
-    assert err.count("\n") <= 1 and "Traceback" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == OVERFLOW_LINE
+
+
+def test_overflowing_slice_energies_print_one_line(tmp_path):
+    # at the default warning filters, the command itself: numpy's overflow
+    # warnings used to print before the run ended
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]),
+               VKG_F_AMPLITUDE="1e155")
+    proc = subprocess.run([sys.executable, "-m", "vkg.cli", "simulate",
+                           str(conf), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == OVERFLOW_LINE
+
+
+def test_mms_phi_width_fourth_power_overflow_exits_3_before_stepping(
+        tmp_path, monkeypatch, capsys):
+    # the manufactured forcing's Laplacian takes phi_width ** 4, a Python
+    # float power: an OverflowError traceback and exit 1
+    conf = tmp_path / "small.conf"
+    conf.write_text(SMALL_CONF)
+    monkeypatch.setenv("VKG_MODE", "mms")
+    monkeypatch.setenv("VKG_PHI_WIDTH", "1e80")
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "runtime error: phi_width to the fourth power overflows in mms "
+        "mode, got 1e+80\n")
+    assert steps == []
 
 
 @pytest.mark.parametrize("key", ["VKG_PHI_WIDTH", "VKG_F_WIDTH_V"])
@@ -547,6 +587,36 @@ def test_verify_rows_without_configs_exit_2(row, capsys, monkeypatch,
         f"config error: config file not found: {tmp_path}")
 
 
+def test_rows_get_every_run_through_runs(monkeypatch):
+    # criteria 07 and 08 called solver.run themselves, past the cache
+    assert not hasattr(criteria, "run")
+
+    def no_run(cfg):
+        raise AssertionError("a row ran the solver itself")
+
+    monkeypatch.setattr(solver, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_run)
+    asked = []
+
+    def fake_runs(settings):
+        # a t^(-1/2) field, exact mass and second-order mms errors
+        asked.append(settings)
+        t = np.linspace(1.0, 101.0, 201)
+        ones = np.ones_like(t)
+        error = (settings.sim.nx ** -2.0,) * 2
+        return (solver.RunResult(settings.sim, {}, t, t ** -0.5, ones,
+                                 0 * t, ones, [], 0.0, error),
+                [], [], [], [])
+
+    checks = [check for row in (criteria.conservation_and_mms,
+                                criteria.dispersive_decay)
+              for check in row(fake_runs, None)]
+    assert [ok for _, ok, _ in checks] == [True, True]
+    assert asked == [criteria.CONTAINED_RUN, criteria.mms_run(640, 0.005),
+                     criteria.mms_run(1280, 0.0025),
+                     criteria._settings("n1-free-kg-decay.conf")]
+
+
 @pytest.mark.parametrize("key,value", [("VKG_DT", "0"), ("VKG_NX", "160")])
 def test_determinism_row_runs_the_config_as_written(key, value, tmp_path,
                                                     monkeypatch):
@@ -642,3 +712,23 @@ def test_script_help_exits_0(path, monkeypatch, capsys):
         runpy.run_path(str(path), run_name="__main__")
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,argv,first", [
+    ("mms_convergence.py", ["--n", "2", "--levels", "1"], ["16", "12"]),
+    ("energy_conservation.py",
+     ["--levels", "1", "--nx0", "1200", "--dt0", "0.04"], ["1200", "0.0400"])],
+    ids=["mms_convergence.py", "energy_conservation.py"])
+def test_sweep_script_runs_one_level(name, argv, first, monkeypatch, capsys):
+    # the sweeps build their runs with vkg.criteria and run them through
+    # the pipeline; one level prints one data row under the header
+    path = SCRIPTS[0].parent / name
+    monkeypatch.setattr(sys, "argv", [str(path), *argv])
+    runpy.run_path(str(path), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, text in enumerate(lines)
+                  if text.split()[0] == "nx")
+    row, = lines[header + 1:]
+    assert row.split()[:2] == first
+    # the orders (or ratio) of a first level print as '-'
+    assert all(np.isfinite(float(v)) for v in row.split()[2:] if v != "-")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vkg.geometry import build_slice_quadrature, truncated_slice_volume
+from vkg.geometry import (build_slice_quadrature, slice_node_count,
+                          truncated_slice_volume)
 
 
 @pytest.mark.parametrize("n,res,tol", [(1, 2000, 1e-6), (2, 400, 1e-5)])
@@ -33,3 +34,11 @@ def test_slice_nodes_lie_on_hyperboloid():
     assert len(q.points) > 0
     assert np.allclose(q.radii, np.linalg.norm(q.points, axis=1), atol=1e-12)
     assert np.all(q.weights > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("resolution", [2, 3, 12, 40])
+def test_node_count_is_the_quadratures(n, resolution):
+    # the solver counts a run's nodes with it before building any
+    q = build_slice_quadrature(2.0, n, 3.0, resolution)
+    assert slice_node_count(n, resolution) == len(q.radii)

@@ -1448,12 +1448,12 @@ N2_MMS_MAX_ORDER = 4.0
 N2_MMS_FINE_ERRORS = (1e-7, 1.5e-6)
 
 
-def test_n2_mms_converges_at_high_order():
+def test_n2_mms_converges_at_high_order(runs):
     """The n = 2 manufactured solution, refined once in x, v and t, shows
     its errors falling at the measured orders: the run that `vkg.criteria`
     and scripts/mms_convergence.py share."""
-    coarse = criteria.mms_errors(16, 0.1, 12, n=2)
-    fine = criteria.mms_errors(32, 0.05, 24, n=2)
+    coarse, fine = (runs(criteria.mms_run(nx, dt, nv, n=2))[0].mms_error
+                    for nx, dt, nv in ((16, 0.1, 12), (32, 0.05, 24)))
     for c, f, bound in zip(coarse, fine, N2_MMS_FINE_ERRORS):
         assert N2_MMS_MIN_ORDER <= math.log2(c / f) <= N2_MMS_MAX_ORDER
         assert f < bound
