@@ -16,13 +16,15 @@ whereas random shifts alternate it from line to line, which is the slow
 case of the kernel's masked window pick and not what the solver passes.  The
 shapes are the state arrays of the benchmark pipelines: (320, 64) is the
 n = 1 coupled run, (9600, 8) a free-field n = 1 run, (40, 40, 24, 24) the
-n = 2 coupled run.  Each case is timed on two inputs: a C-ordered array,
-and the layout the solver passes, which is the lines-last output of the
-advect call on the axis before (cyclically: axis 0 follows the last
-axis, as the x-sweep follows the velocity kick).  The first call of each
-case is reported on its own: the earlier cases have warmed the allocator
-for some shapes and not for others, so its time and its minor page
-faults show each shape's allocation pattern.  Then the median time per
+n = 2 coupled run; (640, 160) and (1280, 128) are n = 1 shapes of more
+than one block, as acceptance criterion 07's MMS runs take.  Each case
+is timed on two inputs: a C-ordered array, and the layout the solver
+passes, which is the lines-last output of the advect call on the axis
+before (cyclically: axis 0 follows the last axis, as the x-sweep
+follows the velocity kick).  The first call of each case is reported on
+its own: the earlier cases have warmed the allocator for some shapes
+and not for others, so its time and its minor page faults show each
+shape's allocation pattern.  Then the median time per
 call over the repeats, the throughput in Mcell/s and the minor page
 faults per warm call (resource.getrusage's ru_minflt), all on every CPU
 the process may run on, where a call of more than one block shares its
@@ -32,7 +34,9 @@ pid, with solver.WORKERS set to 1, as a process started on one CPU reads
 it), and, from those pinned calls, the median time per call spent
 outside the line kernel _advect_lines, in microseconds: the set-up that
 does not scale with the lines of a block (shifts, Hermite weights,
-workspace views) plus the copies into and out of the kernel's buffers.
+workspace views) plus the copies into and out of the kernel's buffers,
+and last the ratio of the time on every CPU to the pinned time: on a
+host of two CPUs, the two-worker time over the one-worker time.
 The kernel is timed by wrapping solver._advect_lines, which adds two
 clock reads per block to each pinned call.  The process's affinity is
 restored after each case.
@@ -50,7 +54,8 @@ import numpy as np
 from vkg import solver
 from vkg.solver import advect
 
-SHAPES = ((320, 64), (9600, 8), (40, 40, 24, 24))
+SHAPES = ((320, 64), (640, 160), (1280, 128), (9600, 8),
+          (40, 40, 24, 24))
 
 
 def minor_faults():
@@ -120,7 +125,7 @@ def main():
     print(f"{solver.WORKERS} workers on all CPUs, 1 pinned")
     print(f"{'shape':>18} {'axis':>4} {'input':>6} "
           f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
-          f"{'flt/call':>8} {'1cpu ms':>8} {'setup us':>8}")
+          f"{'flt/call':>8} {'1cpu ms':>8} {'setup us':>8} {'ratio':>6}")
     for shape in SHAPES:
         g = rng.random(shape)
         sigmas = []
@@ -140,7 +145,8 @@ def main():
                 print(f"{str(shape):>18} {axis:>4} {name:>6} "
                       f"{first * 1e3:8.2f} {first_flt:8d} "
                       f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
-                      f"{flt:8.1f} {one * 1e3:8.2f} {outside * 1e6:8.1f}")
+                      f"{flt:8.1f} {one * 1e3:8.2f} {outside * 1e6:8.1f} "
+                      f"{sec / one:6.2f}")
 
 
 if __name__ == "__main__":

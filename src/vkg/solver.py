@@ -128,6 +128,12 @@ class SimConfig:
         if self.mode == "mms" and not math.isfinite(w2 * w2):
             raise SolverError("phi_width to the fourth power overflows in "
                               f"mms mode, got {self.phi_width}")
+        # the forcing's Laplacian takes |x|^2 / phi_width^4 on every cell
+        if self.mode == "mms" and (
+                w2 * w2 < sys.float_info.min or not math.isfinite(
+                    self.n * self.x_extent * self.x_extent / (w2 * w2))):
+            raise SolverError("phi_width is too small in mms mode: |x|^2 / "
+                              f"phi_width^4 overflows, got {self.phi_width}")
         # the L2 estimate checks divide by epsilon^2
         if self.epsilon * self.epsilon < sys.float_info.min:
             raise SolverError(
@@ -152,6 +158,10 @@ class SimConfig:
         if not math.isfinite((self.t_end - self.t0) / self.dt):
             raise SolverError(
                 f"the step count (t_end - t0) / dt overflows, got dt={self.dt}")
+        # the slice quadrature lays out at least two radial intervals
+        if self.slice_resolution < 2:
+            raise SolverError("slice_resolution must be at least 2, got "
+                              f"{self.slice_resolution}")
         # the pipeline's L2 estimate checks read the order-1 quantities
         if not 1 <= self.energy_order <= SYMBOLIC_CAP:
             raise SolverError(
@@ -255,9 +265,8 @@ def _limited_slopes(fpad2: np.ndarray, out: np.ndarray,
 # per block stay few.  On the n = 2 benchmark state, (40, 40, 24, 24), a
 # call took 7-14% less time at 1 << 16 than at 1 << 15, and more at
 # 1 << 14 and 1 << 17; the n = 1 state, (320, 64), is one block at either
-# size.  A call of more than one block shares its blocks among W <=
-# WORKERS workers, whose blocks hold BLOCK_CELLS // W cells each, so that
-# their workspaces together take no more than one block's.
+# size.  A call of more than one block shares these same blocks among W <=
+# WORKERS workers, each with a workspace of its own.
 BLOCK_CELLS = 1 << 16
 
 # one worker per CPU this process may run on, read once at import
@@ -283,10 +292,19 @@ def _line_blocks(shape: tuple[int, ...], per_block: int) -> list[tuple]:
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _in_workers(task: Callable[[int], None], workers: int):
+def _peaks(g: np.ndarray) -> tuple:
+    """(max, -min) of g and 0, the scales of advect's roundoff floor; NaN
+    where g holds a NaN."""
+    return g.max(initial=0.0), -g.min(initial=0.0)
+
+
+def _in_workers(task: Callable[[int], None], workers: int,
+                barrier: threading.Barrier):
     """task(w) for w = 0 .. workers - 1, w = 0 on the calling thread and
     each other on a thread of its own, which sees the caller's context
-    (numpy's error state among it).  Every thread is joined before this
+    (numpy's error state among it).  A worker that raises, or a thread
+    that fails to start, aborts barrier, so that no worker waits at it for
+    one that will never come.  Every thread is joined before this
     returns, and the first exception a worker raised is raised here."""
     errors = []
 
@@ -295,6 +313,7 @@ def _in_workers(task: Callable[[int], None], workers: int):
             task(w)
         except BaseException as exc:
             errors.append(exc)
+            barrier.abort()
 
     threads = []
     try:
@@ -304,6 +323,9 @@ def _in_workers(task: Callable[[int], None], workers: int):
             thread.start()
             threads.append(thread)
         guarded(0)
+    except BaseException:
+        barrier.abort()
+        raise
     finally:
         for thread in threads:
             thread.join()
@@ -344,18 +366,22 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     lines are taken in equal blocks of at most BLOCK_CELLS cells, each a
     box of lines with the line axes in g's memory order, copied straight
     from g into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g
-    is never transposed as a whole.  The shifts, weights, roundoff floor,
-    result and workspace are prepared once per call.  A call of one block
-    runs it on the calling thread.  A call of more blocks splits its lines
-    into blocks of BLOCK_CELLS // W cells and shares them among W workers,
-    one per CPU (WORKERS) but no more than the call has blocks: the
-    calling thread and W - 1 threads, each taking the next block not yet
-    taken until none is left.  The lines of a sweep are independent 1-D
-    problems, so each worker writes the lines of its blocks of the result,
-    from its own slice of the one workspace, and every line is computed
-    by the same operations for any W and any order.  All threads are
-    joined before advect returns, and the first exception a worker raised
-    is raised here.
+    is never transposed as a whole.  The shifts, weights and result are
+    prepared once per call.  A call of one block runs it on the calling
+    thread, after one max and one min over g for the roundoff floor.  A
+    call of more blocks shares the same blocks among W workers, one per
+    CPU (WORKERS) but no more than the call has blocks: the calling thread
+    and W - 1 threads.  Each worker first takes the max and min of its
+    share of g's memory, a range along g's largest-stride axis, and waits
+    at a barrier until every share is in; each then reads the floor from
+    all the shares with numpy reductions, which are exact and, with NaN,
+    independent of order.  Then each worker takes the next block not yet
+    taken until none is left, in a workspace of its own.  The lines of a
+    sweep are independent 1-D problems, so each worker writes the lines of
+    its blocks of the result, and every line is computed by the same
+    operations for any W and any order.  All threads are joined before
+    advect returns, and the first exception a worker raised is raised
+    here.
 
     The result is a fresh array laid out with the advection axis last in
     memory.  The callers' reductions (source_density, total_mass) sum in
@@ -387,17 +413,9 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     xi3 = xi2 * xi
     h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
          xi3 - xi2)
-    # where the Hermite sum's terms cancel they can leave negatives at the
-    # roundoff scale; zero those without touching genuinely signed data
-    floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
     per_block = max(1, BLOCK_CELLS // m)
     boxes = _line_blocks(lines.shape[1:], per_block)
-    # no more workers than blocks, nor than lines in a block: the workers'
-    # blocks then hold at least one line each and no more than one block
-    # together
-    workers = min(WORKERS, len(boxes), per_block)
-    if workers > 1:
-        boxes = _line_blocks(lines.shape[1:], per_block // workers)
+    workers = min(WORKERS, len(boxes))
     # the workspace of one block per worker, at the size of the first
     # (largest) block: the padded averages, then the slopes, the limiter's
     # bounds and the slope differences, which the Hermite sum, its term
@@ -410,7 +428,7 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     work = np.empty(workers * size)
     dest = result.transpose(order)
 
-    def advect_block(mine, box):
+    def advect_block(mine, box, floor):
         block = lines[(slice(None),) + box]
         nb = block[0].size
         gp, *rest = (mine[lo * nb:hi * nb].reshape(hi - lo, nb)
@@ -421,21 +439,41 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
                       [hw[box].reshape(-1) for hw in h], floor, rest,
                       dest[(slice(None),) + box])
 
+    # where the Hermite sum's terms cancel they can leave negatives at the
+    # roundoff scale; zero those without touching genuinely signed data
+    if workers == 1:
+        floor = -1e-13 * max(_peaks(g))
+        for box in boxes:
+            advect_block(work, box, floor)
+        return result
+
+    # W workers take the max and min over W shares of g's memory, ranges
+    # along its largest-stride axis, and combine them once every share is
+    # in: numpy's max keeps a NaN from any share, where Python's max would
+    # depend on the order
+    big = max(range(ndim), key=lambda a: abs(g.strides[a]))
+    edges = [g.shape[big] * w // workers for w in range(workers + 1)]
+    peaks = np.empty((workers, 2))
+    barrier = threading.Barrier(workers)
     # the blocks go to the workers in order, each to the first one free,
     # so a worker slowed by another process on its CPU takes fewer
     queue = iter(boxes)
     lock = threading.Lock()
 
     def sweep(w):
+        peaks[w] = _peaks(g[(slice(None),) * big
+                            + (slice(edges[w], edges[w + 1]),)])
+        barrier.wait()
+        floor = -1e-13 * peaks.max()
         mine = work[w * size:(w + 1) * size]
         while True:
             with lock:
                 box = next(queue, None)
             if box is None:
                 return
-            advect_block(mine, box)
+            advect_block(mine, box, floor)
 
-    _in_workers(sweep, workers)
+    _in_workers(sweep, workers, barrier)
     return result
 
 
@@ -788,20 +826,23 @@ def _check_memory(cfg: SimConfig, box: tuple) -> int:
     any is allocated, and return the bytes it needs.  A step holds two
     states (f and phi) at once, the input and the result of an advect
     call, beside that call's workspace (taken for shifts of less than one
-    cell, as the CFL bound makes the x shifts; a call shared among
-    workers splits one block's workspace among them, so the workers take
-    no more), and the levels hold T_WINDOW copies of the kept box.  The
-    series take five floats per recorded level, and the slice nodes
-    NODE_BYTES each, counted before any is built.  In mms mode
-    mms_forcing holds three f-sized factors for the whole run.  It builds
-    them with a fourth, but before any state exists, so that peak stays
-    below the run's."""
+    cell, as the CFL bound makes the x shifts): one block's workspace for
+    each of its min(WORKERS, blocks) workers, the blocks counted as the
+    call's lines over the lines a block holds, rounded up.  The levels
+    hold T_WINDOW copies of the kept box, the series take five floats per
+    recorded level, and the slice nodes NODE_BYTES each, counted before
+    any is built.  In mms mode mms_forcing holds three f-sized factors for
+    the whole run.  It builds them with a fourth, but before any state
+    exists, so that peak stays below the run's."""
     per_x = 8 * (cfg.nv ** cfg.n + 1)
     state = per_x * cfg.nx ** cfg.n
     cells = (cfg.nx * cfg.nv) ** cfg.n
-    work = max(8 * _workspace_rows(m, -1, 0)[-1]
-               * min(cells // m, max(1, BLOCK_CELLS // m))
-               for m in (cfg.nx, cfg.nv))
+    work = 0
+    for m in (cfg.nx, cfg.nv):
+        lines, per_block = cells // m, max(1, BLOCK_CELLS // m)
+        work = max(work, 8 * _workspace_rows(m, -1, 0)[-1]
+                   * min(lines, per_block)
+                   * min(WORKERS, -(-lines // per_block)))
     kept = per_x * math.prod(s.stop - s.start for s in box) if box else 0
     factors = 3 * 8 * cells if cfg.mode == "mms" else 0
     series = 5 * 8 * (cfg.nsteps + 1)

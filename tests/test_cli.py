@@ -209,11 +209,19 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
     ({"VKG_EPSILON": "1e-160"}, "epsilon squared underflows, got 1e-160"),
     # and an infinite square: an OverflowError traceback at eps ** 2
     ({"VKG_EPSILON": "1e300"}, "epsilon squared overflows, got 1e+300"),
-    ({"VKG_EPSILON": "1e155"}, "epsilon squared overflows, got 1e+155")],
+    ({"VKG_EPSILON": "1e155"}, "epsilon squared overflows, got 1e+155"),
+    # the slice quadrature raised "resolution=1 < 2", which names no key
+    ({"VKG_SLICE_RESOLUTION": "1"}, "slice_resolution must be at least 2, "
+     "got 1"),
+    ({"VKG_SLICE_RESOLUTION": "0"}, "slice_resolution must be at least 2, "
+     "got 0"),
+    ({"VKG_SLICE_RESOLUTION": "-3"}, "slice_resolution must be at least 2, "
+     "got -3")],
     ids=["dt", "t0", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
          "taus_lightcone", "t_end_taus", "rmax", "support_radius_lightcone",
          "support_radius_lightcone_155", "epsilon", "epsilon_160",
-         "epsilon_300", "epsilon_155"])
+         "epsilon_300", "epsilon_155", "slice_resolution_1",
+         "slice_resolution_0", "slice_resolution_minus_3"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -364,6 +372,26 @@ def test_mms_phi_width_fourth_power_overflow_exits_3_before_stepping(
         "runtime error: phi_width to the fourth power overflows in mms "
         "mode, got 1e+80\n")
     assert steps == []
+
+
+@pytest.mark.parametrize("width", ["1e-100", "1e-80", "2e-77"])
+def test_mms_phi_width_fourth_power_underflow_prints_one_line(width,
+                                                              tmp_path):
+    # at the default warning filters, the command itself: the manufactured
+    # forcing's |x|^2 / phi_width^4 divided by zero (1e-100), by a
+    # subnormal (1e-80) or overflowed (2e-77), and numpy's warnings printed
+    # four lines before the exit-3 message
+    conf = Path(__file__).resolve().parent.parent / "configs" \
+        / "n1-coupled-small.conf"
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]),
+               VKG_MODE="mms", VKG_PHI_WIDTH=width)
+    proc = subprocess.run([sys.executable, "-m", "vkg.cli", "simulate",
+                           str(conf), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ("runtime error: phi_width is too small in mms "
+                           "mode: |x|^2 / phi_width^4 overflows, got "
+                           f"{float(width)}\n")
 
 
 @pytest.mark.parametrize("key", ["VKG_PHI_WIDTH", "VKG_F_WIDTH_V"])

@@ -533,6 +533,108 @@ def test_a_one_block_call_starts_no_thread(monkeypatch):
     assert made == []
 
 
+def _block_spy(monkeypatch):
+    """The (cells per line, lines) of every block _advect_lines gets from
+    now on, in a list, and the floor it gets with each, in another."""
+    blocks, floors = [], []
+    real = solver._advect_lines
+
+    def spy(gp, k, h, floor, work, out):
+        blocks.append((out.shape[0], gp.shape[1]))
+        floors.append(floor)
+        real(gp, k, h, floor, work, out)
+
+    monkeypatch.setattr(solver, "_advect_lines", spy)
+    return blocks, floors
+
+
+def test_workers_take_whole_blocks(monkeypatch):
+    """On the n = 2 benchmark state, along every axis, _advect_lines gets
+    the same blocks with one worker and with two: whole BLOCK_CELLS
+    blocks, 20 of 46080 cells per call, whatever the worker count."""
+    shape = (40, 40, 24, 24)
+    rng = np.random.default_rng(33)
+    g = rng.random(shape)
+    calls = [(g, _solver_shift(shape, axis, rng), axis)
+             for axis in range(4)]
+    blocks, _ = _block_spy(monkeypatch)
+    seen = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        blocks.clear()
+        for call in calls:
+            advect(*call)
+        seen[workers] = sorted(blocks)
+    assert seen[1] == seen[2]
+    assert seen[2] == sorted([(40, 1152)] * 40 + [(24, 1920)] * 40)
+    assert max(m * lines for m, lines in seen[2]) <= solver.BLOCK_CELLS
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_a_non_finite_value_in_the_second_share(value, monkeypatch):
+    """A NaN or an infinity in the second worker's share of g's memory (the
+    second half of a C-ordered state): every block of every axis gets the
+    one-worker floor, NaN or -inf, and the result equals the one-worker
+    result bit for bit.  A Python max over the workers' partials would
+    drop a NaN that comes second."""
+    shape = (40, 40, 24, 24)
+    rng = np.random.default_rng(34)
+    g = rng.random(shape) * (rng.random(shape) > 0.2)
+    g[30, 5, 3, 7] = value
+    _, floors = _block_spy(monkeypatch)
+    for axis in range(4):
+        sig = _solver_shift(shape, axis, rng)
+        monkeypatch.setattr(solver, "WORKERS", 1)
+        want = advect(g, sig, axis)
+        want_floor = floors[0]
+        floors.clear()
+        monkeypatch.setattr(solver, "WORKERS", 2)
+        got = advect(g, sig, axis)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(floors) == 20
+        if np.isnan(value):
+            assert np.isnan(want_floor) and np.all(np.isnan(floors))
+        else:
+            assert want_floor == -np.inf and set(floors) == {-np.inf}
+        floors.clear()
+
+
+@pytest.mark.parametrize("failing", ["caller", "thread"])
+def test_an_exception_in_the_reduction_reaches_the_caller(failing,
+                                                         monkeypatch):
+    """An exception raised while one worker reduces its share of g, on the
+    calling thread or on the other worker's, is raised by advect; the
+    other worker, waiting at the barrier for that share, is released, and
+    every thread is joined."""
+    monkeypatch.setattr(solver, "WORKERS", 2)
+    real = solver._peaks
+    raised = []
+
+    def peaks(share):
+        if (threading.current_thread() is runner) == (failing == "caller"):
+            raise FloatingPointError("reduction failed")
+        return real(share)
+
+    def call():
+        g = np.random.default_rng(8).random((40, 40, 24, 24))
+        try:
+            advect(g, _solver_shift(g.shape, 1, np.random.default_rng(9)), 1)
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(solver, "_peaks", peaks)
+    runner = threading.Thread(target=call, daemon=True)
+    made = _thread_spy(monkeypatch)
+    running = threading.active_count()
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in raised] == ["reduction failed"]
+    assert len(made) == 1 and not made[0].is_alive()
+    assert threading.active_count() == running
+
+
 @pytest.mark.parametrize("shape,per_block,rows", [
     # the x-sweep of the n = 2 state at half a block: 24 rows of 40 lines
     # in two blocks of 12, not 20 and 4
@@ -1230,6 +1332,23 @@ def test_memory_check_counts_the_slice_nodes(n):
     no_nodes = dataclasses.replace(cfg, taus=())
     assert (solver._check_memory(cfg, ()) - solver._check_memory(no_nodes, ())
             == solver.NODE_BYTES * built)
+
+
+def test_memory_check_counts_a_workspace_per_worker(monkeypatch):
+    """The memory check counts one block workspace for each worker a call
+    takes: more workers add workspaces on the n = 2 benchmark grid, whose
+    calls have 20 blocks, and none on an n = 1 grid of one block."""
+    n2 = SimConfig(n=2, mode="coupled", x_extent=4.0, nx=40, vmax=2.0,
+                   nv=24, dt=0.1, t0=2.0, t_end=3.0, taus=())
+    n1 = SimConfig(n=1, mode="coupled", x_extent=4.0, nx=320, vmax=2.0,
+                   nv=64, dt=0.01, t0=2.0, t_end=3.0, taus=())
+    need = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(solver, "WORKERS", workers)
+        need[workers] = (solver._check_memory(n2, ()),
+                         solver._check_memory(n1, ()))
+    assert need[1][0] < need[2][0] < need[3][0]
+    assert need[1][1] == need[2][1] == need[3][1]
 
 
 @pytest.mark.parametrize("mode,change,name", [
