@@ -57,12 +57,12 @@ class SliceQuadrature:
 
 
 ANGULAR_NODES = 64    # uniform angles of the n = 2 slice quadrature
+MIN_RESOLUTION = 2    # the fewest radial intervals a slice quadrature takes
 
 
 def slice_node_count(n: int, resolution: int) -> int:
     """How many nodes build_slice_quadrature lays out, for any tau and rmax."""
-    r = max(resolution, 0)
-    return 2 * r + 1 if n == 1 else r * ANGULAR_NODES
+    return 2 * resolution + 1 if n == 1 else resolution * ANGULAR_NODES
 
 
 def build_slice_quadrature(
@@ -76,8 +76,8 @@ def build_slice_quadrature(
     integrands.  Nodes with vanishing volume-form weight (r = 0 at
     n = 2) are dropped so all stored weights are strictly positive.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution={resolution} < 2")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution={resolution} < {MIN_RESOLUTION}")
     if rmax <= 0:
         raise ValueError(f"rmax={rmax} must be positive")
     if n == 1:

@@ -39,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import build_slice_quadrature, slice_node_count
+from .geometry import (MIN_RESOLUTION, build_slice_quadrature,
+                       slice_node_count)
 
 
 class SolverError(RuntimeError):
@@ -158,10 +159,10 @@ class SimConfig:
         if not math.isfinite((self.t_end - self.t0) / self.dt):
             raise SolverError(
                 f"the step count (t_end - t0) / dt overflows, got dt={self.dt}")
-        # the slice quadrature lays out at least two radial intervals
-        if self.slice_resolution < 2:
-            raise SolverError("slice_resolution must be at least 2, got "
-                              f"{self.slice_resolution}")
+        if self.slice_resolution < MIN_RESOLUTION:
+            raise SolverError(
+                f"slice_resolution must be at least {MIN_RESOLUTION}, got "
+                f"{self.slice_resolution}")
         # the pipeline's L2 estimate checks read the order-1 quantities
         if not 1 <= self.energy_order <= SYMBOLIC_CAP:
             raise SolverError(
@@ -292,19 +293,10 @@ def _line_blocks(shape: tuple[int, ...], per_block: int) -> list[tuple]:
             for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _peaks(g: np.ndarray) -> tuple:
-    """(max, -min) of g and 0, the scales of advect's roundoff floor; NaN
-    where g holds a NaN."""
-    return g.max(initial=0.0), -g.min(initial=0.0)
-
-
-def _in_workers(task: Callable[[int], None], workers: int,
-                barrier: threading.Barrier):
+def _in_workers(task: Callable[[int], None], workers: int):
     """task(w) for w = 0 .. workers - 1, w = 0 on the calling thread and
     each other on a thread of its own, which sees the caller's context
-    (numpy's error state among it).  A worker that raises, or a thread
-    that fails to start, aborts barrier, so that no worker waits at it for
-    one that will never come.  Every thread is joined before this
+    (numpy's error state among it).  Every thread is joined before this
     returns, and the first exception a worker raised is raised here."""
     errors = []
 
@@ -313,7 +305,6 @@ def _in_workers(task: Callable[[int], None], workers: int,
             task(w)
         except BaseException as exc:
             errors.append(exc)
-            barrier.abort()
 
     threads = []
     try:
@@ -323,9 +314,6 @@ def _in_workers(task: Callable[[int], None], workers: int,
             thread.start()
             threads.append(thread)
         guarded(0)
-    except BaseException:
-        barrier.abort()
-        raise
     finally:
         for thread in threads:
             thread.join()
@@ -366,22 +354,17 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     lines are taken in equal blocks of at most BLOCK_CELLS cells, each a
     box of lines with the line axes in g's memory order, copied straight
     from g into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g
-    is never transposed as a whole.  The shifts, weights and result are
-    prepared once per call.  A call of one block runs it on the calling
-    thread, after one max and one min over g for the roundoff floor.  A
-    call of more blocks shares the same blocks among W workers, one per
-    CPU (WORKERS) but no more than the call has blocks: the calling thread
-    and W - 1 threads.  Each worker first takes the max and min of its
-    share of g's memory, a range along g's largest-stride axis, and waits
-    at a barrier until every share is in; each then reads the floor from
-    all the shares with numpy reductions, which are exact and, with NaN,
-    independent of order.  Then each worker takes the next block not yet
-    taken until none is left, in a workspace of its own.  The lines of a
-    sweep are independent 1-D problems, so each worker writes the lines of
-    its blocks of the result, and every line is computed by the same
-    operations for any W and any order.  All threads are joined before
-    advect returns, and the first exception a worker raised is raised
-    here.
+    is never transposed as a whole.  The shifts, weights, roundoff floor,
+    result and workspace are prepared once per call.  A call of one block
+    runs it on the calling thread.  A call of more blocks shares the same
+    blocks among W workers, one per CPU (WORKERS) but no more than the
+    call has blocks: the calling thread and W - 1 threads, each taking the
+    next block not yet taken until none is left, in a workspace of its
+    own.  The lines of a sweep are independent 1-D problems, so each
+    worker writes the lines of its blocks of the result, and every line
+    is computed by the same operations for any W and any order.  All
+    threads are joined before advect returns, and the first exception a
+    worker raised is raised here.
 
     The result is a fresh array laid out with the advection axis last in
     memory.  The callers' reductions (source_density, total_mass) sum in
@@ -413,6 +396,9 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     xi3 = xi2 * xi
     h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
          xi3 - xi2)
+    # where the Hermite sum's terms cancel they can leave negatives at the
+    # roundoff scale; zero those without touching genuinely signed data
+    floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
     per_block = max(1, BLOCK_CELLS // m)
     boxes = _line_blocks(lines.shape[1:], per_block)
     workers = min(WORKERS, len(boxes))
@@ -428,7 +414,7 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     work = np.empty(workers * size)
     dest = result.transpose(order)
 
-    def advect_block(mine, box, floor):
+    def advect_block(mine, box):
         block = lines[(slice(None),) + box]
         nb = block[0].size
         gp, *rest = (mine[lo * nb:hi * nb].reshape(hi - lo, nb)
@@ -439,41 +425,21 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
                       [hw[box].reshape(-1) for hw in h], floor, rest,
                       dest[(slice(None),) + box])
 
-    # where the Hermite sum's terms cancel they can leave negatives at the
-    # roundoff scale; zero those without touching genuinely signed data
-    if workers == 1:
-        floor = -1e-13 * max(_peaks(g))
-        for box in boxes:
-            advect_block(work, box, floor)
-        return result
-
-    # W workers take the max and min over W shares of g's memory, ranges
-    # along its largest-stride axis, and combine them once every share is
-    # in: numpy's max keeps a NaN from any share, where Python's max would
-    # depend on the order
-    big = max(range(ndim), key=lambda a: abs(g.strides[a]))
-    edges = [g.shape[big] * w // workers for w in range(workers + 1)]
-    peaks = np.empty((workers, 2))
-    barrier = threading.Barrier(workers)
     # the blocks go to the workers in order, each to the first one free,
     # so a worker slowed by another process on its CPU takes fewer
     queue = iter(boxes)
     lock = threading.Lock()
 
     def sweep(w):
-        peaks[w] = _peaks(g[(slice(None),) * big
-                            + (slice(edges[w], edges[w + 1]),)])
-        barrier.wait()
-        floor = -1e-13 * peaks.max()
         mine = work[w * size:(w + 1) * size]
         while True:
             with lock:
                 box = next(queue, None)
             if box is None:
                 return
-            advect_block(mine, box, floor)
+            advect_block(mine, box)
 
-    _in_workers(sweep, workers, barrier)
+    _in_workers(sweep, workers)
     return result
 
 

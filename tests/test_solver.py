@@ -572,12 +572,11 @@ def test_workers_take_whole_blocks(monkeypatch):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "minus_inf"])
-def test_a_non_finite_value_in_the_second_share(value, monkeypatch):
-    """A NaN or an infinity in the second worker's share of g's memory (the
-    second half of a C-ordered state): every block of every axis gets the
+def test_a_non_finite_value_late_in_memory(value, monkeypatch):
+    """A NaN or an infinity in the second half of a C-ordered state's
+    memory: with two workers every block of every axis gets the
     one-worker floor, NaN or -inf, and the result equals the one-worker
-    result bit for bit.  A Python max over the workers' partials would
-    drop a NaN that comes second."""
+    result bit for bit."""
     shape = (40, 40, 24, 24)
     rng = np.random.default_rng(34)
     g = rng.random(shape) * (rng.random(shape) > 0.2)
@@ -598,41 +597,6 @@ def test_a_non_finite_value_in_the_second_share(value, monkeypatch):
         else:
             assert want_floor == -np.inf and set(floors) == {-np.inf}
         floors.clear()
-
-
-@pytest.mark.parametrize("failing", ["caller", "thread"])
-def test_an_exception_in_the_reduction_reaches_the_caller(failing,
-                                                         monkeypatch):
-    """An exception raised while one worker reduces its share of g, on the
-    calling thread or on the other worker's, is raised by advect; the
-    other worker, waiting at the barrier for that share, is released, and
-    every thread is joined."""
-    monkeypatch.setattr(solver, "WORKERS", 2)
-    real = solver._peaks
-    raised = []
-
-    def peaks(share):
-        if (threading.current_thread() is runner) == (failing == "caller"):
-            raise FloatingPointError("reduction failed")
-        return real(share)
-
-    def call():
-        g = np.random.default_rng(8).random((40, 40, 24, 24))
-        try:
-            advect(g, _solver_shift(g.shape, 1, np.random.default_rng(9)), 1)
-        except FloatingPointError as exc:
-            raised.append(exc)
-
-    monkeypatch.setattr(solver, "_peaks", peaks)
-    runner = threading.Thread(target=call, daemon=True)
-    made = _thread_spy(monkeypatch)
-    running = threading.active_count()
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert [str(exc) for exc in raised] == ["reduction failed"]
-    assert len(made) == 1 and not made[0].is_alive()
-    assert threading.active_count() == running
 
 
 @pytest.mark.parametrize("shape,per_block,rows", [
