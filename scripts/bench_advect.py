@@ -35,8 +35,12 @@ it), and, from those pinned calls, the median time per call spent
 outside the line kernel _advect_lines, in microseconds: the set-up that
 does not scale with the lines of a block (shifts, Hermite weights,
 workspace views) plus the copies into and out of the kernel's buffers,
-and last the ratio of the time on every CPU to the pinned time: on a
-host of two CPUs, the two-worker time over the one-worker time.
+then the ratio of the time on every CPU to the pinned time: on a
+host of two CPUs, the two-worker time over the one-worker time.  The
+last column says whether the call takes the roundoff floor, one max and
+one min over the whole input, which advect computes only when a block's
+result holds a value with its sign bit set: "yes" rows time that pass,
+"no" rows do not.
 The kernel is timed by wrapping solver._advect_lines, which adds two
 clock reads per block to each pinned call.  The process's affinity is
 restored after each case.
@@ -69,6 +73,22 @@ def timed_kernel(kernel, spent):
         kernel(*args)
         spent[0] += time.perf_counter() - t0
     return timed
+
+
+def takes_floor(g, sigma, axis):
+    """Whether advect on these arguments takes its roundoff floor"""
+    taken, floor = [], solver._roundoff_floor
+
+    def counted(a):
+        taken.append(a)
+        return floor(a)
+
+    solver._roundoff_floor = counted
+    try:
+        advect(g, sigma, axis)
+    finally:
+        solver._roundoff_floor = floor
+    return bool(taken)
 
 
 def time_call(g, sigma, axis, repeat):
@@ -125,7 +145,8 @@ def main():
     print(f"{solver.WORKERS} workers on all CPUs, 1 pinned")
     print(f"{'shape':>18} {'axis':>4} {'input':>6} "
           f"{'1st ms':>8} {'1st flt':>8} {'ms/call':>8} {'Mcell/s':>8} "
-          f"{'flt/call':>8} {'1cpu ms':>8} {'setup us':>8} {'ratio':>6}")
+          f"{'flt/call':>8} {'1cpu ms':>8} {'setup us':>8} {'ratio':>6} "
+          f"{'floor':>5}")
     for shape in SHAPES:
         g = rng.random(shape)
         sigmas = []
@@ -146,7 +167,8 @@ def main():
                       f"{first * 1e3:8.2f} {first_flt:8d} "
                       f"{sec * 1e3:8.2f} {g.size / sec / 1e6:8.1f} "
                       f"{flt:8.1f} {one * 1e3:8.2f} {outside * 1e6:8.1f} "
-                      f"{sec / one:6.2f}")
+                      f"{sec / one:6.2f} "
+                      f"{'yes' if takes_floor(data, sigma, axis) else 'no':>5}")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@ space-time axis in the letters D = G and X = diag(c), and the ordered
 velocity parts it takes; Z_A is its terms without velocity parts.  The
 node value of a word applied to a block is the block contracted with
 the word's weight row (word)^T w, where w holds the cubic Lagrange
-weights of the node on that axis.  A stack of blocks is contracted once
-with the distinct rows of each axis, and the velocity parts act on the
+weights of the node on that axis.  A block is contracted with the
+distinct rows of each axis, and the velocity parts act on the
 contracted (nodes, v..) profiles.  phi blocks have no v axes, so the
-blocks of all nodes of a slice are contracted at once; f blocks are
-taken in stacks of at most STACK_CELLS cells.
+blocks of all nodes of a slice are stacked and contracted at once.  f
+blocks are contracted one by one, each straight from its view of the
+captured block, into stacks of profiles of at most STACK_CELLS cells,
+and the velocity parts act once per stack.
 
 A slice's values are kept stacked along a leading node axis, one array
 per multi-index A: Zhat_A f as (nodes, v..) profiles, Z_A phi and its
@@ -35,6 +37,7 @@ than roundoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -50,8 +53,10 @@ from .solver import NodeSample, SliceData
 # Block calculus: multi-indices as per-axis weight rows
 # ---------------------------------------------------------------------------
 
-# evaluate_slice takes the f blocks of a slice in stacks of at most this
-# many cells (at least one node per stack)
+# evaluate_slice gathers the contracted f profiles of a slice's nodes
+# (rows per space-time axis times velocity cells each) in stacks of at
+# most this many cells, at least one node per stack, and applies the
+# velocity parts once per stack
 STACK_CELLS = 1 << 15
 
 
@@ -171,12 +176,29 @@ def _velocity_part(g: Generator, p: np.ndarray, v_axes):
     return out
 
 
-def _node_values(h: np.ndarray, rows: list[np.ndarray], terms: dict,
-                 v_axes=()) -> dict:
-    """Per key of terms (_weight_rows positions), the sum of its terms on a
-    stack h (nodes, t, x.., v..) contracted with rows: a new array, so
-    that it does not keep the contracted basis alive."""
-    basis = _contract(h, rows)
+def _contract_block(block: np.ndarray, weights: list[np.ndarray],
+                    out: np.ndarray):
+    """Contract the space-time axes of one node's block (t, x.., v..)
+    with its weight rows weights[a] (rows, m) into out, with axes (rows
+    per space-time axis.., v..), axis by axis in _contract's order and
+    straight from the block's memory.  A captured block is a view of its
+    group's shared block, in which the axes after x_1 merge without a
+    copy but t and x_1 do not, so t is moved behind x_1 and contracted
+    over the x_1 rows as a batch."""
+    xt = block.swapaxes(0, 1)
+    h = weights[0] @ xt.reshape(xt.shape[:2] + (-1,))
+    h = weights[1] @ h.swapaxes(0, 1)
+    k = h.shape[0] * h.shape[1]
+    for w in weights[2:]:
+        h = w @ h.reshape(k, w.shape[1], -1)
+        k *= w.shape[0]
+    out[...] = h.reshape(out.shape)
+
+
+def _node_values(basis: np.ndarray, terms: dict, v_axes=()) -> dict:
+    """Per key of terms (_weight_rows positions), the sum of its terms on
+    a contracted stack basis (nodes, rows per space-time axis.., v..): a
+    new array, so that it does not keep the basis alive."""
     done = {}                   # velocity parts applied, by (idx, vel)
     out = {}
     for key, tms in terms.items():
@@ -247,17 +269,20 @@ class SliceQuantities:
 def _f_stack(nodes: list[NodeSample], rows: list[np.ndarray], terms: dict
              ) -> dict:
     """The (nodes, v..) profiles of Zhat_A f on a stack of nodes, for
-    every A of terms, from the stack's rows of _weight_rows."""
-    # the summation order of the contractions follows the memory layout,
-    # so fix it: C order (np.stack keeps an F-ordered block in F order)
-    f = np.ascontiguousarray(np.stack([nd.fblock for nd in nodes]))
-    return _node_values(f, rows, terms, nodes[0].v_axes)
+    every A of terms, from the stack's rows of _weight_rows: each node's
+    block is contracted on its own, from its memory, into the stack's
+    basis, and the velocity parts act on the whole basis."""
+    basis = np.empty((len(nodes),) + tuple(r.shape[1] for r in rows)
+                     + nodes[0].fblock.shape[len(rows):])
+    for i, nd in enumerate(nodes):
+        _contract_block(nd.fblock, [r[i] for r in rows], basis[i])
+    return _node_values(basis, terms, nodes[0].v_axes)
 
 
 def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
     """Every node of the slice, every index up to order: phi in one
-    contraction, f in stacks of at most STACK_CELLS cells (at least one
-    node per stack)."""
+    contraction, f in stacks whose contracted profiles hold at most
+    STACK_CELLS cells (at least one node per stack)."""
     nodes, n = data.nodes, data.n
     terms = {A: _expansion(A, n) for A in multi_indices_up_to(n, order)}
     # Z_A phi (a = -1) and d_a Z_A phi: its terms with one more outermost
@@ -266,11 +291,15 @@ def evaluate_slice(data: SliceData, order: int) -> SliceQuantities:
                                  for b, w in enumerate(words)), ())
                        for k, words, vel in tms if not vel]
               for A, tms in terms.items() for a in range(-1, n + 1)}
-    phi = _node_values(
-        np.ascontiguousarray(np.stack([nd.phiblock for nd in nodes])),
-        *_weight_rows(nodes, pterms))
+    prows, pterms = _weight_rows(nodes, pterms)
+    # the summation order of the contraction follows the memory layout,
+    # so fix it: C order (np.stack keeps an F-ordered block in F order)
+    phi = _node_values(_contract(np.ascontiguousarray(
+        np.stack([nd.phiblock for nd in nodes])), prows), pterms)
     rows, terms = _weight_rows(nodes, terms)
-    per = max(1, STACK_CELLS // nodes[0].fblock.size)
+    profile = math.prod(r.shape[1] for r in rows) \
+        * math.prod(nodes[0].fblock.shape[n + 1:])
+    per = max(1, STACK_CELLS // profile)
     stacks = [_f_stack(nodes[i:i + per], [r[i:i + per] for r in rows], terms)
               for i in range(0, len(nodes), per)]
     return SliceQuantities(

@@ -354,12 +354,15 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     lines are taken in equal blocks of at most BLOCK_CELLS cells, each a
     box of lines with the line axes in g's memory order, copied straight
     from g into the ghost-padded (m + 2 (max|k| + 3), lines) buffer, so g
-    is never transposed as a whole.  The shifts, weights, roundoff floor,
-    result and workspace are prepared once per call.  A call of one block
-    runs it on the calling thread.  A call of more blocks shares the same
-    blocks among W workers, one per CPU (WORKERS) but no more than the
-    call has blocks: the calling thread and W - 1 threads, each taking the
-    next block not yet taken until none is left, in a workspace of its
+    is never transposed as a whole.  The shifts, weights, result and
+    workspace are prepared once per call.  The roundoff floor, one max and
+    one min over g, is taken at most once per call, by the first block
+    whose result holds a value with its sign bit set; a call whose blocks
+    hold none (a nonnegative f, as a rule) never takes it.  A call of one
+    block runs it on the calling thread.  A call of more blocks shares the
+    same blocks among W workers, one per CPU (WORKERS) but no more than
+    the call has blocks: the calling thread and W - 1 threads, each taking
+    the next block not yet taken until none is left, in a workspace of its
     own.  The lines of a sweep are independent 1-D problems, so each
     worker writes the lines of its blocks of the result, and every line
     is computed by the same operations for any W and any order.  All
@@ -396,9 +399,6 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     xi3 = xi2 * xi
     h = (2 * xi3 - 3 * xi2 + 1, xi3 - 2 * xi2 + xi, -2 * xi3 + 3 * xi2,
          xi3 - xi2)
-    # where the Hermite sum's terms cancel they can leave negatives at the
-    # roundoff scale; zero those without touching genuinely signed data
-    floor = -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
     per_block = max(1, BLOCK_CELLS // m)
     boxes = _line_blocks(lines.shape[1:], per_block)
     workers = min(WORKERS, len(boxes))
@@ -413,6 +413,17 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     size = starts[-1] * lines[(0,) + boxes[0]].size
     work = np.empty(workers * size)
     dest = result.transpose(order)
+
+    # the roundoff floor, taken from the whole input by the first block
+    # that needs it and by no other
+    floors = []
+    floor_lock = threading.Lock()
+
+    def floor():
+        with floor_lock:
+            if not floors:
+                floors.append(_roundoff_floor(g))
+        return floors[0]
 
     def advect_block(mine, box):
         block = lines[(slice(None),) + box]
@@ -443,6 +454,15 @@ def advect(g: np.ndarray, sigma: np.ndarray, axis: int) -> np.ndarray:
     return result
 
 
+def _roundoff_floor(g: np.ndarray) -> float:
+    """The floor of advect's result: where the Hermite sum's terms cancel
+    they can leave negatives at the roundoff scale of the input's largest
+    magnitude, and values in [floor, 0) are zeroed without touching
+    genuinely signed data.  NaN anywhere in g makes it NaN, which zeroes
+    nothing."""
+    return -1e-13 * max(g.max(initial=0.0), -g.min(initial=0.0))
+
+
 def _workspace_rows(m: int, kmin: int, kmax: int) -> list[int]:
     """Where each array of advect's workspace starts, in rows of one value
     per line, for lines of m cells and integer shifts kmin to kmax; the
@@ -456,16 +476,17 @@ def _workspace_rows(m: int, kmin: int, kmax: int) -> list[int]:
     return [sum(rows[:i]) for i in range(len(rows) + 1)]
 
 
-def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, floor: float,
-                  work: list, out: np.ndarray):
+def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list,
+                  floor: Callable[[], float], work: list, out: np.ndarray):
     """advect on the L columns of one block into out, shape (m, ...).
 
     gp, shape (m + 2 G, L) with G > max|k| + 2, holds the cell averages in
     rows G to G + m - 1; its G ghost rows at each end are zeroed here.  k
     are the integer shifts and h = (h00, h10, h01, h11) the Hermite
-    weights, each of shape (L,).  work = (A, B, C) is the workspace, of at
-    least R + 1, R + 1 and R rows for R = max k - min k + m + 1 and L
-    columns each.
+    weights, each of shape (L,).  floor() gives the roundoff floor; it is
+    called only when a value of the block has its sign bit set.  work =
+    (A, B, C) is the workspace, of at least R + 1, R + 1 and R rows for R
+    = max k - min k + m + 1 and L columns each.
     """
     A, B, C = work
     m = out.shape[0]
@@ -498,8 +519,11 @@ def _advect_lines(gp: np.ndarray, k: np.ndarray, h: list, floor: float,
         np.copyto(D, H[:m])
         for kk in range(kmin + 1, kmax + 1):
             np.copyto(D, H[kk - kmin:kk - kmin + m], where=k == kk)
-    # zero the roundoff negatives at or above the floor (NaN stays)
-    np.maximum(D, 0.0, out=D, where=D >= floor)
+    # zero the roundoff negatives at or above the floor (NaN stays); the
+    # step changes no value whose sign bit is clear, so a block without
+    # negatives, -0.0 or -NaN skips it
+    if np.signbit(D).any():
+        np.maximum(D, 0.0, out=D, where=D >= floor())
     np.copyto(out, D.reshape(out.shape))
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_energies import node_phi, node_rows, one_node_slices, random_slice
+from test_energies import (node_phi, node_rows, one_node_slices,
+                          profile_cells, random_slice)
 from vkg import diagnostics, energies, report
 from vkg.commuted import mi_str, multi_indices_up_to
 from vkg.diagnostics import (BootstrapStatus, DecayFit, InequalityRecord,
@@ -240,9 +241,9 @@ def test_worst_node_of_a_mirror_tie_is_the_first(later, where):
 
 @pytest.mark.parametrize("n,count", [(1, 40), (2, 5)])
 def test_monitors_equal_node_loop(n, count, coupled_pair):
-    data = random_slice(n, count)
-    # more nodes than one STACK_CELLS stack holds
-    assert len(data.nodes) * data.nodes[0].fblock.size > energies.STACK_CELLS
+    data = random_slice(n, count, nv=96 if n == 1 else 16)
+    # more nodes than one stack of STACK_CELLS cells of order-1 profiles
+    assert len(data.nodes) * profile_cells(data, 1) > energies.STACK_CELLS
     slices = [(evaluate_slice(data, 1), 1)]
     if n == 1:
         slices += [(sq, 1) for sq in coupled_pair[1]]

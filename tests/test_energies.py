@@ -3,6 +3,7 @@ density lower bounds, hierarchy structure, and scaling of the reports."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,20 +254,33 @@ def test_evaluate_node_n2_matches_analytic_derivatives(order):
             (Generator(ROT, 1, 2),)} <= set(q.f)
 
 
-def random_slice(n: int, count: int, seed: int = 3,
-                 tau: float = 3.0) -> SliceData:
+def random_slice(n: int, count: int, seed: int = 3, tau: float = 3.0,
+                 nv: int | None = None) -> SliceData:
+    """count nodes of normal random blocks, nv velocity cells per axis (16
+    at n = 1 and 4 at n = 2 unless given)."""
     rng = np.random.default_rng(seed)
     nodes = []
     for k in range(count):
         if n == 1:
-            node = make_node(tau=tau, y=-1.5 + 0.4 * k, nv=16)
+            node = make_node(tau=tau, y=-1.5 + 0.4 * k, nv=nv or 16)
             node.fblock[...] = rng.normal(size=node.fblock.shape)
             node.phiblock[...] = rng.normal(size=node.phiblock.shape)
         else:
-            node = make_node2(tau=tau, y=(-1.0 + 0.3 * k, 0.2 * k), nv=4,
-                              rng=rng)
+            node = make_node2(tau=tau, y=(-1.0 + 0.3 * k, 0.2 * k),
+                              nv=nv or 4, rng=rng)
         nodes.append(node)
     return SliceData(tau, n, nodes, 0.25)
+
+
+def profile_cells(data: SliceData, order: int) -> int:
+    """The cells of one node's contracted profiles at order, the rows of
+    every space-time axis times the velocity cells: evaluate_slice stacks
+    nodes while their profiles hold at most STACK_CELLS cells."""
+    n = data.n
+    rows, _ = energies._weight_rows(data.nodes, {
+        A: energies._expansion(A, n) for A in multi_indices_up_to(n, order)})
+    return math.prod(r.shape[1] for r in rows) \
+        * math.prod(data.nodes[0].fblock.shape[n + 1:])
 
 
 # The per-node construction that _gradient_matrices and _interp_weights
@@ -328,7 +342,7 @@ def test_stacked_slice_matches_single_nodes(n, count, order, per,
                                             monkeypatch):
     data = random_slice(n, count)
     monkeypatch.setattr(energies, "STACK_CELLS",
-                        per * data.nodes[0].fblock.size + 1)
+                        per * profile_cells(data, order) + 1)
     stacks = []
     f_stack = energies._f_stack
 
@@ -366,6 +380,33 @@ def test_stack_profiles_keep_no_basis_alive(n, count, order):
         while base.base is not None:
             base = base.base
         assert base.nbytes == p.nbytes, A
+
+
+def test_shared_block_views_are_not_copied():
+    """n = 2 nodes whose blocks are views of one shared block, as the
+    solver captures them, at the benchmark's 24 velocity cells per axis:
+    evaluate_slice's peak of traced memory stays below the bytes of one
+    node's block, so no block is copied."""
+    rng = np.random.default_rng(8)
+    shared = rng.normal(size=(6, 12, 12, 24, 24))
+    shared_phi = rng.normal(size=shared.shape[:3])
+    nodes = []
+    for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
+        node = make_node2(y=(-0.2 + 0.1 * i, 0.1 * j), nv=24,
+                          f_fn=lambda *a: 0.0, phi_fn=lambda *a: 0.0)
+        window = (slice(None), slice(i, i + 9), slice(j, j + 9))
+        nodes.append(dataclasses.replace(node, fblock=shared[window],
+                                         phiblock=shared_phi[window]))
+    data = SliceData(3.0, 2, nodes, 0.25)
+    assert not nodes[0].fblock.flags.c_contiguous
+    evaluate_slice(data, 1)
+    tracemalloc.start()
+    try:
+        evaluate_slice(data, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes[0].fblock.nbytes
 
 
 @pytest.mark.parametrize("n,count", [(1, 7), (2, 5)])
@@ -700,12 +741,15 @@ def one_node_slices(n: int, count: int, seed: int = 5,
 
 
 def reference_slices(n, count, transport_slices):
-    """Random stacks over more than one STACK_CELLS chunk, and at n = 1
-    the transport run's slices, with the r = 0 node."""
-    data = random_slice(n, count)
-    assert len(data.nodes) * data.nodes[0].fblock.size > energies.STACK_CELLS
+    """Random slices over more than one stack of STACK_CELLS cells of
+    order-2 profiles, and at n = 1 the transport run's slices, with the r
+    = 0 node."""
+    nv = 24 if n == 1 else 6
+    data = random_slice(n, count, nv=nv)
+    assert len(data.nodes) * profile_cells(data, 2) > energies.STACK_CELLS
     slices = [evaluate_slice(data, 2),
-              evaluate_slice(random_slice(n, count, seed=4, tau=4.0), 2)]
+              evaluate_slice(random_slice(n, count, seed=4, tau=4.0, nv=nv),
+                             2)]
     return slices + (transport_slices if n == 1 else [])
 
 

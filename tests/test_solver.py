@@ -535,17 +535,36 @@ def test_a_one_block_call_starts_no_thread(monkeypatch):
 
 def _block_spy(monkeypatch):
     """The (cells per line, lines) of every block _advect_lines gets from
-    now on, in a list, and the floor it gets with each, in another."""
+    now on, in a list, and the floor of each block that takes one, in
+    another."""
     blocks, floors = [], []
     real = solver._advect_lines
 
     def spy(gp, k, h, floor, work, out):
         blocks.append((out.shape[0], gp.shape[1]))
-        floors.append(floor)
-        real(gp, k, h, floor, work, out)
+
+        def seen():
+            floors.append(floor())
+            return floors[-1]
+
+        real(gp, k, h, seen, work, out)
 
     monkeypatch.setattr(solver, "_advect_lines", spy)
     return blocks, floors
+
+
+def _floor_spy(monkeypatch):
+    """The input of every roundoff floor advect takes from now on, in a
+    list."""
+    taken = []
+    real = solver._roundoff_floor
+
+    def spy(g):
+        taken.append(g)
+        return real(g)
+
+    monkeypatch.setattr(solver, "_roundoff_floor", spy)
+    return taken
 
 
 def test_workers_take_whole_blocks(monkeypatch):
@@ -570,13 +589,16 @@ def test_workers_take_whole_blocks(monkeypatch):
     assert max(m * lines for m, lines in seen[2]) <= solver.BLOCK_CELLS
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
-                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -np.nan],
+                         ids=["nan", "inf", "minus_inf", "minus_nan"])
 def test_a_non_finite_value_late_in_memory(value, monkeypatch):
     """A NaN or an infinity in the second half of a C-ordered state's
-    memory: with two workers every block of every axis gets the
-    one-worker floor, NaN or -inf, and the result equals the one-worker
-    result bit for bit."""
+    memory: with two workers the same blocks take the floor as with one,
+    every one of them gets the one-worker floor, NaN or -inf, and the
+    result equals the one-worker result bit for bit.  The floor is taken
+    only where a value's sign bit is set, so -inf and -NaN make the one
+    block of their line take it, while +inf and NaN leave every sign bit
+    clear and no block takes it."""
     shape = (40, 40, 24, 24)
     rng = np.random.default_rng(34)
     g = rng.random(shape) * (rng.random(shape) > 0.2)
@@ -586,17 +608,73 @@ def test_a_non_finite_value_late_in_memory(value, monkeypatch):
         sig = _solver_shift(shape, axis, rng)
         monkeypatch.setattr(solver, "WORKERS", 1)
         want = advect(g, sig, axis)
-        want_floor = floors[0]
+        want_floors = floors.copy()
         floors.clear()
         monkeypatch.setattr(solver, "WORKERS", 2)
         got = advect(g, sig, axis)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert len(floors) == 20
+        assert len(floors) == len(want_floors) == int(np.signbit(value))
         if np.isnan(value):
-            assert np.isnan(want_floor) and np.all(np.isnan(floors))
+            assert np.all(np.isnan(want_floors)) and np.all(np.isnan(floors))
         else:
-            assert want_floor == -np.inf and set(floors) == {-np.inf}
+            assert want_floors == floors == [-np.inf] * len(floors)
         floors.clear()
+
+
+def test_a_gaussian_n2_run_takes_no_floor(monkeypatch):
+    """Three coupled steps of the n = 2 benchmark's Gaussian data: no
+    block of the 18 advect calls holds a value with its sign bit set, so
+    no call takes the floor's max and min."""
+    calls = []
+    real = solver.advect
+
+    def counted(g, sigma, axis):
+        calls.append(axis)
+        return real(g, sigma, axis)
+
+    monkeypatch.setattr(solver, "advect", counted)
+    taken = _floor_spy(monkeypatch)
+    run(SimConfig(n=2, mode="coupled", x_extent=5.0, nx=40, vmax=2.5,
+                  nv=24, dt=0.1, t0=2.0, t_end=2.3, epsilon=1e-3,
+                  f_amplitude=2e-5, phi_amplitude=4e-4, taus=()))
+    assert sorted(calls) == sorted([0, 1, 2, 3, 0, 1] * 3)
+    assert taken == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("where", [(30, 5, 3, 7), np.s_[:, :, 3]],
+                         ids=["one_block", "every_block"])
+@pytest.mark.parametrize("value", [-1e-14, -0.0],
+                         ids=["roundoff", "minus_zero"])
+def test_the_floor_is_taken_once_per_call(value, where, workers,
+                                          monkeypatch):
+    """A nonnegative n = 2 state whose planted values are in [floor, 0)
+    or are -0.0, in one block or in every block of every axis, advected
+    by zero cells along every axis.  The zero Hermite weights are given
+    their sign bit, so that every block's sum is its input bit for bit
+    and the planted values, -0.0 too, reach the floor step in the blocks
+    that hold them.  For any worker count each call takes the floor once,
+    from the whole input, the planted values become +0.0 and every other
+    value is the input's."""
+    real = solver._advect_lines
+
+    def signed_zero_weights(gp, k, h, floor, work, out):
+        real(gp, k, [h[0]] + [np.negative(w) for w in h[1:]], floor, work,
+             out)
+
+    monkeypatch.setattr(solver, "_advect_lines", signed_zero_weights)
+    monkeypatch.setattr(solver, "WORKERS", workers)
+    taken = _floor_spy(monkeypatch)
+    shape = (40, 40, 24, 24)
+    g = np.random.default_rng(35).random(shape)
+    g[where] = value * g.max()
+    want = g.copy()
+    want[where] = 0.0
+    for axis in range(4):
+        got = advect(g, np.zeros((1,) * 4), axis)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(taken) == 1 and taken[0] is g
+        taken.clear()
 
 
 @pytest.mark.parametrize("shape,per_block,rows", [
@@ -713,7 +791,7 @@ def test_roundoff_floor_zeroes_only_values_between_it_and_zero():
     out = np.empty((m, L))
     solver._advect_lines(gp, np.zeros(L, dtype=np.int64),
                          [np.full(L, w) for w in (1.0, 0.0, 0.0, 0.0)],
-                         floor, rest, out)
+                         lambda: floor, rest, out)
     want = lines.copy()
     want[:, 0] = 0.0
     assert np.all(np.isnan(out[:, 2]))
