@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (MIN_RESOLUTION, build_slice_quadrature,
+from .geometry import (ANGULAR_NODES, MIN_RESOLUTION, build_slice_quadrature,
                        slice_node_count)
 
 
@@ -95,108 +95,108 @@ class SimConfig:
         return int(round((self.t_end - self.t0) / self.dt))
 
     def validate(self):
-        if self.n not in (1, 2):
-            raise SolverError(f"dimension {self.n} unsupported")
-        if self.mode not in ("coupled", "free_transport", "free_kg", "mms"):
-            raise SolverError(f"unknown mode {self.mode!r}")
-        if self.rmax_mode not in ("fixed", "lightcone"):
-            raise SolverError(f"unknown rmax mode {self.rmax_mode!r}")
-        for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
-                     "f_width_x", "f_width_v", "phi_width"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise SolverError(
-                    f"{name} must be positive and finite, got {value}")
-        for name in ("nx", "nv"):
-            # np.gradient with edge_order=2 needs three points per axis
-            value = getattr(self, name)
-            if value < 3:
-                raise SolverError(f"{name} must be at least 3, got {value}")
-        for name in ("x_extent", "vmax"):
-            # the Laplacian, the energies, |x|^2 and |v|^2 sum n squares of
-            # these scales
-            value = getattr(self, name)
-            if not math.isfinite(self.n * value * value):
-                raise SolverError(f"{name} squared, summed over {self.n} "
-                                  f"axes, overflows, got {value}")
-        for name in ("f_width_x", "f_width_v", "phi_width"):
-            # the initial Gaussians divide by 2 w^2, and in mms mode the
-            # forcing's Laplacian divides by phi_width^4
-            value = getattr(self, name)
-            if not math.isfinite(2 * value * value):
-                raise SolverError(f"{name} squared overflows, got {value}")
-        w2 = self.phi_width * self.phi_width
-        if self.mode == "mms" and not math.isfinite(w2 * w2):
-            raise SolverError("phi_width to the fourth power overflows in "
-                              f"mms mode, got {self.phi_width}")
-        # the forcing's Laplacian takes |x|^2 / phi_width^4 on every cell
-        if self.mode == "mms" and (
-                w2 * w2 < sys.float_info.min or not math.isfinite(
-                    self.n * self.x_extent * self.x_extent / (w2 * w2))):
-            raise SolverError("phi_width is too small in mms mode: |x|^2 / "
-                              f"phi_width^4 overflows, got {self.phi_width}")
-        # the L2 estimate checks divide by epsilon^2
-        if self.epsilon * self.epsilon < sys.float_info.min:
-            raise SolverError(
-                f"epsilon squared underflows, got {self.epsilon}")
-        if not math.isfinite(self.epsilon * self.epsilon):
-            raise SolverError(
-                f"epsilon squared overflows, got {self.epsilon}")
-        for name in ("f_amplitude", "phi_amplitude", "rmax",
-                     "support_radius"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise SolverError(f"{name} must be finite, got {value}")
-        if not all(math.isfinite(tau) for tau in self.taus):
-            raise SolverError(f"taus must be finite, got {self.taus}")
-        if len(set(self.taus)) < len(self.taus):
-            # each slice would collect every one of its nodes twice
-            raise SolverError(f"taus must be distinct, got {self.taus}")
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_end)
-                and self.t_end > self.t0):
-            raise SolverError(
-                f"need finite t0 < t_end, got t0={self.t0}, t_end={self.t_end}")
-        if not math.isfinite((self.t_end - self.t0) / self.dt):
-            raise SolverError(
-                f"the step count (t_end - t0) / dt overflows, got dt={self.dt}")
-        if self.slice_resolution < MIN_RESOLUTION:
-            raise SolverError(
-                f"slice_resolution must be at least {MIN_RESOLUTION}, got "
-                f"{self.slice_resolution}")
-        # the pipeline's L2 estimate checks read the order-1 quantities
-        if not 1 <= self.energy_order <= SYMBOLIC_CAP:
-            raise SolverError(
-                f"energy_order must be in [1, {SYMBOLIC_CAP}], "
-                f"got {self.energy_order}")
-        if self.rmax_mode == "lightcone":
-            if self.t0 <= self.support_radius:
-                raise SolverError(
-                    "lightcone truncation needs t0 > support_radius")
-            # slice_rmax squares c = t0 - support_radius
-            c = self.t0 - self.support_radius
-            if not math.isfinite(c * c):
-                raise SolverError("t0 - support_radius squared overflows "
-                                  f"in lightcone mode, got {c}")
-        if self.dt > CFL_SAFETY * self.dx:
-            raise SolverError(
-                f"CFL violation: dt={self.dt} > {CFL_SAFETY}*dx={CFL_SAFETY * self.dx}")
-        for tau in self.taus:
-            if tau < self.t0 + 3 * self.dt:
-                raise SolverError(
-                    f"slice tau={tau} starts before history coverage (t0={self.t0})")
-            # slice_rmax and the node times square tau
-            if not math.isfinite(tau * tau):
-                raise SolverError(f"taus squared overflows, got {tau}")
-            rm = slice_rmax(self, tau)
-            if rm <= 0:
-                why = (f"rmax={self.rmax}" if rm == self.rmax
-                       else "in lightcone mode")
-                raise SolverError(
-                    f"slice tau={tau} has no covered radius ({why})")
-            t_top = math.hypot(tau, rm)
-            if t_top > self.t_end - 2 * self.dt:
-                raise SolverError(
-                    f"slice tau={tau} needs t up to {t_top:.2f} > t_end={self.t_end}")
+        for holds, line in _rules(self):
+            if not holds:
+                raise SolverError(line)
+
+
+def _rules(cfg: SimConfig):
+    """(holds, line) for each quantity a run forms from cfg's keys, in
+    order, each line naming the key it blames.  The rows are made one at a
+    time, so a row may assume that every earlier one holds."""
+    n, mms, tiny = cfg.n, cfg.mode == "mms", sys.float_info.min
+    yield n in (1, 2), f"n must be 1 or 2, got {n}"
+    yield (cfg.mode in ("coupled", "free_transport", "free_kg", "mms"),
+           f"unknown mode {cfg.mode!r}")
+    yield (cfg.rmax_mode in ("fixed", "lightcone"),
+           f"unknown rmax_mode {cfg.rmax_mode!r}")
+    for name in ("dt", "nx", "nv", "x_extent", "vmax", "epsilon",
+                 "f_width_x", "f_width_v", "phi_width"):
+        value = getattr(cfg, name)
+        yield (0 < value <= sys.float_info.max,
+               f"{name} must be positive and finite, got {value}")
+    # np.gradient with edge_order=2 needs three points per axis
+    for name, value in (("nx", cfg.nx), ("nv", cfg.nv)):
+        yield value >= 3, f"{name} must be at least 3, got {value}"
+    # the Laplacian, the energies, |x|^2 and |v|^2 sum n squares of these
+    for name, value in (("x_extent", cfg.x_extent), ("vmax", cfg.vmax)):
+        yield (math.isfinite(n * value * value), f"{name} squared, summed "
+               f"over {n} axes, overflows, got {value}")
+    # the initial Gaussians divide by 2 w^2
+    wx, wv, wp = cfg.f_width_x, cfg.f_width_v, cfg.phi_width
+    for name, value in (("f_width_x", wx), ("f_width_v", wv),
+                        ("phi_width", wp)):
+        yield (math.isfinite(2 * value * value),
+               f"{name} squared overflows, got {value}")
+    # mms_forcing divides by phi_width^4, f_width_x^2, f_width_v^2 and
+    # phi_width^2 f_width_v^2, and |x|^2 and |v|^2 by them on every cell
+    wp4 = wp * wp * (wp * wp)
+    yield (not mms or math.isfinite(wp4), "phi_width to the fourth power "
+           f"overflows in mms mode, got {wp}")
+    yield (not mms or wp4 >= tiny and math.isfinite(
+        n * cfg.x_extent * cfg.x_extent / wp4), "phi_width is too small in "
+        f"mms mode: |x|^2 / phi_width^4 overflows, got {wp}")
+    for name, value, width, w in (("x_extent", cfg.x_extent, "f_width_x", wx),
+                                  ("vmax", cfg.vmax, "f_width_v", wv)):
+        yield (not mms or w * w >= tiny,
+               f"{width} squared underflows in mms mode, got {w}")
+        yield (not mms or math.isfinite(n * value * value / (2 * w * w)),
+               f"{name} squared, summed over {n} axes, over 2 {width}^2 "
+               f"overflows in mms mode, got {value}")
+    yield (not mms or wp * wp * wv * wv >= tiny, "phi_width squared times "
+           f"f_width_v squared underflows in mms mode, got {wp} and {wv}")
+    # the L2 estimate checks divide by epsilon^2
+    eps, taus = cfg.epsilon, cfg.taus
+    yield eps * eps >= tiny, f"epsilon squared underflows, got {eps}"
+    yield math.isfinite(eps * eps), f"epsilon squared overflows, got {eps}"
+    for name in ("f_amplitude", "phi_amplitude", "rmax", "support_radius"):
+        value = getattr(cfg, name)
+        yield math.isfinite(value), f"{name} must be finite, got {value}"
+    yield all(map(math.isfinite, taus)), f"taus must be finite, got {taus}"
+    # each slice would collect every one of its nodes twice
+    yield len(set(taus)) == len(taus), f"taus must be distinct, got {taus}"
+    t0, t_end, dt = cfg.t0, cfg.t_end, cfg.dt
+    yield (math.isfinite(t0) and math.isfinite(t_end) and t_end > t0,
+           f"need finite t0 < t_end, got t0={t0}, t_end={t_end}")
+    yield (math.isfinite((t_end - t0) / dt),
+           f"the step count (t_end - t0) / dt overflows, got dt={dt}")
+    yield (cfg.slice_resolution >= MIN_RESOLUTION, "slice_resolution must "
+           f"be at least {MIN_RESOLUTION}, got {cfg.slice_resolution}")
+    # the pipeline's L2 estimate checks read the order-1 quantities
+    yield (1 <= cfg.energy_order <= SYMBOLIC_CAP, "energy_order must be in "
+           f"[1, {SYMBOLIC_CAP}], got {cfg.energy_order}")
+    # slice_rmax squares c = t0 - support_radius
+    lightcone, c = cfg.rmax_mode == "lightcone", t0 - cfg.support_radius
+    yield (not lightcone or t0 > cfg.support_radius,
+           "lightcone truncation needs t0 > support_radius")
+    yield (not lightcone or math.isfinite(c * c), "t0 - support_radius "
+           f"squared overflows in lightcone mode, got {c}")
+    yield (dt <= CFL_SAFETY * cfg.dx,
+           f"CFL violation: dt={dt} > {CFL_SAFETY}*dx={CFL_SAFETY * cfg.dx}")
+    # the Laplacian's stencil sums at most 64 |phi| per axis, over 12 dx^2
+    peak, dx = _amplitudes(cfg)[1], cfg.dx
+    name = "epsilon" if mms or cfg.phi_amplitude < 0 else "phi_amplitude"
+    yield (math.isfinite(64 * peak) and math.isfinite(
+        peak / dx / dx * 64 * n / 12), f"{name} times the Laplacian's "
+        f"64 n / (12 dx^2) overflows, got {peak} at dx={dx}")
+    for tau in taus:
+        yield (tau >= t0 + 3 * dt, f"slice tau={tau} of taus starts before "
+               f"history coverage (t0={t0})")
+        # slice_rmax and the node times square tau
+        yield math.isfinite(tau * tau), f"taus squared overflows, got {tau}"
+        rm = slice_rmax(cfg, tau)
+        why = (f"rmax={cfg.rmax}" if rm == cfg.rmax else
+               f"support_radius={cfg.support_radius} in lightcone mode")
+        yield rm > 0, f"slice tau={tau} has no covered radius ({why})"
+        t_top = math.hypot(tau, rm)
+        yield (t_top <= t_end - 2 * dt,
+               f"slice tau={tau} needs t up to {t_top:.2f} > t_end={t_end}")
+        # the quadrature drops an n = 2 node of weight 0; the least is at dr
+        dr = rm / cfg.slice_resolution
+        yield (n == 1 or dr * (2 * math.pi / ANGULAR_NODES)
+               * (tau / math.hypot(tau, dr)) * dr >= tiny, f"slice tau={tau} "
+               f"has n = 2 node weights that underflow at rmax={rm} over "
+               f"slice_resolution={cfg.slice_resolution}")
 
 
 def slice_rmax(cfg: SimConfig, tau: float) -> float:

@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -135,7 +136,13 @@ def test_node_window_off_the_grid_exits_3_before_stepping(
     ("x_extent", "1e300"), ("vmax", "1e300"),
     # (t_end - t0) / dt overflows: an OverflowError traceback from the
     # step count
-    ("dt", "5e-324")])
+    ("dt", "5e-324"),
+    # lines that once named no key: "dimension 3 unsupported" and
+    # "unknown rmax mode 'bogus'"
+    ("n", "3"), ("n", "0"), ("mode", "bogus"), ("rmax_mode", "bogus"),
+    # an int past the largest float: an OverflowError traceback
+    pytest.param("nx", str(10 ** 400), id="nx-10**400"),
+    pytest.param("nv", str(10 ** 400), id="nv-10**400")])
 def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     conf = tmp_path / "small.conf"
     conf.write_text(SMALL_CONF)
@@ -144,7 +151,7 @@ def test_invalid_override_exits_3(key, value, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
     assert main(["simulate", str(conf), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
+    assert re.search(rf"\b{key}\b", err) and "Traceback" not in err
     assert steps == []
 
 
@@ -216,12 +223,38 @@ def test_nonsense_run_setting_exits_2(tmp_path, monkeypatch, capsys):
     ({"VKG_SLICE_RESOLUTION": "0"}, "slice_resolution must be at least 2, "
      "got 0"),
     ({"VKG_SLICE_RESOLUTION": "-3"}, "slice_resolution must be at least 2, "
-     "got -3")],
+     "got -3"),
+    # the Laplacian's stencil overflows on the initial phi: numpy's
+    # overflow warnings printed before the exit-3 line
+    ({"VKG_PHI_AMPLITUDE": "1e307"}, "phi_amplitude times the Laplacian's "
+     "64 n / (12 dx^2) overflows, got 1e+307 at dx=0.1"),
+    ({"VKG_PHI_AMPLITUDE": "1e308"}, "phi_amplitude times the Laplacian's "
+     "64 n / (12 dx^2) overflows, got 1e+308 at dx=0.1"),
+    # mms_forcing's exponent |v|^2 / 2 f_width_v^2 overflows, and its
+    # divisors f_width_x^2 and f_width_v^2 underflow to zero: numpy's
+    # warnings, then a line that named no key
+    ({"VKG_MODE": "mms", "VKG_VMAX": "1e154"}, "vmax squared, summed over 1 "
+     "axes, over 2 f_width_v^2 overflows in mms mode, got 1e+154"),
+    ({"VKG_MODE": "mms", "VKG_F_WIDTH_X": "1e-170"}, "f_width_x squared "
+     "underflows in mms mode, got 1e-170"),
+    ({"VKG_MODE": "mms", "VKG_F_WIDTH_X": "1e-308"}, "f_width_x squared "
+     "underflows in mms mode, got 1e-308"),
+    ({"VKG_MODE": "mms", "VKG_F_WIDTH_V": "1e-170"}, "f_width_v squared "
+     "underflows in mms mode, got 1e-170"),
+    ({"VKG_MODE": "mms", "VKG_F_WIDTH_V": "1e-308"}, "f_width_v squared "
+     "underflows in mms mode, got 1e-308"),
+    # and so does |x|^2 / 2 f_width_x^2
+    ({"VKG_MODE": "mms", "VKG_X_EXTENT": "1e154", "VKG_PHI_WIDTH": "10",
+      "VKG_F_WIDTH_X": "0.5"}, "x_extent squared, summed over 1 axes, over "
+     "2 f_width_x^2 overflows in mms mode, got 1e+154")],
     ids=["dt", "t0", "vmax", "f_amplitude", "phi_width", "f_width_v", "taus",
          "taus_lightcone", "t_end_taus", "rmax", "support_radius_lightcone",
          "support_radius_lightcone_155", "epsilon", "epsilon_160",
          "epsilon_300", "epsilon_155", "slice_resolution_1",
-         "slice_resolution_0", "slice_resolution_minus_3"])
+         "slice_resolution_0", "slice_resolution_minus_3",
+         "phi_amplitude_1e307", "phi_amplitude_1e308", "mms_vmax_1e154",
+         "mms_f_width_x_1e-170", "mms_f_width_x_1e-308",
+         "mms_f_width_v_1e-170", "mms_f_width_v_1e-308", "mms_x_extent"])
 def test_run_the_grid_cannot_take_exits_3_before_stepping(
         env, message, tmp_path, monkeypatch, capsys):
     conf = Path(__file__).resolve().parent.parent / "configs" \
@@ -317,6 +350,89 @@ def test_width_square_overflow_exits_3_before_stepping(
     assert err == (f"runtime error: {key} squared overflows, "
                    f"got {float(value)}\n")
     assert steps == []
+
+
+# one slice of 2 rings of 64 nodes each, 10 steps of 16^2 x 6^2 cells
+TINY_N2_SLICE_CONF = """\
+schema = 1
+n = 2
+mode = coupled
+x_extent = 4.0
+nx = 16
+vmax = 2.0
+nv = 6
+dt = 0.1
+t0 = 2.0
+t_end = 3.0
+taus = 2.4
+rmax = 1.0
+slice_resolution = 2
+energy_order = 1
+"""
+
+
+@pytest.mark.parametrize("key,value,message", [
+    # every n = 2 node weight dr dtheta (tau / t) r underflows to zero, so
+    # the quadrature dropped every node: an IndexError traceback
+    ("rmax", "1e-170", "slice tau=2.4 has n = 2 node weights that underflow"
+     " at rmax=1e-170 over slice_resolution=2"),
+    ("rmax", "1e-308", "slice tau=2.4 has n = 2 node weights that underflow"
+     " at rmax=1e-308 over slice_resolution=2"),
+    # the Laplacian's stencil overflows on the initial phi: numpy's
+    # overflow warnings printed before the exit-3 line
+    ("phi_amplitude", "1e307", "phi_amplitude times the Laplacian's "
+     "64 n / (12 dx^2) overflows, got 1e+307 at dx=0.5"),
+    ("phi_amplitude", "1e308", "phi_amplitude times the Laplacian's "
+     "64 n / (12 dx^2) overflows, got 1e+308 at dx=0.5")],
+    ids=["rmax-1e-170", "rmax-1e-308", "phi_amplitude-1e307",
+         "phi_amplitude-1e308"])
+def test_n2_quantity_the_run_cannot_form_exits_3_before_stepping(
+        key, value, message, tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_N2_SLICE_CONF)
+    monkeypatch.setenv("VKG_" + key.upper(), value)
+    steps = []
+    monkeypatch.setattr(solver, "step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(conf), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"runtime error: {message}\n"
+    assert re.search(rf"\b{key}\b", err)
+    assert steps == []
+
+
+@pytest.mark.parametrize("conf_text,rmax", [
+    (TINY_N2_SLICE_CONF, "1e-100"), (SMALL_CONF, "1e-170"),
+    (SMALL_CONF, "1e-308")], ids=["n2-1e-100", "n1-1e-170", "n1-1e-308"])
+def test_tiny_slice_radius_still_runs(conf_text, rmax, tmp_path,
+                                      monkeypatch):
+    # the n = 2 node weights stay normal at 1e-100, and the n = 1 weights
+    # do not shrink with rmax
+    conf = tmp_path / "r.conf"
+    conf.write_text(conf_text)
+    monkeypatch.setenv("VKG_RMAX", rmax)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(conf), "--out",
+                     str(tmp_path / "o")]) == 0
+
+
+def test_n2_laplacian_overflow_prints_one_line(tmp_path):
+    # at the default warning filters, the command itself: numpy's overflow
+    # warnings from the Laplacian used to print before the exit-3 line
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(TINY_N2_SLICE_CONF)
+    env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]),
+               VKG_PHI_AMPLITUDE="1e308")
+    proc = subprocess.run([sys.executable, "-m", "vkg.cli", "simulate",
+                           str(conf), "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == ("runtime error: phi_amplitude times the "
+                           "Laplacian's 64 n / (12 dx^2) overflows, got "
+                           "1e+308 at dx=0.5\n")
 
 
 OVERFLOW_LINE = ("runtime error: the slice energies or bootstrap margins "
